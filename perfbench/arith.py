@@ -72,6 +72,22 @@ def overhead_pct(untraced_rate: float, traced_rate: float) -> float:
     return 100.0 * (untraced_rate / traced_rate - 1.0)
 
 
+def nominal_cpu(cpu: float, probe_cpu: float, probe_times: Sequence[float],
+                nominal: float) -> float:
+    """CPU seconds a unit would have taken on the host at nominal speed.
+
+    ``cpu`` is the unit's measured CPU time, ``probe_cpu`` the part of it
+    spent in probe kernels, and ``probe_times`` the CPU time of each probe
+    run around and inside it (``nominal`` on an uncontended host).  Probes
+    are spread evenly over the unit, so the mean of ``nominal / t`` is the
+    share of the unit's CPU time the work would have needed at full speed.
+    """
+    if not probe_times or min(probe_times) <= 0:
+        raise ValueError(f"need positive probe times, got {list(probe_times)}")
+    speed = math.fsum(nominal / t for t in probe_times) / len(probe_times)
+    return (cpu - probe_cpu) * speed
+
+
 def ratio(useful: float, attempted: float) -> float:
     """Useful outcomes per attempt (0 when nothing was attempted)."""
     return useful / attempted if attempted else 0.0

@@ -7,11 +7,12 @@ From the repository root:
 Every workload first sets up (three times; ``setup_s`` is the import CPU
 plus the median set-up), then repeats its timed cycle until ``--seconds``
 of wall time have passed.  A cycle is a fixed list of units (one compile
-pair, one GA compile, one simulation run), each timed on its own.  Every
-cycle does the same work, and on a shared host contention only ever slows
-a unit down, so ``ops_per_cpu_s`` divides a cycle's ops by the sum of each
-unit's fastest CPU time: the least-disturbed estimate, where medians of
-whole cycles scatter by tens of percent between runs.  ``--trace 0``
+pair, one GA compile, one simulation run), each timed on its own.  On a
+shared host the CPU time of identical work swings by tens of percent, so
+every CPU time is corrected to the host's nominal speed by a probe that
+samples it around and inside the unit (``probe.py``), and
+``ops_per_cpu_s`` divides a cycle's ops by the sum of each unit's median
+corrected CPU time.  ``--trace 0``
 prints the end-to-end metrics of ``BENCHMARK.json``; ``--trace 1``
 alternates traced and untraced cycles and prints the per-layer metrics,
 including the tracing overhead.  The traced run also writes its spans and
@@ -33,6 +34,7 @@ import sys
 import time
 from pathlib import Path
 
+from probe import NOMINAL_S, HostProbe
 from workloads import COUNTERS, WORKLOADS
 
 HERE = Path(__file__).resolve().parent
@@ -67,12 +69,13 @@ def parse_args(argv):
     return parser.parse_args(argv)
 
 
-def timed_cycle(workload, unit_cpu, tracer=None):
+def timed_cycle(workload, unit_cpu, tracer=None, probe=None):
     """One cycle: every unit once (untimed prepare, timed run), then checks.
 
-    Appends each unit's CPU seconds to ``unit_cpu[unit]`` and returns
-    ``(ops per CPU-second of the cycle, outcome, span-counter deltas)``;
-    the span counters are read only when tracing.
+    Appends each unit's CPU seconds to ``unit_cpu[unit]`` (corrected for
+    host speed when a probe is given) and returns ``(ops per CPU-second
+    of the cycle, outcome, span-counter deltas)``; the span counters are
+    read only when tracing.
     """
     gc.collect()
     outputs, delta, total = {}, dict.fromkeys(COUNTERS, 0), 0.0
@@ -81,9 +84,13 @@ def timed_cycle(workload, unit_cpu, tracer=None):
         before = workload.unit_counters(unit, after=False) if tracer else None
         if tracer:
             tracer.active = True
+        if probe:
+            probe.arm()
         start = time.process_time()
         outputs[unit] = workload.run_unit(unit)
         cpu = time.process_time() - start
+        if probe:
+            cpu = probe.corrected(cpu)
         if tracer:
             tracer.active = False
             after = workload.unit_counters(unit, after=True)
@@ -102,19 +109,23 @@ def check_outcomes(outcomes):
     return problems
 
 
-def plain_run(workload, seconds):
+def plain_run(workload, seconds, probe):
     rates, outcomes, unit_cpu = [], [], {}
+    probe.history.clear()
     deadline = time.perf_counter() + seconds
     while not rates or time.perf_counter() < deadline:
-        rate, outcome, _ = timed_cycle(workload, unit_cpu)
+        rate, outcome, _ = timed_cycle(workload, unit_cpu, probe=probe)
         rates.append(rate)
         outcomes.append(outcome)
-    best_cycle = sum(min(times) for times in unit_cpu.values())
-    metrics = {"ops_per_cpu_s": workload.ops_per_cycle / best_cycle,
+    cycle = sum(statistics.median(times) for times in unit_cpu.values())
+    metrics = {"ops_per_cpu_s": workload.ops_per_cycle / cycle,
                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
     metrics.update(outcomes[0].sim)
-    lines = [f"cycles: {len(rates)}; ops per CPU-second by cycle: "
-             + ", ".join(f"{r:.4g}" for r in rates)]
+    q1, median, q3 = statistics.quantiles([NOMINAL_S / t for t in probe.history], n=4)
+    lines = [f"cycles: {len(rates)}; ops per nominal CPU-second by cycle: "
+             + ", ".join(f"{r:.4g}" for r in rates),
+             f"host speed from {len(probe.history)} probes (1 = nominal): median "
+             f"{median:.3f}, quartiles {q1:.3f}-{q3:.3f}"]
     return metrics, outcomes, lines
 
 
@@ -206,15 +217,6 @@ def main(argv=None) -> int:
         print(f"error: {ROOT} lacks src/repro or BENCHMARK.json; nothing to measure",
               file=sys.stderr)
         return 2
-    spec = json.loads(spec_path.read_text())
-    sys.path.insert(0, str(ROOT / "src"))
-    # import everything the workloads touch before the set-up clock splits
-    import repro.evaluation.sweeps  # noqa: F401
-    import repro.search  # noqa: F401
-    import repro.serve  # noqa: F401
-    import repro.sim.simulator  # noqa: F401
-    from arith import all_finite
-
     if args.workload not in WORKLOADS:
         print(f"error: unknown workload {args.workload!r}; expected one of "
               + ", ".join(WORKLOADS), file=sys.stderr)
@@ -222,19 +224,38 @@ def main(argv=None) -> int:
     if args.seconds <= 0:
         print("error: --seconds must be positive", file=sys.stderr)
         return 2
+    spec = json.loads(spec_path.read_text())
+    probe = HostProbe()
+    try:
+        return measure(args, spec, probe)
+    finally:
+        probe.close()
+
+
+def measure(args, spec, probe) -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    # import everything the workloads touch before the set-up clock splits
+    probe.arm()
+    import repro.evaluation.sweeps  # noqa: F401
+    import repro.search  # noqa: F401
+    import repro.serve  # noqa: F401
+    import repro.sim.simulator  # noqa: F401
+    from arith import all_finite
+
     workload = WORKLOADS[args.workload](args.seed)
-    import_cpu = time.process_time()
+    import_cpu = probe.corrected(time.process_time())
     setup_cpu = []
     for _ in range(SETUP_REPEATS):
+        probe.arm()
         start = time.process_time()
         workload.setup()
-        setup_cpu.append(time.process_time() - start)
+        setup_cpu.append(probe.corrected(time.process_time() - start))
 
     if args.trace:
         metrics, outcomes, lines = traced_run(workload, args.seconds)
         wanted = spec["per_layer"]
     else:
-        metrics, outcomes, lines = plain_run(workload, args.seconds)
+        metrics, outcomes, lines = plain_run(workload, args.seconds, probe)
         metrics["setup_s"] = import_cpu + statistics.median(setup_cpu)
         wanted = spec["end_to_end"]
     names = [entry["name"] for entry in wanted]
@@ -246,7 +267,7 @@ def main(argv=None) -> int:
 
     print(f"workload {workload.name} (seed {args.seed}): {workload.loop}")
     print(f"op: one {workload.op_name}; {workload.ops_per_cycle} ops per cycle")
-    print(f"setup CPU: import {import_cpu:.3f} s + runs "
+    print(f"setup CPU at nominal speed: import {import_cpu:.3f} s + runs "
           + ", ".join(f"{s:.3f}" for s in setup_cpu) + " s")
     for line in lines + outcomes[0].notes:
         print(line)

@@ -5,7 +5,8 @@ import statistics
 
 import pytest
 
-from arith import all_finite, attainment, geomean, overhead_pct, ratio, relative_iqr, self_times
+from arith import (all_finite, attainment, geomean, nominal_cpu, overhead_pct, ratio,
+                   relative_iqr, self_times)
 
 
 def test_geomean_of_ratios():
@@ -59,6 +60,18 @@ def test_overhead_pct():
     assert overhead_pct(100.0, 100.0) == 0.0
     with pytest.raises(ValueError):
         overhead_pct(100.0, 0.0)
+
+
+def test_nominal_cpu_undoes_a_host_slowdown():
+    # 1.2 s measured, 0.2 s of it in probes; the host ran the probe twice
+    # as slow as nominal throughout: the work needs 0.5 s at full speed
+    assert nominal_cpu(1.2, 0.2, [2e-3, 2e-3, 2e-3], nominal=1e-3) == pytest.approx(0.5)
+    # at nominal speed only the probes' own time comes off
+    assert nominal_cpu(1.0, 0.1, [1e-3, 1e-3], nominal=1e-3) == pytest.approx(0.9)
+    # a slow half and a full-speed half: each half counts for its length
+    assert nominal_cpu(1.0, 0.0, [2e-3, 1e-3], nominal=1e-3) == pytest.approx(0.75)
+    with pytest.raises(ValueError):
+        nominal_cpu(1.0, 0.0, [], nominal=1e-3)
 
 
 def test_ratio_and_finite_checks():

@@ -520,11 +520,12 @@ class ServeFaults(_Serving):
             clients=FAULTS_CLIENTS, concurrency=1, mean_think_s=FAULTS_THINK_S,
             model_weights=FAULTS_WEIGHTS)
         # many short outages spread over the run: the p99 then averages
-        # over a dozen fault episodes instead of hinging on two or three
+        # over dozens of fault episodes instead of hinging on a few, and
+        # varies across seeds by under a tenth
         span = FAULTS_SPAN_US
         self.faults = [
-            parse_inject(f"chaos@0:seed={self.chaos_seed},count=16,"
-                         f"mtbf_us={span / 17:.0f},mttr_us=800"),
+            parse_inject(f"chaos@0:seed={self.chaos_seed},count=64,"
+                         f"mtbf_us={span / 65:.0f},mttr_us=300"),
             parse_inject(f"straggler@{0.4 * span:.0f}:chip=1,factor=3,"
                          f"until={0.6 * span:.0f}"),
         ]
