@@ -195,11 +195,6 @@ class _ChipHealth:
     flaps: int = 0
 
 
-# Nearest-rank percentile shared with the simulator's terminal report and
-# the telemetry sketch tests — one definition of "p95" everywhere.
-percentile = nearest_rank_percentile
-
-
 def place_plans(
     chips: Sequence[int],
     models: Sequence[str],
@@ -379,7 +374,7 @@ class Controller:
             for index, health in self.health.items()
             if health.ratio_ema is not None and index not in self.retired
         )
-        median_ratio = percentile(ratios, 50) if ratios else None
+        median_ratio = nearest_rank_percentile(ratios, 50) if ratios else None
         for worker in workers:
             index = worker.index
             if index in self.retired:
@@ -440,7 +435,7 @@ class Controller:
         if (self.config.hedge_after_pct <= 0
                 or len(self.lat_window) < self.config.hedge_min_samples):
             return None
-        return percentile(sorted(self.lat_window), self.config.hedge_after_pct)
+        return nearest_rank_percentile(sorted(self.lat_window), self.config.hedge_after_pct)
 
     def attainment(self) -> Optional[float]:
         """Windowed SLO attainment (``None`` without samples)."""

@@ -154,8 +154,8 @@ class ChipWorker:
     #: time, clamped to the simulation horizon
     downtime_ns: float = 0.0
     #: closed outage windows ``(down_ns, up_ns)`` this run; the simulator
-    #: appends one per recovery and closes the open outage at end-of-run.
-    #: Kept as windows (not a running sum) so a recovery scheduled past the
+    #: appends one per recovery and :meth:`close_downtime` closes the open
+    #: outage at end-of-run.  Kept as windows (not a running sum) so a recovery scheduled past the
     #: simulation horizon can be clamped to it — a chip can never report
     #: more downtime than the run's wall time
     outages: List[Tuple[float, float]] = field(default_factory=list)
@@ -178,6 +178,23 @@ class ChipWorker:
     def utilisation(self, makespan_ns: float) -> float:
         """Fraction of the run this chip spent executing batches."""
         return self.busy_ns / makespan_ns if makespan_ns > 0 else 0.0
+
+    def close_downtime(self, end_ns: float) -> None:
+        """Close the books at the simulation horizon ``end_ns``.
+
+        An outage still open ends at ``end_ns``, and ``downtime_ns`` sums
+        the outage windows clamped to the horizon: a chip whose scripted
+        recovery lies beyond the last event reports at most the run's wall
+        time as downtime, never more.
+        """
+        outages = list(self.outages)
+        if not self.up and self.down_since_ns is not None:
+            outages.append((self.down_since_ns, end_ns))
+            self.down_since_ns = end_ns
+        downtime_ns = 0.0
+        for start_ns, stop_ns in outages:
+            downtime_ns += max(0.0, min(stop_ns, end_ns) - min(start_ns, end_ns))
+        self.downtime_ns = downtime_ns
 
 
 class Fleet:
@@ -261,6 +278,18 @@ class Fleet:
     def idle_workers(self, now_ns: float) -> List[ChipWorker]:
         """Workers free at ``now_ns``, in index order."""
         return [w for w in self.workers if w.idle_at(now_ns)]
+
+    def gauges(self) -> Dict[str, object]:
+        """Fleet-wide occupancy, energy and switch totals (a telemetry
+        gauge source)."""
+        workers = self.workers
+        return {
+            "chips": len(workers),
+            "up": sum(1 for w in workers if w.up),
+            "busy_ms": sum(w.busy_ns for w in workers) * 1e-6,
+            "energy_mj": sum(w.energy_pj for w in workers) * 1e-9,
+            "plan_switches": sum(w.plan_switches for w in workers),
+        }
 
     def reset(self) -> None:
         """Zero every worker's occupancy counters (for re-running a fleet)."""

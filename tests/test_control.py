@@ -27,7 +27,7 @@ from repro.serve import (
     parse_inject,
     place_plans,
 )
-from repro.serve.control import percentile
+from repro.sim.metrics import nearest_rank_percentile
 from repro.serve.fleet import ChipWorker
 
 BATCHES = (1, 2, 4, 8)
@@ -108,18 +108,18 @@ class TestControlConfig:
 # ----------------------------------------------------------------------
 class TestPercentile:
     def test_empty_is_zero(self):
-        assert percentile([], 99) == 0.0
+        assert nearest_rank_percentile([], 99) == 0.0
 
     def test_nearest_rank(self):
         values = [10.0, 20.0, 30.0, 40.0]
-        assert percentile(values, 50) == 20.0
-        assert percentile(values, 75) == 30.0
-        assert percentile(values, 99) == 40.0
+        assert nearest_rank_percentile(values, 50) == 20.0
+        assert nearest_rank_percentile(values, 75) == 30.0
+        assert nearest_rank_percentile(values, 99) == 40.0
         # rank never falls below 1, even at q=0
-        assert percentile(values, 0) == 10.0
+        assert nearest_rank_percentile(values, 0) == 10.0
 
     def test_single_sample(self):
-        assert percentile([7.0], 95) == 7.0
+        assert nearest_rank_percentile([7.0], 95) == 7.0
 
 
 class TestPlacePlans:

@@ -39,7 +39,7 @@ from repro.serve import (
     validate_policy,
     validate_traffic,
 )
-from repro.serve.simulator import _percentile
+from repro.sim.metrics import nearest_rank_percentile
 
 BATCHES = (1, 2, 4, 8, 16)
 
@@ -518,24 +518,24 @@ def test_request_ordering_is_stable():
 # ----------------------------------------------------------------------
 class TestPercentile:
     def test_empty(self):
-        assert _percentile([], 50) == 0.0
-        assert _percentile([], 99) == 0.0
+        assert nearest_rank_percentile([], 50) == 0.0
+        assert nearest_rank_percentile([], 99) == 0.0
 
     def test_singleton(self):
-        assert _percentile([7.0], 1) == 7.0
-        assert _percentile([7.0], 50) == 7.0
-        assert _percentile([7.0], 99) == 7.0
+        assert nearest_rank_percentile([7.0], 1) == 7.0
+        assert nearest_rank_percentile([7.0], 50) == 7.0
+        assert nearest_rank_percentile([7.0], 99) == 7.0
 
     def test_even_length_p50_is_lower_median(self):
         # nearest rank: ceil(0.5 * 4) = 2 -> the second element
-        assert _percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.0
+        assert nearest_rank_percentile([1.0, 2.0, 3.0, 4.0], 50) == 2.0
 
     def test_tails(self):
         values = [1.0, 2.0, 3.0, 4.0]
-        assert _percentile(values, 95) == 4.0
-        assert _percentile(values, 99) == 4.0
-        assert _percentile(values, 25) == 1.0
-        assert _percentile(values, 100) == 4.0
+        assert nearest_rank_percentile(values, 95) == 4.0
+        assert nearest_rank_percentile(values, 99) == 4.0
+        assert nearest_rank_percentile(values, 25) == 1.0
+        assert nearest_rank_percentile(values, 100) == 4.0
 
 
 # ----------------------------------------------------------------------
@@ -1110,6 +1110,42 @@ class TestPrePr6Pins:
         report = simulator.run(traffic)
         assert report.policy == "fair"
         assert report.determinism_dict() == expected
+
+
+class TestSingleCompletionPath:
+    """Plain and fault-aware runs share one accounting path: every batch
+    is finalised at its chip-free event, so an inert fault-tolerance knob
+    changes the report's shape (the ``faults`` block and per-chip fault
+    columns), never a number in it."""
+
+    @staticmethod
+    def _closed_hetero(fault_tolerance):
+        # heterogeneous fleet + closed loop: dispatch order and completion
+        # order differ, and closed-loop clients draw their think times in
+        # completion-callback order — a second accounting path would show
+        models = ["squeezenet", "lenet5"]
+        fleet = Fleet.from_spec("S:1,M:1")
+        cache = PlanCache(optimizer="dp")
+        cache.warmup(models, fleet.chip_names, BATCHES)
+        traffic = ClosedLoopTraffic(models, num_requests=50, seed=5, clients=4,
+                                    concurrency=2, mean_think_s=0.0002)
+        simulator = ServingSimulator(
+            fleet, cache, policy="fair", batch_sizes=BATCHES,
+            max_wait_us=100.0, switch_cost=True,
+            fault_tolerance=fault_tolerance)
+        return simulator.run(traffic).determinism_dict()
+
+    def test_inert_fault_tolerance_matches_plain_run(self):
+        plain = self._closed_hetero(None)
+        inert = self._closed_hetero(FaultTolerance(max_retries=1))
+        assert "faults" not in plain
+        faults = inert.pop("faults")
+        assert faults["failures"] == faults["retries"] == faults["lost"] == 0
+        for row in inert["per_chip"]:
+            assert row.pop("failures") == 0
+            assert row.pop("downtime_ms") == 0.0
+            assert row.pop("lost_requests") == 0
+        assert inert == plain
 
 
 # ----------------------------------------------------------------------

@@ -87,8 +87,11 @@ class TestSharedPercentile:
     def test_simulator_and_controller_share_one_function(self):
         from repro.serve import control, simulator
 
-        assert simulator._percentile is nearest_rank_percentile
-        assert control.percentile is nearest_rank_percentile
+        # both import the one definition; neither keeps a private alias
+        assert simulator.nearest_rank_percentile is nearest_rank_percentile
+        assert control.nearest_rank_percentile is nearest_rank_percentile
+        assert not hasattr(simulator, "_percentile")
+        assert not hasattr(control, "percentile")
 
     def test_nearest_rank_definition(self):
         values = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
