@@ -15,13 +15,13 @@ Five headliners ride with the quick-bench set:
   chip ranking, per-candidate-batch reference chips) under load.
 * ``test_serving_faults`` — the same two-chip fleet under a chip failure
   with retries, a straggler window, a per-request timeout and admission
-  control: the fault-aware accounting path (chip-free finalisation,
-  in-flight kill + retry, timeout bookkeeping) under load.
+  control: the fault machinery (in-flight kill + retry, timeout
+  bookkeeping) under load.
 * ``test_serving_control`` — the same fault scenario with the
   self-healing control plane running on a 200 µs tick: health-signal
   bookkeeping at every dispatch/completion, detection + quarantine,
   hedged requests, the SLO-driven autoscaler and plan re-placement — the
-  full per-tick controller overhead on top of the fault-aware path.
+  full per-tick controller overhead on top of the fault machinery.
 * ``test_serving_telemetry`` — the control scenario with the full
   telemetry layer on: per-window timeline accumulation over 2 ms
   windows, log2-histogram sketch folds at every completion and

@@ -108,6 +108,27 @@ def _ga_config_from_args(args: argparse.Namespace) -> GAConfig:
     )
 
 
+def _chip_name(value: str) -> str:
+    """argparse type: a chip preset name (S, M or L, any case)."""
+    try:
+        get_chip_config(value)
+    except KeyError as error:
+        raise argparse.ArgumentTypeError(str(error).strip('"')) from None
+    return value
+
+
+def _positive_int(value: str) -> int:
+    """argparse type: an integer of at least 1 (batch sizes)."""
+    try:
+        number = int(value)
+    except ValueError:
+        number = 0
+    if number < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {value!r}")
+    return number
+
+
 def _check_optimizer(name: str) -> Optional[str]:
     """Error message for an unrecognised ``--optimizer`` value, else ``None``."""
     try:
@@ -586,10 +607,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     compile_parser = subparsers.add_parser("compile", help="compile one model for one chip")
     compile_parser.add_argument("model", choices=list_models())
-    compile_parser.add_argument("--chip", default="M", help="chip configuration: S, M or L")
+    compile_parser.add_argument("--chip", default="M", type=_chip_name,
+                                help="chip configuration: S, M or L")
     compile_parser.add_argument("--scheme", default="compass",
                                 choices=["compass", "greedy", "layerwise"])
-    compile_parser.add_argument("--batch", type=int, default=1, help="batch size")
+    compile_parser.add_argument("--batch", type=_positive_int, default=1, help="batch size")
     compile_parser.add_argument("--no-instructions", action="store_true",
                                 help="skip instruction generation (faster)")
     compile_parser.add_argument("--output", help="write the full result to this JSON file")
@@ -599,11 +621,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser = subparsers.add_parser("sweep", help="run a Fig. 6 style sweep")
     sweep_parser.add_argument("--models", nargs="+", default=["squeezenet", "resnet18"],
                               choices=list_models())
-    sweep_parser.add_argument("--chips", nargs="+", default=["S", "M", "L"])
+    sweep_parser.add_argument("--chips", nargs="+", default=["S", "M", "L"], type=_chip_name)
     sweep_parser.add_argument("--schemes", nargs="+",
                               default=["greedy", "layerwise", "compass"],
                               choices=["greedy", "layerwise", "compass"])
-    sweep_parser.add_argument("--batches", nargs="+", type=int, default=[1, 4, 16])
+    sweep_parser.add_argument("--batches", nargs="+", type=_positive_int, default=[1, 4, 16])
     # sweeps default to the exact DP engine: every compass point is the true
     # latency optimum and the sweep is deterministic (pass --optimizer ga
     # for the paper's original search)

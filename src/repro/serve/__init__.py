@@ -27,8 +27,8 @@ streams.  Four pieces, all deterministic for a fixed seed:
   stochastic ``chaos`` schedules) and the :class:`FaultTolerance` knobs
   that survive them: request re-queue on chip death, per-request timeout +
   capped retry with deterministic backoff, admission control / load
-  shedding, and SLO-driven graceful degradation.  Fault-free runs stay
-  bit-identical to the pre-fault simulator.
+  shedding, and SLO-driven graceful degradation.  Faulty or not, every
+  batch completes through one accounting path, at its chip-free event.
 * :mod:`~repro.serve.control` — the self-healing control plane: a
   :class:`Controller` (configured by :class:`ControlConfig`) runs on a
   fixed control tick inside the simulator's deterministic event order and

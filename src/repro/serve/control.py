@@ -46,9 +46,9 @@ signals, and drives four actuators:
 Everything is deterministic: the controller consumes no randomness, every
 window and EMA is driven by simulated-time events, and ties break on chip
 index / model name.  With no :class:`ControlConfig` (or
-``interval_us == 0``) the simulator never creates a controller and takes
-the exact pre-control code path — pinned bit-identical in
-``tests/test_serve.py`` against ``tests/data/serving_pre_pr7.json``.
+``interval_us == 0``) the simulator never creates a controller, and its
+reports stay pinned bit-identical in ``tests/test_serve.py`` against
+the captures in ``tests/data/serving_pins.json``.
 """
 
 from __future__ import annotations
@@ -85,8 +85,7 @@ class ControlConfig:
     """Knobs of the self-healing control plane (all times in µs).
 
     ``interval_us`` is the master switch: 0 (the default) disables the
-    controller entirely and the simulator takes the exact pre-control code
-    path.  Hedging additionally needs ``hedge_after_pct > 0`` and the
+    controller entirely — no control tick ever runs.  Hedging additionally needs ``hedge_after_pct > 0`` and the
     autoscaler ``autoscale=True`` — detection/quarantine and plan
     re-placement are on whenever the controller runs (re-placement can be
     switched off with ``replace_plans=False``).

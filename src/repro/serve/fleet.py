@@ -9,8 +9,8 @@ scheduling policy earns its keep, because the same model compiles to very
 different plans per chip class.
 
 Workers carry their own occupancy counters (busy time, batches, requests,
-energy); the simulator updates them at dispatch time and the serving report
-reads them back as the per-chip utilisation table.
+energy); the simulator updates them as each batch completes and the serving
+report reads them back as the per-chip utilisation table.
 
 Each worker also remembers the compiled plan its crossbars currently hold
 (``loaded_plan``).  When plan-switch cost modelling is enabled

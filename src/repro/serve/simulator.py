@@ -137,7 +137,7 @@ _CONTROL_COUNTERS = ("quarantines", "readmissions", "hedges", "scale_ups",
 _EMA_ALPHA = 0.2
 
 
-@dataclass
+@dataclass(slots=True)
 class _Inflight:
     """One dispatched batch that has not completed yet.
 
@@ -573,6 +573,7 @@ class _RunState:
         self.switch_cost = sim.switch_cost
         self.slos = sim.slos
         self.ft = sim.fault_tolerance
+        self.shedding = self.ft.shed_queue_depth > 0 or self.ft.shed_wait_us > 0
         self.policy = sim.policy
         self.control = sim.control
         self.commands = commands
@@ -605,10 +606,12 @@ class _RunState:
         # tie is the chip index for chip-bound events (free/fault), so
         # same-instant chip events resolve by chip id, never by heap
         # insertion order; seq keeps arrival/deadline FIFO within a tie
-        self.events: List[Tuple[float, int, int, int, object]] = []
         self.seq = itertools.count()
-        for request in initial:
-            self.push(request.arrival_ns, _EVENT_ARRIVAL, 0, request)
+        self.events: List[Tuple[float, int, int, int, object]] = [
+            (request.arrival_ns, _EVENT_ARRIVAL, 0, next(self.seq), request)
+            for request in initial
+        ]
+        heapq.heapify(self.events)
         first_arrival = min(r.arrival_ns for r in initial)
         self.first_arrival = first_arrival
         for at_us, action, chip, factor in sim._fault_schedule:
@@ -654,7 +657,6 @@ class _RunState:
         self.padded_batches = 0
         self.batches = 0
         self.last_completion = 0.0
-        self.models_seen: Dict[str, None] = {}
         self.last_arrival_ns = first_arrival
 
         #: chip index -> the batch it is executing, finalised at the
@@ -900,10 +902,9 @@ class _RunState:
                         else _EMA_ALPHA * gap + (1.0 - _EMA_ALPHA) * current
                     )
             last_arrival[model] = request.arrival_ns
-            self.last_arrival_ns = max(self.last_arrival_ns, request.arrival_ns)
-            self.models_seen.setdefault(model)
+            self.last_arrival_ns = request.arrival_ns  # pops in time order
             self.remaining[model] -= 1
-            if self.should_shed(request):
+            if self.shedding and self.should_shed(request):
                 self.shed += 1
                 if tele is not None:
                     tele.shed(now, request)
@@ -1069,7 +1070,8 @@ class _RunState:
         queued_keys = self.queued_keys
         policy = self.policy
         ctrl = self.ctrl
-        while True:
+        # depth is the total queued count, so an empty system is one compare
+        while self.depth:
             idle = self.idle_chips(now)
             if not idle:
                 return
@@ -1194,6 +1196,8 @@ class _RunState:
         origins = self.origins
         winners = self.winners
         hedged = self.hedged
+        latencies = self.latencies
+        waits = self.waits
         start_ns = record.start_ns
         for request in record.requests:
             rid = request.request_id
@@ -1210,9 +1214,9 @@ class _RunState:
                 if slo_ok:
                     running[0] += 1
             if stream is None:
-                self.latencies.append(total)
-                self.waits.append(wait_ns)
-                if request.model in slos:
+                latencies.append(total)
+                waits.append(wait_ns)
+                if slo_ok is not None:
                     self.by_model.setdefault(request.model, []).append(total)
             else:
                 stream.note(total, wait_ns, request.model, slo_ok)
@@ -1583,7 +1587,7 @@ class _RunState:
             fleet_spec=self.fleet.spec,
             policy=sim.policy.name,
             traffic=dict(self.traffic_info or {}),
-            models=tuple(sorted(self.models_seen)),
+            models=tuple(sorted(self.last_arrival)),
             optimizer=plan_cache.optimizer,
             mode=plan_cache.mode.value,
             batch_sizes=self.batcher.batch_sizes,

@@ -473,9 +473,8 @@ class TimelineAccumulator:
 
     Event-side notes (arrivals, completions, faults, ...) are keyed by
     their own timestamp — ``window = floor((ts - origin) / interval)`` —
-    so the fault-free accounting path, which records completions at
-    dispatch time with a future completion timestamp, lands every event in
-    the right window regardless of processing order.  State-side samples
+    so every event lands in the right window regardless of processing
+    order.  State-side samples
     (queue depth, utilisation, cumulative control counters) are taken at
     each window boundary after same-instant events settle — the simulator
     samples lazily when it pops the first event past a boundary, which

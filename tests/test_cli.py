@@ -34,6 +34,23 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["compile", "resnet18", "--chip", "Q"], "unknown chip configuration 'Q'"),
+        (["sweep", "--chips", "Q"], "unknown chip configuration 'Q'"),
+        (["compile", "resnet18", "--batch", "0"], "expected a positive integer, got '0'"),
+        (["sweep", "--batches", "0"], "expected a positive integer, got '0'"),
+    ])
+    def test_bad_chip_or_batch_exits_2(self, capsys, argv, message):
+        # rejected at parse time with an ``error:`` line, before any
+        # compile work starts — never a KeyError/ValueError traceback
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert message in err
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def test_models_command(self, capsys):

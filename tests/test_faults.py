@@ -4,8 +4,8 @@ Covers the declarative fault surface (``parse_inject``/``materialize``), the
 :class:`FaultTolerance` knobs, and the simulator's survival machinery: chip
 failure + retry, stragglers, degraded DRAM re-pricing, timeouts, admission
 control, SLO-driven degradation, and the request-conservation invariant.
-Fault-free bit-identity against the pre-fault simulator is pinned separately
-in ``tests/test_serve.py``.
+The captured fault-free and controller-off reports are pinned separately in
+``tests/test_serve.py``.
 """
 
 import dataclasses

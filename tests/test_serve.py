@@ -539,14 +539,26 @@ class TestPercentile:
 
 
 # ----------------------------------------------------------------------
-# Plan-switch weight-replacement cost
+# Captured serving reports (bit-identity pins)
 # ----------------------------------------------------------------------
-def _load_pre_pr5():
-    path = os.path.join(os.path.dirname(__file__), "data", "serving_pre_pr5.json")
+def _load_pins():
+    """Every pinned ``determinism_dict()``, keyed by scenario name.
+
+    ``tests/data/serving_pins.json`` holds the captures of three eras in
+    one file: the pre-switch-cost runs (``homogeneous_hold``,
+    ``heterogeneous_greedy``), the pre-fault runs (``open_latency_switch_on``,
+    ``hetero_fair_slo_switch_on``, ``closed_fair_switch_off``) and the
+    pre-control-plane runs (``fault_retry_latency``, ``hetero_fair_chaos``,
+    ``plain_open_latency``).
+    """
+    path = os.path.join(os.path.dirname(__file__), "data", "serving_pins.json")
     with open(path, "r", encoding="utf-8") as handle:
         return json.load(handle)
 
 
+# ----------------------------------------------------------------------
+# Plan-switch weight-replacement cost
+# ----------------------------------------------------------------------
 def _run_mix(switch_cost, fleet_spec="S:1,M:1", seed=3, max_wait_us=200.0,
              policy="latency", slos=None):
     cache = PlanCache(optimizer="dp")
@@ -566,7 +578,7 @@ class TestSwitchCost:
         # the pinned pre-switch-cost report: every pre-existing key is
         # bit-identical; served_histogram is the only addition (and equals
         # batch_histogram because the pinned run has no padded batches)
-        expected = _load_pre_pr5()["homogeneous_hold"]
+        expected = _load_pins()["homogeneous_hold"]
         cache = PlanCache(optimizer="dp")
         fleet = Fleet.from_spec("S:2")
         cache.warmup(["squeezenet"], fleet.chip_names, BATCHES)
@@ -585,7 +597,7 @@ class TestSwitchCost:
         assert data["served_histogram"] == data["batch_histogram"]
 
     def test_off_path_bit_identical_to_pre_pr_heterogeneous(self):
-        expected = _load_pre_pr5()["heterogeneous_greedy"]
+        expected = _load_pins()["heterogeneous_greedy"]
         data = _run_mix(switch_cost=False, max_wait_us=0.0).determinism_dict()
         assert set(data) - set(expected) == {"served_histogram"}
         for key in expected:
@@ -1030,18 +1042,14 @@ class TestServingReportRoundTrip:
 # ----------------------------------------------------------------------
 # Fault-free bit-identity against the pre-fault simulator (PR 6 pins)
 # ----------------------------------------------------------------------
-def _load_pre_pr6():
-    path = os.path.join(os.path.dirname(__file__), "data", "serving_pre_pr6.json")
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _replay_capture(expected):
+def _replay_capture(expected, switch_cost_from_env=False):
     """Re-run a pinned scenario from its own stored report.
 
     Every knob the run needs is recoverable from the capture (fleet, policy,
     batching, traffic parameters, SLO targets, whether switch cost was on),
-    so the pin cannot drift from the scenario it describes.
+    so the pin cannot drift from the scenario it describes.  With
+    ``switch_cost_from_env`` the simulator takes switch-cost modelling
+    from ``REPRO_SERVE_SWITCH_COST`` instead of from the capture.
     """
     traffic_info = expected["traffic"]
     models = list(traffic_info["models"])
@@ -1054,7 +1062,8 @@ def _replay_capture(expected):
     simulator = ServingSimulator(
         fleet, cache, policy=expected["policy"], batch_sizes=batch_sizes,
         max_wait_us=expected["max_wait_us"],
-        switch_cost="switch" in expected, slos=slos,
+        switch_cost=None if switch_cost_from_env else "switch" in expected,
+        slos=slos,
     )
     if traffic_info["traffic"] == "closed":
         traffic = ClosedLoopTraffic(
@@ -1073,8 +1082,10 @@ def _replay_capture(expected):
 class TestPrePr6Pins:
     """The fault-machinery PR's no-fault contract: with no faults injected
     and no fault-tolerance knob set, every report key is bit-identical to
-    the pre-fault simulator — no ``faults`` block, no per-chip downtime
-    columns, same accounting to the last float."""
+    its capture — no ``faults`` block, no per-chip downtime columns, same
+    accounting to the last float.  ``closed_fair_switch_off`` was
+    re-captured when completions moved to the chip-free event: closed-loop
+    clients draw think times in completion order, not dispatch order."""
 
     @pytest.mark.parametrize("scenario", [
         "open_latency_switch_on",
@@ -1082,7 +1093,7 @@ class TestPrePr6Pins:
         "closed_fair_switch_off",
     ])
     def test_bit_identical(self, scenario):
-        expected = _load_pre_pr6()[scenario]
+        expected = _load_pins()[scenario]
         report = _replay_capture(expected)
         assert not report.fault_tolerance
         assert report.determinism_dict() == expected
@@ -1091,23 +1102,10 @@ class TestPrePr6Pins:
         # REPRO_SERVE_SWITCH_COST=0 with the fair policy under closed-loop
         # traffic: the env default must reproduce the explicit
         # switch_cost=False capture bit-for-bit
-        expected = _load_pre_pr6()["closed_fair_switch_off"]
+        expected = _load_pins()["closed_fair_switch_off"]
         monkeypatch.setenv("REPRO_SERVE_SWITCH_COST", "0")
-        traffic_info = expected["traffic"]
-        fleet = Fleet.from_spec(expected["fleet"])
-        cache = PlanCache(optimizer="dp")
-        cache.warmup(list(traffic_info["models"]), fleet.chip_names, BATCHES)
-        traffic = ClosedLoopTraffic(
-            list(traffic_info["models"]), num_requests=traffic_info["num_requests"],
-            seed=traffic_info["seed"], clients=traffic_info["clients"],
-            concurrency=traffic_info["concurrency"],
-            mean_think_s=traffic_info["mean_think_s"],
-        )
-        simulator = ServingSimulator(fleet, cache, policy="fair",
-                                     batch_sizes=BATCHES,
-                                     max_wait_us=expected["max_wait_us"])
-        assert not simulator.switch_cost
-        report = simulator.run(traffic)
+        report = _replay_capture(expected, switch_cost_from_env=True)
+        assert not report.switch_cost
         assert report.policy == "fair"
         assert report.determinism_dict() == expected
 
@@ -1151,21 +1149,15 @@ class TestSingleCompletionPath:
 # ----------------------------------------------------------------------
 # Controller-off bit-identity against the pre-control-plane simulator
 # (PR 7 pins) — unlike the PR 6 pins these scenarios *do* exercise the
-# fault-aware accounting path (injected failures, stragglers, retries,
-# timeouts, shedding): the control plane must leave every one of those
-# code paths bit-identical when it is not enabled.
+# fault machinery (injected failures, stragglers, retries, timeouts,
+# shedding): the control plane must leave every one of those code paths
+# bit-identical when it is not enabled.
 # ----------------------------------------------------------------------
-def _load_pre_pr7():
-    path = os.path.join(os.path.dirname(__file__), "data", "serving_pre_pr7.json")
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def pre_pr7_scenarios():
     """Scenario builders for the PR 7 pins, keyed by capture name.
 
     Each builder runs one controller-off scenario from scratch and returns
-    its report; ``tests/data/serving_pre_pr7.json`` holds the
+    its report; ``tests/data/serving_pins.json`` holds the
     ``determinism_dict()`` these produced before the control plane existed.
     The capture was generated by calling exactly these builders (see the
     CHANGES entry), so the pin and the scenario cannot drift apart silently
@@ -1240,9 +1232,8 @@ def pre_pr7_scenarios():
 
 class TestPrePr7Pins:
     """The control-plane PR's controller-off contract: with no
-    ``ControlConfig`` the simulator takes the exact pre-control code path —
-    fault-aware accounting included — and every report key is bit-identical
-    to the pre-control capture."""
+    ``ControlConfig`` no controller runs, and every report key — fault
+    accounting included — is bit-identical to the pre-control capture."""
 
     @pytest.mark.parametrize("scenario", [
         "fault_retry_latency",
@@ -1250,6 +1241,6 @@ class TestPrePr7Pins:
         "plain_open_latency",
     ])
     def test_bit_identical(self, scenario):
-        expected = _load_pre_pr7()[scenario]
+        expected = _load_pins()[scenario]
         report = pre_pr7_scenarios()[scenario]()
         assert report.determinism_dict() == expected

@@ -8,7 +8,7 @@ reproducible; the request tracer emits valid, deterministic Chrome
 trace-event JSON with memory bounded by the sampling stride; and telemetry
 as a whole is a **pure observer** — a telemetry-on run replays the
 telemetry-off event order bit-identically (pinned against
-``tests/data/serving_pre_pr7.json``).
+``tests/data/serving_pins.json``).
 """
 
 import json
@@ -48,7 +48,7 @@ from repro.serve.traffic import (
 from repro.sim.metrics import nearest_rank_percentile
 from repro.sim.report import render_timeline
 
-from test_serve import pre_pr7_scenarios
+from test_serve import _load_pins, pre_pr7_scenarios
 
 BATCHES = (1, 2, 4, 8, 16)
 
@@ -250,10 +250,10 @@ class TestTimelineWindowGuards:
                     assert not math.isnan(value), (row["window"], key)
 
     def test_zero_elapsed_window_renders_zero_not_crash(self):
-        # dispatch-time accounting can land a completion timestamp past
-        # the last arrival-defined span: that window has completions but
-        # zero elapsed time inside the span and must render 0.0, not
-        # raise ZeroDivisionError or emit inf
+        # the accumulator takes any timestamp, so a completion can land
+        # past the rendered span: that window has completions but zero
+        # elapsed time inside the span and must render 0.0, not raise
+        # ZeroDivisionError or emit inf
         timeline = TimelineAccumulator(1000.0)
         timeline.start(0.0)
         timeline.note_completion(3500.0, 100.0)
@@ -407,13 +407,6 @@ def _traffic_scenario(kind, telemetry=None):
     return report
 
 
-def _load_pre_pr7():
-    path = os.path.join(os.path.dirname(__file__), "data",
-                        "serving_pre_pr7.json")
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 # ----------------------------------------------------------------------
 # pure-observer contract
 # ----------------------------------------------------------------------
@@ -423,7 +416,7 @@ class TestPureObserver:
         # ``fault_retry_latency`` builder (cross-checked below): running it
         # with full telemetry on must still match the pre-telemetry capture
         # bit for bit once the new (additive) blocks are removed
-        expected = _load_pre_pr7()["fault_retry_latency"]
+        expected = _load_pins()["fault_retry_latency"]
         baseline = pre_pr7_scenarios()["fault_retry_latency"]()
         assert baseline.determinism_dict() == expected
         _, on = _fault_scenario(TelemetryConfig(
@@ -867,8 +860,8 @@ class TestWindowConservation:
             fated += (row["completed"] + row["shed"] + row["timeouts"]
                       + row["lost"])
             # a request's fate can only land at or after its arrival
-            # (dispatch-time accounting keys completions by their own
-            # future timestamp, which is >= the arrival's)
+            # (a completion is keyed by its chip-free timestamp, which is
+            # >= the arrival's)
             assert fated <= seen, row["window"]
 
 
