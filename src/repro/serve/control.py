@@ -85,10 +85,11 @@ class ControlConfig:
     """Knobs of the self-healing control plane (all times in µs).
 
     ``interval_us`` is the master switch: 0 (the default) disables the
-    controller entirely — no control tick ever runs.  Hedging additionally needs ``hedge_after_pct > 0`` and the
-    autoscaler ``autoscale=True`` — detection/quarantine and plan
-    re-placement are on whenever the controller runs (re-placement can be
-    switched off with ``replace_plans=False``).
+    controller entirely — no control tick ever runs.  Hedging additionally
+    needs ``hedge_after_pct > 0`` and the autoscaler ``autoscale=True`` —
+    detection/quarantine and plan re-placement are on whenever the
+    controller runs (re-placement can be switched off with
+    ``replace_plans=False``).
     """
 
     #: control tick interval; 0 disables the controller
@@ -434,7 +435,8 @@ class Controller:
         if (self.config.hedge_after_pct <= 0
                 or len(self.lat_window) < self.config.hedge_min_samples):
             return None
-        return nearest_rank_percentile(sorted(self.lat_window), self.config.hedge_after_pct)
+        return nearest_rank_percentile(sorted(self.lat_window),
+                                       self.config.hedge_after_pct)
 
     def attainment(self) -> Optional[float]:
         """Windowed SLO attainment (``None`` without samples)."""

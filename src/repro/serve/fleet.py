@@ -155,9 +155,9 @@ class ChipWorker:
     downtime_ns: float = 0.0
     #: closed outage windows ``(down_ns, up_ns)`` this run; the simulator
     #: appends one per recovery and :meth:`close_downtime` closes the open
-    #: outage at end-of-run.  Kept as windows (not a running sum) so a recovery scheduled past the
-    #: simulation horizon can be clamped to it — a chip can never report
-    #: more downtime than the run's wall time
+    #: outage at end-of-run.  Kept as windows (not a running sum) so a
+    #: recovery scheduled past the simulation horizon can be clamped to it
+    #: — a chip can never report more downtime than the run's wall time
     outages: List[Tuple[float, float]] = field(default_factory=list)
     #: batches in flight when the chip died
     lost_batches: int = 0

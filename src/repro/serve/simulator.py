@@ -722,7 +722,7 @@ class _RunState:
         inflight = self.inflight
         ctrl = self.ctrl
         return [w for w in self.workers
-                if w.up and w.busy_until_ns <= now and w.index not in inflight
+                if w.busy_until_ns <= now and w.up and w.index not in inflight
                 and (ctrl is None or ctrl.available(w))]
 
     def fault_gauges(self) -> Dict[str, object]:
@@ -1356,16 +1356,9 @@ class _RunState:
         self.ctrl.last_scale_ns = now
         self.ctrl.scale_ups += 1
 
-    def resident_candidates(self, now: float) -> List[ChipWorker]:
-        """Idle, healthy, available chips with nothing in flight."""
-        ctrl = self.ctrl
-        return [w for w in self.workers
-                if ctrl.available(w) and w.up
-                and w.index not in self.inflight and w.busy_until_ns <= now]
-
     def retire_chip(self, now: float) -> bool:
         """Autoscale down: decommission the newest idle healthy chip."""
-        candidates = self.resident_candidates(now)
+        candidates = self.idle_chips(now)
         if not candidates:
             return False
         ctrl = self.ctrl
@@ -1392,7 +1385,7 @@ class _RunState:
             return
         ctrl = self.ctrl
         weights = ctrl.model_weights()
-        chips = self.resident_candidates(now)
+        chips = self.idle_chips(now)
         if not weights or not chips:
             return
         by_index = {w.index: w for w in chips}

@@ -474,9 +474,9 @@ class TimelineAccumulator:
     Event-side notes (arrivals, completions, faults, ...) are keyed by
     their own timestamp — ``window = floor((ts - origin) / interval)`` —
     so every event lands in the right window regardless of processing
-    order.  State-side samples
-    (queue depth, utilisation, cumulative control counters) are taken at
-    each window boundary after same-instant events settle — the simulator
+    order.  State-side samples (queue depth, utilisation, cumulative
+    control counters) are taken at each window boundary after
+    same-instant events settle — the simulator
     samples lazily when it pops the first event past a boundary, which
     between events reads the identical state a dedicated tick would have;
     windows no sample reached forward-fill the last sample, and the final
