@@ -30,9 +30,6 @@ Environment variables:
 ``COMPASS_PAPER_SCALE=1``
     Forwarded to the harness (paper-scale GA instead of the fast preset,
     see ``benchmarks/conftest.py``).
-``REPRO_SPAN_MATRIX=0``
-    Disable the dense span-matrix engine (scalar span-table path), e.g. to
-    measure the dense layer's contribution in isolation.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ count afterwards.
 import numpy as np
 import pytest
 
-from repro import envflags
 from repro.core.ga import GAConfig
 from repro.evaluation.experiments import fig10_ga_convergence
 
@@ -60,6 +59,5 @@ def test_fig10_ga_convergence(benchmark):
                        + result.span_stats["latency_hits"])
     assert latency_lookups > 0
     assert result.span_stats["latency_hit_rate"] > 0.3
-    if envflags.span_matrix_enabled():
-        # the dense span-matrix path carried the population scoring
-        assert result.span_stats["matrix_fills"] + result.span_stats["matrix_hits"] > 0
+    # the dense span-matrix path carried the population scoring
+    assert result.span_stats["matrix_fills"] + result.span_stats["matrix_hits"] > 0

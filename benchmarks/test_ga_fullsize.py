@@ -11,7 +11,6 @@ path specifically.
 
 import pytest
 
-from repro import envflags
 from repro.core.ga import GAConfig
 from repro.evaluation.experiments import ga_paper_scale
 
@@ -41,6 +40,5 @@ def test_ga_fullsize_resnet18(benchmark):
     # the dense span-matrix engine carried the population scoring: spans were
     # materialised into the matrix and the bulk of lookups were gather-served
     assert result.span_stats, "GA ran without the span engine"
-    if envflags.span_matrix_enabled():
-        assert result.span_stats["matrix_fills"] + result.span_stats["matrix_hits"] > 0
-        assert result.span_stats["matrix_hit_rate"] > 0.5
+    assert result.span_stats["matrix_fills"] + result.span_stats["matrix_hits"] > 0
+    assert result.span_stats["matrix_hit_rate"] > 0.5

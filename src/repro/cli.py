@@ -117,16 +117,23 @@ def _chip_name(value: str) -> str:
     return value
 
 
-def _positive_int(value: str) -> int:
-    """argparse type: an integer of at least 1 (batch sizes)."""
-    try:
-        number = int(value)
-    except ValueError:
-        number = 0
-    if number < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {value!r}")
-    return number
+def _int_in(low: int, high: int, expected: str):
+    """argparse type factory: an integer in ``[low, high]``."""
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            number = low - 1
+        if not low <= number <= high:
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {value!r}")
+        return number
+    return parse
+
+
+#: batch sizes and GA sizes
+_positive_int = _int_in(1, sys.maxsize, "a positive integer")
+#: service ports; 0 binds an ephemeral port
+_port = _int_in(0, 65535, "a port in 0-65535")
 
 
 def _check_optimizer(name: str) -> Optional[str]:
@@ -595,8 +602,10 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     def add_ga_options(p: argparse.ArgumentParser, default_optimizer: str = "ga") -> None:
-        p.add_argument("--population", type=int, default=30, help="GA population size")
-        p.add_argument("--generations", type=int, default=10, help="GA generations")
+        p.add_argument("--population", type=_positive_int, default=30,
+                       help="GA population size")
+        p.add_argument("--generations", type=_positive_int, default=10,
+                       help="GA generations")
         p.add_argument("--seed", type=int, default=0, help="random seed (GA and traffic)")
         p.add_argument(
             "--optimizer", default=default_optimizer, metavar="ENGINE",
@@ -779,7 +788,7 @@ def build_parser() -> argparse.ArgumentParser:
     observe_parser.add_argument("--host", default="127.0.0.1",
                                 help="bind / connect address "
                                      "(default: 127.0.0.1)")
-    observe_parser.add_argument("--port", type=int, default=8787,
+    observe_parser.add_argument("--port", type=_port, default=8787,
                                 help="service port; 0 binds an ephemeral "
                                      "port (default: 8787)")
     observe_parser.add_argument("--follow", default=None, metavar="ID",

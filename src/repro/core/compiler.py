@@ -66,9 +66,6 @@ class CompilerOptions:
     generate_instructions: bool = True
     #: replay the scheduler's DRAM trace through the LPDDR3 model
     simulate_dram_trace: bool = False
-    #: dense span-matrix engine for the GA fitness oracle; ``None`` follows
-    #: the ``REPRO_SPAN_MATRIX`` environment default (on)
-    use_span_matrix: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if self.scheme not in SCHEMES:
@@ -175,7 +172,6 @@ class CompassCompiler:
             batch_size=options.batch_size,
             mode=options.fitness_mode,
             dram_config=options.dram_config,
-            use_span_matrix=options.use_span_matrix,
         )
         kwargs = dict(options.optimizer_options)
         if options.optimizer == "ga":

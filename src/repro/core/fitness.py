@@ -7,13 +7,13 @@ mapped on chip, so its fitness comes from the on-chip optimizer/estimator
 partitions' fitnesses.  Lower is better, matching the ascending sorts of
 Algorithm 1.
 
-Partition estimates are served by the shared span table
-(:mod:`repro.perf`), so the genetic algorithm can evaluate thousands of
-partition groups without recomputing shared partitions — within one run,
-across runs on the same decomposition, and across batch sizes (the
-batch-independent span profile is reused).  ``use_span_table=False``
-falls back to a private per-evaluator cache over the naive estimation
-path; both paths are bit-identical.
+Partition estimates are served by the shared span table and its dense
+span matrix (:mod:`repro.perf`), so the genetic algorithm can evaluate
+thousands of partition groups without recomputing shared partitions —
+within one run, across runs on the same decomposition, and across batch
+sizes (the batch-independent span profile is reused).  This is the one
+production path; the naive per-call estimator survives only as the test
+oracle that pins it bit for bit.
 """
 
 from __future__ import annotations
@@ -24,12 +24,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro import envflags
 from repro.core.decomposition import ModelDecomposition
-from repro.core.partition import Partition, PartitionGroup
+from repro.core.partition import PartitionGroup
 from repro.hardware.chip import ChipConfig
 from repro.hardware.dram import DRAMConfig, LPDDR3_8GB
-from repro.onchip.estimator import PartitionEstimate, PartitionEstimator
+from repro.onchip.estimator import PartitionEstimate
 from repro.perf.spanmatrix import SpanMatrix, span_matrix_for
 from repro.perf.spantable import SpanTable, span_table_for
 
@@ -129,28 +128,15 @@ class FitnessEvaluator:
         batch_size: int = 1,
         mode: FitnessMode = FitnessMode.LATENCY,
         dram_config: DRAMConfig = LPDDR3_8GB,
-        use_span_table: bool = True,
-        use_span_matrix: Optional[bool] = None,
     ) -> None:
+        if batch_size <= 0:
+            raise ValueError("batch_size must be positive")
         self.decomposition = decomposition
         self.chip: ChipConfig = decomposition.chip
         self.batch_size = batch_size
         self.mode = mode
-        self.estimator = PartitionEstimator(self.chip, dram_config, batch_size)
-        self.span_table: Optional[SpanTable] = (
-            span_table_for(decomposition, dram_config) if use_span_table else None
-        )
-        # the dense matrix layer rides on the span table; default on, opt
-        # out per evaluator or globally with REPRO_SPAN_MATRIX=0
-        if use_span_matrix is None:
-            use_span_matrix = envflags.span_matrix_enabled()
-        self.span_matrix: Optional[SpanMatrix] = (
-            span_matrix_for(decomposition, dram_config)
-            if (use_span_table and use_span_matrix)
-            else None
-        )
-        #: naive-path span cache (used when the span table is disabled)
-        self._cache: Dict[Tuple[int, int], PartitionEstimate] = {}
+        self.span_table: SpanTable = span_table_for(decomposition, dram_config)
+        self.span_matrix: SpanMatrix = span_matrix_for(decomposition, dram_config)
         #: spans this evaluator has requested, packed as start*stride+end ints
         #: (the span table is shared, so its size cannot serve as this
         #: evaluator's cache footprint; ints keep the set GC-light)
@@ -161,32 +147,17 @@ class FitnessEvaluator:
     @property
     def cache_size(self) -> int:
         """Number of distinct partition spans evaluated so far."""
-        if self.span_table is not None:
-            return len(self._seen_spans)
-        return len(self._cache)
+        return len(self._seen_spans)
 
     @property
     def span_stats(self) -> Dict[str, float]:
-        """Cache statistics of the span-table engine backing this evaluator.
-
-        Returns an empty dict when the span table is disabled (naive path).
-        """
-        if self.span_table is None:
-            return {}
+        """Cache statistics of the span-table engine backing this evaluator."""
         return self.span_table.stats.as_dict()
 
     def estimate_span(self, start: int, end: int) -> PartitionEstimate:
         """Estimate (with caching) the partition covering units [start, end)."""
-        key = (start, end)
-        if self.span_table is not None:
-            self._seen_spans.add(start * self._span_stride + end)
-            return self.span_table.estimate(start, end, self.batch_size)
-        estimate = self._cache.get(key)
-        if estimate is None:
-            partition = Partition(self.decomposition, start, end)
-            estimate = self.estimator.estimate(partition, batch_size=self.batch_size)
-            self._cache[key] = estimate
-        return estimate
+        self._seen_spans.add(start * self._span_stride + end)
+        return self.span_table.estimate(start, end, self.batch_size)
 
     def partition_fitness(self, estimate: PartitionEstimate) -> float:
         """Scalar fitness of one partition (lower is better)."""
@@ -205,11 +176,13 @@ class FitnessEvaluator:
         sum equal to the group EDP while preserving their relative ordering
         (which is what the partition score of Sec. III-C2 consumes).
 
-        With the span table engaged, latency mode reads scalar span latencies
-        straight from the table and defers the full per-partition estimates
-        until something actually asks for them.
+        This is the scalar entry point for one group (annealing calls it once
+        per step, where a one-group :meth:`evaluate_many` gather costs more):
+        latency mode reads scalar span latencies straight from the span
+        table and defers the full per-partition estimates until something
+        asks for them; EDP mode reads the table's span estimates.
         """
-        if self.span_table is not None and self.mode is FitnessMode.LATENCY:
+        if self.mode is FitnessMode.LATENCY:
             table = self.span_table
             batch = self.batch_size
             spans = group.spans()
@@ -223,33 +196,31 @@ class FitnessEvaluator:
 
         estimates = [self.estimate_span(s, e) for s, e in group.spans()]
         fitness = [self.partition_fitness(est) for est in estimates]
-        if self.mode is FitnessMode.EDP:
-            group_edp = (
-                sum(e.energy_pj for e in estimates)
-                * sum(e.latency_ns for e in estimates)
-                * 1e-12
-            )
-            share_total = sum(fitness)
-            if share_total > 0 and group_edp > 0:
-                fitness = [f / share_total * group_edp for f in fitness]
+        group_edp = (
+            sum(e.energy_pj for e in estimates)
+            * sum(e.latency_ns for e in estimates)
+            * 1e-12
+        )
+        share_total = sum(fitness)
+        if share_total > 0 and group_edp > 0:
+            fitness = [f / share_total * group_edp for f in fitness]
         return GroupEvaluation(group=group, partition_fitness=fitness, _estimates=estimates)
 
     # ------------------------------------------------------------------
     def evaluate_many(self, groups: Sequence[PartitionGroup]) -> List[GroupEvaluation]:
         """Evaluate a whole population of partition groups at once.
 
-        With the dense span matrix engaged, the populations' cut vectors are
-        flattened into parallel (start, end) index arrays, missing spans are
-        profiled once (the delta), and every per-partition fitness comes from
-        one fancy-indexed gather plus elementwise math — no per-span Python.
+        The population's cut vectors are flattened into parallel (start, end)
+        index arrays, missing spans are profiled once into the dense span
+        matrix (the delta), and every per-partition fitness comes from one
+        fancy-indexed gather plus elementwise math — no per-span Python.
         The per-group fitness sums stay sequential so results are
         bit-identical to calling :meth:`evaluate` per group (NumPy's pairwise
-        reductions are not).  Without the matrix this degenerates to exactly
-        that per-group loop.
+        reductions are not).
         """
+        if not groups:
+            return []
         matrix = self.span_matrix
-        if matrix is None or not groups:
-            return [self.evaluate(group) for group in groups]
 
         counts = [group.num_partitions for group in groups]
         total = sum(counts)

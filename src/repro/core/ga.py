@@ -90,7 +90,7 @@ class GAResult:
     #: chromosome evaluations served from the dedup cache
     dedup_hits: int = 0
     #: this run's span-table statistics (delta over the shared table's
-    #: counters during the run; empty on the naive path)
+    #: counters during the run)
     span_stats: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -222,13 +222,12 @@ class CompassGA:
     # ------------------------------------------------------------------
     def _span_stats_delta(self, baseline: Dict[str, float]) -> Dict[str, float]:
         """This run's share of the (shared, cumulative) span-table stats."""
-        current = getattr(self.evaluator, "span_stats", {}) or {}
-        return stats_delta(current, baseline)
+        return stats_delta(self.evaluator.span_stats, baseline)
 
     def run(self) -> GAResult:
         """Run the COMPASS GA and return the best partition group found."""
         config = self.config
-        span_stats_baseline = dict(getattr(self.evaluator, "span_stats", {}) or {})
+        span_stats_baseline = self.evaluator.span_stats
         population = self._initial_population()
         evaluations = self._evaluate_population(population)
         history: List[GenerationRecord] = []

@@ -13,9 +13,8 @@ replaced; the three gate styles in use are deliberately kept distinct:
 
 ``not in ("", "0")``
     default-on gates where the empty string *disables*
-    (``REPRO_SPAN_MATRIX``, ``REPRO_SERVE_SWITCH_COST``,
-    ``REPRO_SERVE_FAULTS``) and the default-off opt-in
-    (``REPRO_PARALLEL_SWEEPS``).
+    (``REPRO_SERVE_SWITCH_COST``, ``REPRO_SERVE_FAULTS``) and the
+    default-off opt-in (``REPRO_PARALLEL_SWEEPS``).
 ``!= "0"``
     ``REPRO_SERVE_TELEMETRY`` — default on, the empty string keeps it on;
     only a literal ``0`` drops the telemetry layer.
@@ -46,8 +45,6 @@ class EnvFlag:
 
 #: every environment flag the repository reads, in ROADMAP table order
 REGISTRY: Tuple[EnvFlag, ...] = (
-    EnvFlag("REPRO_SPAN_MATRIX", "on",
-            "0 disables the dense span-matrix engine (scalar table path)"),
     EnvFlag("REPRO_PARALLEL_SWEEPS", "off",
             "non-0 runs figure sweeps through ParallelSweepRunner workers"),
     EnvFlag("REPRO_BENCH_QUICK", "off",
@@ -75,11 +72,6 @@ REGISTERED_NAMES: Tuple[str, ...] = tuple(flag.name for flag in REGISTRY)
 # ----------------------------------------------------------------------
 # typed accessors (the only sanctioned os.environ reads in src/)
 # ----------------------------------------------------------------------
-
-def span_matrix_enabled() -> bool:
-    """Dense span-matrix engine gate (default on; ``""``/``"0"`` disable)."""
-    return os.environ.get("REPRO_SPAN_MATRIX", "1") not in ("", "0")
-
 
 def parallel_sweeps_enabled() -> bool:
     """Parallel figure-sweep opt-in (default off; non-``0`` enables)."""

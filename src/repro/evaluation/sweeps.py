@@ -62,7 +62,6 @@ class SweepRunner:
         fitness_mode: FitnessMode = FitnessMode.LATENCY,
         generate_instructions: bool = False,
         input_size: int = 224,
-        use_span_matrix: Optional[bool] = None,
         optimizer: str = "dp",
         optimizer_options: Optional[Dict[str, object]] = None,
     ) -> None:
@@ -70,9 +69,6 @@ class SweepRunner:
         self.fitness_mode = fitness_mode
         self.generate_instructions = generate_instructions
         self.input_size = input_size
-        #: dense span-matrix engine toggle forwarded to the compiler
-        #: (``None`` follows the ``REPRO_SPAN_MATRIX`` environment default)
-        self.use_span_matrix = use_span_matrix
         #: partition-search engine for ``compass`` points (``ga``, ``dp``,
         #: ``beam``, ``anneal``); the default DP engine makes every compass
         #: point one exact shortest-path solve over the shared span matrix
@@ -118,7 +114,6 @@ class SweepRunner:
             ga_config=self.ga_config,
             fitness_mode=self.fitness_mode,
             generate_instructions=self.generate_instructions,
-            use_span_matrix=self.use_span_matrix,
         )
         decomposition, validity = self.decomposition(point.model, point.chip)
         result = CompassCompiler(chip, options).compile(

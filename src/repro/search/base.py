@@ -12,9 +12,7 @@ latency, or EDP).  This module defines the pieces they share:
 * :class:`SearchResult` — best group + evaluation, per-step records, span
   statistics, and whether the result is provably optimal (``exact``).
 * :class:`SpanCostModel` — scalar span costs for the constructive engines
-  (DP, beam), served by the fastest engine available: dense span-matrix
-  gathers when the evaluator has one, the shared span table otherwise, the
-  naive estimator as the last resort.  All three are bit-identical.
+  (DP, beam), served by dense span-matrix gathers.
 
 The per-run span statistics use the same delta-over-shared-counters
 accounting as :class:`~repro.core.ga.GAResult.span_stats`.
@@ -76,8 +74,7 @@ class SearchResult:
     evaluations: int
     #: True when the engine proves the result optimal for its objective
     exact: bool = False
-    #: this run's span-table statistics (delta over the shared counters;
-    #: empty on the naive path)
+    #: this run's span-table statistics (delta over the shared counters)
     span_stats: Dict[str, float] = field(default_factory=dict)
     #: the full GA result when the engine was :class:`~repro.search.GASearch`
     ga_result: Optional["GAResult"] = None
@@ -93,10 +90,8 @@ class SpanCostModel:
 
     The DP and beam engines consume *span costs*, not group evaluations: the
     latency of one span in latency mode, the (energy, latency) pair in EDP
-    mode.  This wrapper serves them from the evaluator's dense span matrix
-    when it has one (one fancy-indexed gather for thousands of spans), and
-    falls back to the shared span table / naive estimator otherwise — the
-    same bit-identical value either way.
+    mode.  This wrapper serves them from the evaluator's dense span matrix,
+    one fancy-indexed gather for thousands of spans.
     """
 
     def __init__(self, evaluator: FitnessEvaluator) -> None:
@@ -111,31 +106,14 @@ class SpanCostModel:
     def latency_costs(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
         """Latency (ns) of every span ``[starts[k], ends[k])`` at once."""
         self.spans_costed += int(starts.size)
-        if self.matrix is not None:
-            return self.matrix.gather_latency(starts, ends, self.batch_size)
-        evaluator = self.evaluator
-        return np.fromiter(
-            (evaluator.estimate_span(int(s), int(e)).latency_ns
-             for s, e in zip(starts, ends)),
-            dtype=float, count=int(starts.size),
-        )
+        return self.matrix.gather_latency(starts, ends, self.batch_size)
 
     def energy_latency_costs(
         self, starts: np.ndarray, ends: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(energy_pj, latency_ns) arrays of many spans, for EDP searches."""
         self.spans_costed += int(starts.size)
-        if self.matrix is not None:
-            return self.matrix.gather_energy_latency(starts, ends, self.batch_size)
-        evaluator = self.evaluator
-        estimates = [
-            evaluator.estimate_span(int(s), int(e)) for s, e in zip(starts, ends)
-        ]
-        energy = np.fromiter((e.energy_pj for e in estimates), dtype=float,
-                             count=len(estimates))
-        latency = np.fromiter((e.latency_ns for e in estimates), dtype=float,
-                              count=len(estimates))
-        return energy, latency
+        return self.matrix.gather_energy_latency(starts, ends, self.batch_size)
 
 
 class PartitionSearch(abc.ABC):
@@ -164,10 +142,10 @@ class PartitionSearch(abc.ABC):
     # ------------------------------------------------------------------
     def run(self) -> SearchResult:
         """Run the search and return the best partition group found."""
-        baseline = dict(self.evaluator.span_stats or {})
+        baseline = self.evaluator.span_stats
         result = self._run()
         result.span_stats = stats_delta(
-            self.evaluator.span_stats or {}, baseline
+            self.evaluator.span_stats, baseline
         )
         return result
 

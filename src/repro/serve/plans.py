@@ -30,7 +30,6 @@ from repro.core.fitness import FitnessEvaluator, FitnessMode
 from repro.core.ga import GAConfig
 from repro.evaluation.registry import shared_decomposition
 from repro.hardware.dram import DRAMConfig, LPDDR3_8GB
-from repro.perf.spantable import span_table_for
 
 
 @dataclass(frozen=True)
@@ -295,23 +294,11 @@ class PlanCache:
         ends = np.fromiter((e for _, e in spans), dtype=np.int64, count=len(spans))
 
         matrix = evaluator.span_matrix
-        if matrix is not None:
-            latencies = matrix.gather_latency(starts, ends, key.batch)
-            weight_replace, fill, bottleneck = matrix.gather_components(starts, ends)
-            energies, _ = matrix.gather_energy_latency(starts, ends, key.batch)
-            latencies = latencies.tolist()
-            energies = energies.tolist()
-            weight_replace = weight_replace.tolist()
-            fill = fill.tolist()
-            bottleneck = bottleneck.tolist()
-        else:
-            table = evaluator.span_table or span_table_for(decomposition, key.dram)
-            records = [table.slim_record(s, e) for s, e in spans]
-            weight_replace = [r[0] for r in records]
-            fill = [r[1] for r in records]
-            bottleneck = [r[2] for r in records]
-            latencies = [table.latency_ns(s, e, key.batch) for s, e in spans]
-            energies = [table.estimate(s, e, key.batch).energy_pj for s, e in spans]
+        latencies = matrix.gather_latency(starts, ends, key.batch).tolist()
+        weight_replace, fill, bottleneck = (
+            part.tolist() for part in matrix.gather_components(starts, ends)
+        )
+        energies = matrix.gather_energy_latency(starts, ends, key.batch)[0].tolist()
 
         # sequential sums, matching the evaluator's fitness association
         return CompiledPlan(

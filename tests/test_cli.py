@@ -52,6 +52,48 @@ class TestParser:
         assert "Traceback" not in err
 
 
+def _exit_code(argv):
+    """Exit code of ``main(argv)``, whether it returns or argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exit_:
+        return exit_.code
+
+
+class TestNoTraceback:
+    """Every subcommand turns bad input into exit 2 and an ``error:`` line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["compile", "resnet18", "--chip", "Q"],
+        ["compile", "resnet18", "--batch", "0"],
+        ["compile", "lenet5", "--population", "0"],
+        ["compile", "lenet5", "--generations", "-1"],
+        ["compile", "squeezenet", "--optimizer", "magic", "--no-instructions"],
+        ["sweep", "--chips", "Q"],
+        ["sweep", "--batches", "0"],
+        ["sweep", "--population", "0"],
+        ["sweep", "--models", "squeezenet", "--optimizer", "nope"],
+        ["serve", "--model", "squeezenet", "--population", "0"],
+        ["serve", "--model", "squeezenet", "--fleet", "Z:1"],
+        ["serve", "--model", "squeezenet", "--optimizer", "magic"],
+        ["observe", "--port", "99999"],
+        ["observe", "--port", "-1"],
+        ["lint", "--format", "xml"],
+        ["lint", "--rule", "nope"],
+        ["models", "--bogus"],
+        ["chips", "extra"],
+    ], ids=" ".join)
+    def test_bad_argv_exits_2(self, capsys, argv):
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("port", ["0", "65535"])
+    def test_port_bounds_accepted(self, port):
+        assert build_parser().parse_args(["observe", "--port", port]).port == int(port)
+
+
 class TestCommands:
     def test_models_command(self, capsys):
         assert main(["models"]) == 0

@@ -5,7 +5,7 @@ tests pin the three deliberately distinct gate semantics so the
 centralisation can never silently normalise them:
 
 * ``not in ("", "0")`` — default-on gates where ``""`` *disables*
-  (span matrix, switch cost, faults) and the default-off sweep opt-in;
+  (switch cost, faults) and the default-off sweep opt-in;
 * ``!= "0"`` — telemetry: the empty string keeps it ON;
 * truthiness — plain opt-ins where any non-empty value enables.
 """
@@ -28,10 +28,6 @@ class TestDefaultOnGates:
     """``not in ("", "0")``: unset and any other value ON, ""/"0" OFF."""
 
     CASES = {None: True, "1": True, "yes": True, "0": False, "": False}
-
-    def test_span_matrix(self, monkeypatch):
-        _sweep(monkeypatch, "REPRO_SPAN_MATRIX",
-               envflags.span_matrix_enabled, self.CASES)
 
     def test_serve_switch_cost(self, monkeypatch):
         _sweep(monkeypatch, "REPRO_SERVE_SWITCH_COST",
@@ -90,9 +86,8 @@ class TestValueAccessors:
 class TestRegistry:
     def test_registry_covers_every_accessor(self):
         assert envflags.REGISTERED_NAMES == (
-            "REPRO_SPAN_MATRIX", "REPRO_PARALLEL_SWEEPS",
-            "REPRO_BENCH_QUICK", "REPRO_BENCH_OUT", "REPRO_CHECK_BENCH",
-            "REPRO_BENCH_REGRESSION_PCT", "REPRO_SERVE_SWITCH_COST",
+            "REPRO_PARALLEL_SWEEPS", "REPRO_BENCH_QUICK", "REPRO_BENCH_OUT",
+            "REPRO_CHECK_BENCH", "REPRO_BENCH_REGRESSION_PCT", "REPRO_SERVE_SWITCH_COST",
             "REPRO_SERVE_FAULTS", "REPRO_SERVE_TELEMETRY",
             "COMPASS_PAPER_SCALE")
         assert len(set(envflags.REGISTERED_NAMES)) == len(envflags.REGISTRY)

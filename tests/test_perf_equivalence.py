@@ -16,20 +16,25 @@ tests pin that down:
   the Sec. III-B3 entry/exit analysis;
 * prefix-sum span aggregates match direct summation over units;
 * fixed-seed GA runs produce bit-identical results (best group, fitness
-  history, full ``GenerationRecord`` contents, dedup accounting) across the
-  naive, span-table and span-matrix paths, in latency and EDP mode and for
-  multiple batch sizes.
+  history, full ``GenerationRecord`` contents, dedup accounting) with the
+  production evaluator and with :class:`NaiveFitnessEvaluator`, in latency
+  and EDP mode and for multiple batch sizes.
+
+:class:`NaiveFitnessEvaluator` is the oracle: the production evaluator has
+one path (span table + dense span matrix), and the naive per-call estimator
+lives on only here, to pin it.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.decomposition import decompose_model
-from repro.core.fitness import FitnessEvaluator, FitnessMode
+from repro.core.fitness import FitnessEvaluator, FitnessMode, GroupEvaluation
 from repro.core.ga import CompassGA, GAConfig
 from repro.core.partition import Partition, PartitionGroup
 from repro.core.validity import ValidityMap
 from repro.hardware.config import get_chip_config
+from repro.hardware.dram import LPDDR3_8GB
 from repro.mapping.core_mapping import map_tiles_to_cores, max_core_crossbars_only
 from repro.mapping.replication import ReplicationPlan, replication_factor_list
 from repro.models import build_model
@@ -39,6 +44,46 @@ from repro.sim.simulator import ExecutionSimulator
 
 
 MODELS = [("lenet5", "S"), ("alexnet", "S")]
+
+
+class NaiveFitnessEvaluator(FitnessEvaluator):
+    """Test oracle: fitness from naive per-span estimation, cached by span.
+
+    Each span is estimated with :meth:`PartitionEstimator.estimate` on a
+    fresh :class:`Partition` (no span table, no span matrix) and scored the
+    way the production evaluator scores it: the span latency, or in EDP mode
+    the span EDP rescaled so the group's fitnesses sum to the group EDP.
+    """
+
+    def __init__(self, decomposition, batch_size=1, mode=FitnessMode.LATENCY,
+                 dram_config=LPDDR3_8GB):
+        super().__init__(decomposition, batch_size, mode, dram_config)
+        self.estimator = PartitionEstimator(decomposition.chip, dram_config, batch_size)
+        self._cache = {}
+
+    def estimate_span(self, start, end):
+        estimate = self._cache.get((start, end))
+        if estimate is None:
+            estimate = self.estimator.estimate(Partition(self.decomposition, start, end))
+            self._cache[(start, end)] = estimate
+        return estimate
+
+    def evaluate(self, group):
+        estimates = [self.estimate_span(s, e) for s, e in group.spans()]
+        fitness = [self.partition_fitness(estimate) for estimate in estimates]
+        if self.mode is FitnessMode.EDP:
+            group_edp = (
+                sum(e.energy_pj for e in estimates)
+                * sum(e.latency_ns for e in estimates)
+                * 1e-12
+            )
+            share_total = sum(fitness)
+            if share_total > 0 and group_edp > 0:
+                fitness = [f / share_total * group_edp for f in fitness]
+        return GroupEvaluation(group=group, partition_fitness=fitness, _estimates=estimates)
+
+    def evaluate_many(self, groups):
+        return [self.evaluate(group) for group in groups]
 
 
 @pytest.fixture(scope="module", params=MODELS, ids=[f"{m}-{c}" for m, c in MODELS])
@@ -217,17 +262,13 @@ class TestSpanMatrixEquivalence:
             for _ in range(20)
         ]
         for mode in (FitnessMode.LATENCY, FitnessMode.EDP):
-            vectorized = FitnessEvaluator(
-                decomposition, batch_size=8, mode=mode, use_span_matrix=True
-            )
-            scalar = FitnessEvaluator(
-                decomposition, batch_size=8, mode=mode, use_span_matrix=False
-            )
-            batch_evals = vectorized.evaluate_many(groups)
+            evaluator = FitnessEvaluator(decomposition, batch_size=8, mode=mode)
+            oracle = NaiveFitnessEvaluator(decomposition, batch_size=8, mode=mode)
+            batch_evals = evaluator.evaluate_many(groups)
             for group, evaluation in zip(groups, batch_evals):
-                reference = scalar.evaluate(group)
-                assert evaluation.partition_fitness == reference.partition_fitness
-                assert evaluation.fitness == reference.fitness
+                for reference in (evaluator.evaluate(group), oracle.evaluate(group)):
+                    assert evaluation.partition_fitness == reference.partition_fitness
+                    assert evaluation.fitness == reference.fitness
 
     def test_matrix_lookups_counted_in_stats(self, decomposed):
         """Dense-path activity must show up in the shared table's counters."""
@@ -320,23 +361,19 @@ class TestPartitionIOReference:
 
 
 class TestGAEquivalence:
-    """Naive, span-table and span-matrix GA paths are bit-identical.
+    """The production GA evaluator and the naive oracle are bit-identical.
 
     Parametrised over fitness mode and batch size (on top of the module's
-    model/chip fixture), covering the issue contract: ≥2 models, ≥2 batch
-    sizes, latency and EDP.  Every ``GenerationRecord`` field is compared,
-    along with the dedup accounting — the three paths must walk the exact
-    same search trajectory and report it identically.
+    model/chip fixture): ≥2 models, ≥2 batch sizes, latency and EDP.  Every
+    ``GenerationRecord`` field is compared, along with the dedup accounting
+    — both evaluators must walk the exact same search trajectory and report
+    it identically.
     """
 
     CONFIG = GAConfig(population_size=12, generations=5, n_select=4, n_mutate=8, seed=11)
 
-    def _run(self, decomposition, batch_size, mode, use_span_table, use_span_matrix=False):
-        evaluator = FitnessEvaluator(
-            decomposition, batch_size=batch_size, mode=mode,
-            use_span_table=use_span_table, use_span_matrix=use_span_matrix,
-        )
-        return CompassGA(decomposition, evaluator, self.CONFIG).run()
+    def _run(self, evaluator):
+        return CompassGA(evaluator.decomposition, evaluator, self.CONFIG).run()
 
     @staticmethod
     def _assert_identical(result, reference):
@@ -360,13 +397,10 @@ class TestGAEquivalence:
     @pytest.mark.parametrize("batch_size", [4, 16])
     def test_fixed_seed_ga_identical_across_all_paths(self, decomposed, mode, batch_size):
         decomposition, _ = decomposed
-        naive = self._run(decomposition, batch_size, mode, use_span_table=False)
-        table = self._run(decomposition, batch_size, mode, use_span_table=True)
-        dense = self._run(decomposition, batch_size, mode,
-                          use_span_table=True, use_span_matrix=True)
-        self._assert_identical(table, naive)
+        naive = self._run(NaiveFitnessEvaluator(decomposition, batch_size, mode))
+        dense = self._run(FitnessEvaluator(decomposition, batch_size, mode))
         self._assert_identical(dense, naive)
-        # the dense run actually engaged the matrix engine
+        # the production run actually engaged the matrix engine
         assert dense.span_stats["matrix_fills"] + dense.span_stats["matrix_hits"] > 0
 
 

@@ -101,16 +101,6 @@ class TestRegistry:
         assert evaluator.cache_size == group.num_partitions
         assert evaluator.span_stats  # engine engaged
 
-    def test_fitness_evaluator_naive_path(self, small_cnn_decomposition):
-        evaluator = FitnessEvaluator(
-            small_cnn_decomposition, batch_size=2, use_span_table=False
-        )
-        assert evaluator.span_table is None
-        group = greedy_partition(small_cnn_decomposition)
-        evaluator.evaluate(group)
-        assert evaluator.cache_size == group.num_partitions
-        assert evaluator.span_stats == {}
-
 
 class TestGAStats:
     def test_ga_reports_dedup_and_span_stats(self, small_cnn_decomposition):

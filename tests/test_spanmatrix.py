@@ -1,10 +1,10 @@
 """Unit tests for the dense span-matrix engine (:mod:`repro.perf.spanmatrix`).
 
-Bit-identity with the scalar paths is pinned in ``test_perf_equivalence.py``;
+Bit-identity with the naive oracle is pinned in ``test_perf_equivalence.py``;
 these tests cover the engine's mechanics — sharing, lazy fill/delta
-behaviour, version-cached per-batch matrices, the evaluator toggle, and the
-cached ``GroupEvaluation`` accessors the population-vectorized scoring
-relies on.
+behaviour, version-cached per-batch matrices, the evaluator's two entry
+points, and the cached ``GroupEvaluation`` accessors the
+population-vectorized scoring relies on.
 """
 
 import numpy as np
@@ -17,6 +17,7 @@ from repro.core.validity import ValidityMap
 from repro.hardware.config import get_chip_config
 from repro.models import build_model
 from repro.perf import SpanMatrix, span_matrix_for, span_table_for
+from test_perf_equivalence import NaiveFitnessEvaluator
 
 
 @pytest.fixture()
@@ -44,8 +45,8 @@ class TestSharing:
 
     def test_evaluators_share_one_matrix(self, fresh_decomposition):
         decomposition, _ = fresh_decomposition
-        a = FitnessEvaluator(decomposition, batch_size=1, use_span_matrix=True)
-        b = FitnessEvaluator(decomposition, batch_size=16, use_span_matrix=True)
+        a = FitnessEvaluator(decomposition, batch_size=1)
+        b = FitnessEvaluator(decomposition, batch_size=16)
         assert a.span_matrix is b.span_matrix
 
     def test_registry_accessor(self):
@@ -87,28 +88,8 @@ class TestDeltaFill:
         assert matrix.latency_matrix(4) is not cached  # new span invalidates
 
 
-class TestEvaluatorToggle:
-    def test_env_opt_out(self, fresh_decomposition, monkeypatch):
-        decomposition, _ = fresh_decomposition
-        monkeypatch.setenv("REPRO_SPAN_MATRIX", "0")
-        evaluator = FitnessEvaluator(decomposition, batch_size=4)
-        assert evaluator.span_matrix is None
-        assert evaluator.span_table is not None
-
-    def test_explicit_flag_beats_env(self, fresh_decomposition, monkeypatch):
-        decomposition, _ = fresh_decomposition
-        monkeypatch.setenv("REPRO_SPAN_MATRIX", "0")
-        evaluator = FitnessEvaluator(decomposition, batch_size=4, use_span_matrix=True)
-        assert evaluator.span_matrix is not None
-
-    def test_no_table_means_no_matrix(self, fresh_decomposition):
-        decomposition, _ = fresh_decomposition
-        evaluator = FitnessEvaluator(
-            decomposition, batch_size=4, use_span_table=False, use_span_matrix=True
-        )
-        assert evaluator.span_matrix is None
-
-    def test_evaluate_many_falls_back_without_matrix(self, fresh_decomposition):
+class TestEvaluatorEntryPoints:
+    def test_evaluate_equals_evaluate_many_of_one_group(self, fresh_decomposition):
         decomposition, validity = fresh_decomposition
         rng = np.random.default_rng(0)
         groups = [
@@ -117,11 +98,14 @@ class TestEvaluatorToggle:
             )
             for _ in range(5)
         ]
-        scalar = FitnessEvaluator(decomposition, batch_size=4, use_span_table=False)
-        evaluations = scalar.evaluate_many(groups)
-        assert [e.fitness for e in evaluations] == [
-            scalar.evaluate(g).fitness for g in groups
-        ]
+        for mode in (FitnessMode.LATENCY, FitnessMode.EDP):
+            evaluator = FitnessEvaluator(decomposition, batch_size=4, mode=mode)
+            for group in groups:
+                [many] = evaluator.evaluate_many([group])
+                single = evaluator.evaluate(group)
+                assert many.partition_fitness == single.partition_fitness
+                assert many.fitness == single.fitness
+            assert evaluator.evaluate_many([]) == []
 
 
 class TestGroupEvaluationCaches:
@@ -165,11 +149,11 @@ class TestBaselineEvaluations:
         evaluator = FitnessEvaluator(decomposition, batch_size=4)
         batch = baseline_evaluations(decomposition, evaluator, validity)
         assert set(batch) == {"greedy", "layerwise"}
-        scalar = FitnessEvaluator(decomposition, batch_size=4, use_span_matrix=False)
-        assert batch["greedy"].fitness == scalar.evaluate(
+        oracle = NaiveFitnessEvaluator(decomposition, batch_size=4)
+        assert batch["greedy"].fitness == oracle.evaluate(
             greedy_partition(decomposition, validity)
         ).fitness
-        assert batch["layerwise"].fitness == scalar.evaluate(
+        assert batch["layerwise"].fitness == oracle.evaluate(
             layerwise_partition(decomposition, validity)
         ).fitness
 
