@@ -11,6 +11,8 @@ Subcommands
 ``serve``
     Simulate serving a request stream against a chip fleet using compiled
     partition plans (plan cache + dynamic batching + scheduling policy).
+    The flags become a scenario spec built by :mod:`repro.serve.scenario`,
+    the same spec the observatory accepts.
 ``observe``
     Run the live serving observatory: an asyncio REST + WebSocket service
     that accepts scenario submissions, streams per-window telemetry while
@@ -60,7 +62,6 @@ from typing import List, Optional, Sequence
 
 from repro import analysis
 from repro.core.compiler import compile_model
-from repro.core.fitness import FitnessMode
 from repro.core.ga import GAConfig
 from repro.evaluation.sweeps import SweepRunner
 from repro.hardware.config import get_chip_config, hardware_configuration_table
@@ -72,23 +73,8 @@ from repro.serialization import (
     dump_metrics_timeline,
     dump_serving_report,
 )
-from repro.serve import (
-    POLICIES,
-    TRAFFIC_GENERATORS,
-    ClosedLoopTraffic,
-    ControlConfig,
-    FaultTolerance,
-    Fleet,
-    PlanCache,
-    ServingSimulator,
-    TelemetryConfig,
-    TraceTraffic,
-    fleet_capacity_rps,
-    parse_inject,
-    save_trace,
-    validate_fault_targets,
-    validate_policy,
-)
+from repro.serve import POLICIES, TRAFFIC_GENERATORS, ClosedLoopTraffic, save_trace
+from repro.serve.scenario import build_scenario, parse_spec
 from repro.sim.report import (
     format_table,
     render_execution_report,
@@ -132,6 +118,8 @@ def _int_in(low: int, high: int, expected: str):
 
 #: batch sizes and GA sizes
 _positive_int = _int_in(1, sys.maxsize, "a positive integer")
+#: row caps where 0 means "no cap"
+_non_negative_int = _int_in(0, sys.maxsize, "a non-negative integer")
 #: service ports; 0 binds an ephemeral port
 _port = _int_in(0, 65535, "a port in 0-65535")
 
@@ -190,14 +178,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _auto_rate(cache: PlanCache, fleet: Fleet, models: Sequence[str],
-               batch_sizes: Sequence[int], utilization: float) -> float:
-    """Offered rate targeting a utilisation fraction of the fleet's capacity."""
-    return utilization * fleet_capacity_rps(cache, fleet, models, batch_sizes)
-
-
-def _parse_slos(entries: Optional[Sequence[str]],
-                models: Sequence[str]) -> dict:
+def _parse_slos(entries: Optional[Sequence[str]]) -> dict:
     """Parse repeated ``--slo model=ms`` options into ``{model: target_ms}``."""
     slos: dict = {}
     for entry in entries or ():
@@ -205,11 +186,6 @@ def _parse_slos(entries: Optional[Sequence[str]],
         model = model.strip()
         if not sep or not model:
             raise ValueError(f"bad --slo {entry!r}; expected MODEL=MS")
-        if model not in models:
-            raise ValueError(
-                f"--slo names unknown model {model!r}; served models: "
-                + ", ".join(sorted(models))
-            )
         try:
             slos[model] = float(value)
         except ValueError:
@@ -217,57 +193,30 @@ def _parse_slos(entries: Optional[Sequence[str]],
     return slos
 
 
-def _parse_control(args: argparse.Namespace) -> Optional[ControlConfig]:
-    """Build the control-plane config from the serve flags (None = off).
+#: serve flags whose dest is their key in the spec's config blocks
+_FAULT_TOLERANCE_KEYS = ("timeout_us", "max_retries", "retry_backoff_us",
+                         "shed_queue_depth", "shed_wait_us", "degrade_below",
+                         "retry_priority")
+_CONTROL_KEYS = ("quarantine_after", "straggler_ratio", "probation_us",
+                 "hedge_after_pct", "scale_up_below", "scale_down_util",
+                 "cooldown_us", "scale_chip")
 
-    ``--control-interval-us`` is the master switch; asking for any control
-    feature (hedging, autoscaling) without it is an error rather than a
-    silent no-op.
+
+def _serve_spec(args: argparse.Namespace) -> dict:
+    """The scenario spec (see :mod:`repro.serve.scenario`) of the serve flags.
+
+    Only flag couplings a spec cannot express are checked here: asking
+    for a control feature without ``--control-interval-us``, or for an
+    export without its producer, is an error rather than a silent no-op.
     """
-    autoscale = args.autoscale is not None
-    if args.control_interval_us <= 0:
-        if args.hedge_after_pct > 0 or autoscale:
-            raise ValueError(
-                "--hedge-after-pct/--autoscale need the control plane: "
-                "set --control-interval-us to a positive interval"
-            )
-        return None
-    min_chips, max_chips = 1, 8
-    if autoscale:
-        spec = str(args.autoscale)
-        lo, sep, hi = spec.partition(":")
-        try:
-            if not sep:
-                raise ValueError(spec)
-            min_chips, max_chips = int(lo), int(hi)
-        except ValueError:
-            raise ValueError(
-                f"bad --autoscale {spec!r}; expected MIN:MAX chip counts"
-            ) from None
-    return ControlConfig(
-        interval_us=args.control_interval_us,
-        quarantine_after=args.quarantine_after,
-        straggler_ratio=args.straggler_ratio,
-        probation_us=args.probation_us,
-        hedge_after_pct=args.hedge_after_pct,
-        autoscale=autoscale,
-        min_chips=min_chips,
-        max_chips=max_chips,
-        scale_up_below=args.scale_up_below,
-        scale_down_util=args.scale_down_util,
-        cooldown_us=args.cooldown_us,
-        scale_chip=args.scale_chip,
-        replace_plans=not args.no_replace_plans,
-    )
-
-
-def _parse_telemetry(args: argparse.Namespace) -> Optional[TelemetryConfig]:
-    """Build the telemetry config from the serve flags (None = off).
-
-    The export flags need their producer armed: ``--metrics-out`` without a
-    ``--timeline-us`` interval (or ``--trace-out`` without
-    ``--trace-requests``) is an error rather than a silently empty file.
-    """
+    # NaN counts as on, so ControlConfig rejects it
+    control_on = not args.control_interval_us <= 0
+    if not control_on and (args.hedge_after_pct > 0
+                           or args.autoscale is not None):
+        raise ValueError(
+            "--hedge-after-pct/--autoscale need the control plane: "
+            "set --control-interval-us to a positive interval"
+        )
     if args.metrics_out and args.timeline_us <= 0:
         raise ValueError(
             "--metrics-out needs a metrics timeline: set --timeline-us "
@@ -278,120 +227,56 @@ def _parse_telemetry(args: argparse.Namespace) -> Optional[TelemetryConfig]:
             "--trace-out needs request tracing: set --trace-requests "
             "to a positive sampling stride"
         )
-    config = TelemetryConfig(
-        timeline_interval_us=args.timeline_us,
-        trace_every=args.trace_requests,
-        streaming_percentiles=args.streaming_percentiles,
+    if args.traffic == "trace" and not args.trace:
+        raise ValueError("--traffic trace requires --trace <file>")
+    traffic = ({"kind": "trace", "path": args.trace} if args.traffic == "trace"
+               else {"kind": args.traffic, "requests": args.requests,
+                     "rate_rps": args.rate, "utilization": args.utilization})
+    if args.traffic == "closed":
+        traffic.update(clients=args.clients, concurrency=args.concurrency,
+                       think_us=args.think_us)
+    spec = {key: getattr(args, key) for key in (
+        "policy", "batches", "max_wait_us", "optimizer", "mode",
+        "cache_capacity", "seed")}
+    spec.update(
+        models=args.model,
+        fleet=args.fleet or f"{args.chip}:{args.num_chips}",
+        traffic=traffic,
+        slo=_parse_slos(args.slo),
+        inject=args.inject or [],
+        fault_tolerance={key: getattr(args, key)
+                         for key in _FAULT_TOLERANCE_KEYS},
+        telemetry={"timeline_us": args.timeline_us,
+                   "trace_every": args.trace_requests,
+                   "streaming_percentiles": args.streaming_percentiles},
     )
-    return config if config.active else None
+    if control_on:
+        control = {key: getattr(args, key) for key in _CONTROL_KEYS}
+        control.update(interval_us=args.control_interval_us,
+                       replace_plans=not args.no_replace_plans)
+        if args.autoscale is not None:
+            control["autoscale"] = args.autoscale
+        spec["control"] = control
+    return spec
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    error = _check_optimizer(args.optimizer)
-    if error is not None:
-        print(error, file=sys.stderr)
-        return 2
+    # bad inputs — unknown names, bad numbers, malformed fault specs,
+    # unreadable or malformed trace files — surface as ValueError/
+    # OSError/KeyError from the spec parser or the serve constructors
     try:
-        validate_policy(args.policy)
-        fleet = Fleet.from_spec(args.fleet or f"{args.chip}:{args.num_chips}")
-        # parse and target-check fault specs at parse time, before the
-        # expensive plan-cache warmup: a typo'd chip index fails in
-        # milliseconds, not after compiling a fleet's worth of plans —
-        # and regardless of the REPRO_SERVE_FAULTS gate
-        faults = [parse_inject(spec) for spec in (args.inject or ())]
-        validate_fault_targets(faults, len(fleet.workers))
-        control = _parse_control(args)
-        telemetry = _parse_telemetry(args)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    if args.traffic == "trace" and not args.trace:
-        print("error: --traffic trace requires --trace <file>", file=sys.stderr)
-        return 2
-
-    mode = FitnessMode.EDP if args.mode == "edp" else FitnessMode.LATENCY
-    # bad numeric inputs (--requests 0, --rate -5, --cache-capacity 0, a
-    # non-positive --slo target, ...), unreadable or malformed trace files
-    # and unknown model names surface as ValueError/OSError/KeyError from
-    # the serve constructors — same friendly exit-2 contract as the checks
-    # above
-    try:
-        cache = PlanCache(
-            capacity=args.cache_capacity,
-            optimizer=args.optimizer,
-            mode=mode,
-            ga_config=_ga_config_from_args(args),
-        )
-        models = list(args.model)
-        batch_sizes = sorted(set(args.batches))
-        requests = None
-        if args.traffic == "trace":
-            traffic = TraceTraffic(args.trace)
-            models = list(traffic.models)
-            cache.warmup(models, fleet.chip_names, batch_sizes)
-        elif args.traffic == "closed":
-            cache.warmup(models, fleet.chip_names, batch_sizes)
-            traffic = ClosedLoopTraffic(
-                models,
-                num_requests=args.requests,
-                seed=args.seed,
-                clients=args.clients,
-                concurrency=args.concurrency,
-                mean_think_s=args.think_us * 1e-6,
-            )
-        else:
-            cache.warmup(models, fleet.chip_names, batch_sizes)
-            rate = args.rate if args.rate is not None else _auto_rate(
-                cache, fleet, models, batch_sizes, args.utilization
-            )
-            kwargs = {
-                "models": models,
-                "num_requests": args.requests,
-                "seed": args.seed,
-            }
-            if args.traffic == "diurnal":
-                kwargs["base_rate_rps"] = rate
-            else:
-                kwargs["rate_rps"] = rate
-            traffic = TRAFFIC_GENERATORS[args.traffic](**kwargs)
-
-        slos = _parse_slos(args.slo, models)
-        # negative fault-tolerance knobs raise ValueError here — same
-        # friendly exit-2 contract as the other inputs (--inject specs
-        # were already validated before warmup)
-        fault_tolerance = FaultTolerance(
-            timeout_us=args.timeout_us,
-            max_retries=args.retries,
-            retry_backoff_us=args.retry_backoff_us,
-            shed_queue_depth=args.shed_queue_depth,
-            shed_wait_us=args.shed_wait_us,
-            degrade_below=args.degrade_below,
-            retry_priority=args.retry_priority,
-        )
-        if args.traffic != "closed":
-            requests = traffic.generate()
-            if args.record_trace:
-                save_trace(requests, args.record_trace)
-                print(f"trace recorded to {args.record_trace}")
-        simulator = ServingSimulator(
-            fleet,
-            cache,
-            policy=args.policy,
-            batch_sizes=batch_sizes,
-            max_wait_us=args.max_wait_us,
-            slos=slos,
-            faults=faults,
-            fault_tolerance=fault_tolerance,
-            control=control,
-            telemetry=telemetry,
-        )
-        report = simulator.run(
-            traffic if args.traffic == "closed" else requests,
-            traffic_info=traffic.describe(),
-        )
-        if args.traffic == "closed" and args.record_trace:
+        spec = parse_spec(_serve_spec(args))
+        spec.ga_config = _ga_config_from_args(args)
+        built = build_scenario(spec)
+        closed = isinstance(built.workload, ClosedLoopTraffic)
+        if args.record_trace and not closed:
+            save_trace(built.workload, args.record_trace)
+            print(f"trace recorded to {args.record_trace}")
+        report = built.simulator.run(built.workload,
+                                     traffic_info=built.traffic_info)
+        if args.record_trace and closed:
             # the realised closed-loop stream exists only after the run
-            save_trace(traffic.last_session.issued, args.record_trace)
+            save_trace(built.workload.last_session.issued, args.record_trace)
             print(f"trace recorded to {args.record_trace}")
     except (ValueError, OSError, KeyError) as err:
         # KeyError messages carry repr quotes (unknown model/missing field)
@@ -415,7 +300,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print("telemetry disabled by REPRO_SERVE_TELEMETRY=0; "
                   "no metrics written", file=sys.stderr)
     if args.trace_out:
-        session = simulator.telemetry_session
+        session = built.simulator.telemetry_session
         if session is not None and session.tracer is not None:
             dump_chrome_trace(session.tracer.chrome_trace(), args.trace_out)
             print(f"request trace written to {args.trace_out} "
@@ -694,7 +579,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--timeout-us", type=float, default=0.0,
                               help="per-request queueing timeout in microseconds; "
                                    "0 disables (default: 0)")
-    serve_parser.add_argument("--retries", type=int, default=0,
+    serve_parser.add_argument("--retries", dest="max_retries", metavar="RETRIES",
+                              type=int, default=0,
                               help="max retry attempts for requests lost to chip "
                                    "failures or timeouts (default: 0)")
     serve_parser.add_argument("--retry-backoff-us", type=float, default=50.0,
@@ -754,7 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="emit a metrics timeline with this window "
                                    "interval in microseconds; 0 disables "
                                    "(default: 0)")
-    serve_parser.add_argument("--timeline-rows", type=int, default=60,
+    serve_parser.add_argument("--timeline-rows",
+                              type=_non_negative_int, default=60,
                               help="cap the printed timeline table at this "
                                    "many rows, eliding the middle (exports "
                                    "keep every window); 0 prints everything "
@@ -800,7 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
     observe_parser.add_argument("--and-follow", action="store_true",
                                 help="with --submit: follow the submitted "
                                      "scenario's stream")
-    observe_parser.add_argument("--timeline-rows", type=int, default=60,
+    observe_parser.add_argument("--timeline-rows",
+                                type=_non_negative_int, default=60,
                                 help="cap the final timeline table at this "
                                      "many rows (0 = everything; "
                                      "default: 60)")

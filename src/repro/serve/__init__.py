@@ -49,6 +49,10 @@ streams.  Four pieces, all deterministic for a fixed seed:
   (:class:`RequestTracer`).  Telemetry is a pure observer — telemetry-off
   runs stay bit-identical, and the ``REPRO_SERVE_TELEMETRY=0`` gate drops
   it wholesale.
+* :mod:`~repro.serve.scenario` — the scenario spec: one JSON-shaped
+  description of a serving run, parsed by :func:`parse_spec` and turned
+  into a simulator and workload by :func:`build_scenario`.  ``repro
+  serve`` and the observatory both build their runs this way.
 * :mod:`~repro.serve.service` — the live observatory: an asyncio REST +
   WebSocket service (stdlib only) that runs scenarios on worker threads,
   streams each timeline window the moment it is provably final, exposes

@@ -129,27 +129,27 @@ class ControlConfig:
     window: int = 64
 
     def __post_init__(self) -> None:
-        if self.interval_us < 0:
+        if not self.interval_us >= 0:
             raise ValueError(
                 f"control interval must be non-negative, got {self.interval_us}")
-        if self.quarantine_after < 1:
+        if not self.quarantine_after >= 1:
             raise ValueError(
                 f"quarantine_after must be at least 1, got {self.quarantine_after}")
-        if self.straggler_ratio <= 1.0:
+        if not self.straggler_ratio > 1.0:
             raise ValueError(
                 f"straggler_ratio must exceed 1, got {self.straggler_ratio}")
-        if self.probation_us <= 0:
+        if not self.probation_us > 0:
             raise ValueError(
                 f"probation_us must be positive, got {self.probation_us}")
         if not 0.0 <= self.hedge_after_pct < 100.0:
             raise ValueError(
                 f"hedge_after_pct must be in [0, 100), got {self.hedge_after_pct}")
-        if self.hedge_min_samples < 1:
+        if not self.hedge_min_samples >= 1:
             raise ValueError(
                 f"hedge_min_samples must be at least 1, got {self.hedge_min_samples}")
-        if self.min_chips < 1:
+        if not self.min_chips >= 1:
             raise ValueError(f"min_chips must be at least 1, got {self.min_chips}")
-        if self.max_chips < self.min_chips:
+        if not self.max_chips >= self.min_chips:
             raise ValueError(
                 f"max_chips ({self.max_chips}) must be >= min_chips "
                 f"({self.min_chips})")
@@ -157,17 +157,17 @@ class ControlConfig:
             raise ValueError(
                 f"scale_up_below must be a fraction in (0, 1], got "
                 f"{self.scale_up_below}")
-        if self.scale_up_depth <= 0:
+        if not self.scale_up_depth > 0:
             raise ValueError(
                 f"scale_up_depth must be positive, got {self.scale_up_depth}")
         if not 0.0 <= self.scale_down_util < 1.0:
             raise ValueError(
                 f"scale_down_util must be a fraction in [0, 1), got "
                 f"{self.scale_down_util}")
-        if self.cooldown_us < 0:
+        if not self.cooldown_us >= 0:
             raise ValueError(
                 f"cooldown_us must be non-negative, got {self.cooldown_us}")
-        if self.window < 1:
+        if not self.window >= 1:
             raise ValueError(f"window must be at least 1, got {self.window}")
 
     @property

@@ -90,18 +90,18 @@ class FaultEvent:
                 f"unknown fault kind {self.kind!r}; expected one of: "
                 + ", ".join(FAULT_KINDS)
             )
-        if self.at_us < 0:
+        if not self.at_us >= 0:
             raise ValueError(f"fault time must be non-negative, got {self.at_us}")
-        if self.until_us is not None and self.until_us <= self.at_us:
+        if self.until_us is not None and not self.until_us > self.at_us:
             raise ValueError(
                 f"fault window must end after it starts ({self.at_us} .. {self.until_us})"
             )
-        if self.kind in ("straggler", "dram_degrade") and self.factor <= 0:
+        if self.kind in ("straggler", "dram_degrade") and not self.factor > 0:
             raise ValueError(f"fault factor must be positive, got {self.factor}")
         if self.kind == "chaos":
             if self.count <= 0:
                 raise ValueError("chaos needs count > 0 failures to draw")
-            if self.mtbf_us <= 0 or self.mttr_us <= 0:
+            if not (self.mtbf_us > 0 and self.mttr_us > 0):
                 raise ValueError("chaos needs positive mtbf_us and mttr_us")
         elif self.chip < 0:
             raise ValueError(f"{self.kind} needs an explicit chip=<index>")
@@ -264,19 +264,19 @@ class FaultTolerance:
     retry_priority: bool = False
 
     def __post_init__(self) -> None:
-        if self.timeout_us < 0:
+        if not self.timeout_us >= 0:
             raise ValueError(f"timeout_us must be non-negative, got {self.timeout_us}")
-        if self.max_retries < 0:
+        if not self.max_retries >= 0:
             raise ValueError(f"max_retries must be non-negative, got {self.max_retries}")
-        if self.retry_backoff_us < 0:
+        if not self.retry_backoff_us >= 0:
             raise ValueError(
                 f"retry_backoff_us must be non-negative, got {self.retry_backoff_us}"
             )
-        if self.shed_queue_depth < 0:
+        if not self.shed_queue_depth >= 0:
             raise ValueError(
                 f"shed_queue_depth must be non-negative, got {self.shed_queue_depth}"
             )
-        if self.shed_wait_us < 0:
+        if not self.shed_wait_us >= 0:
             raise ValueError(f"shed_wait_us must be non-negative, got {self.shed_wait_us}")
         if not 0.0 <= self.degrade_below <= 1.0:
             raise ValueError(

@@ -1,16 +1,21 @@
-"""JSON scenario specs for the live observatory.
+"""Scenario specs: the one way to build a serving run.
 
-A scenario spec is one JSON object describing everything a ``repro
-serve`` invocation would: models, fleet, scheduling, traffic, SLOs,
-faults, fault tolerance, control plane and telemetry.  Validation is
-split in two:
+A scenario spec is one JSON-shaped dict describing a serving run: models,
+fleet, scheduling, traffic, SLOs, faults, fault tolerance, control plane
+and telemetry.  ``repro serve`` translates its flags into one, and the
+live observatory (:mod:`repro.serve.service`) accepts one per submission.
+Both go through the same two steps:
 
-* :func:`validate_spec` — cheap structural checks (model names, fleet
-  spec, fault targets, traffic/policy names, config field names) run on
-  the service thread at submit time so a bad request gets a ``400``
-  immediately;
-* :func:`build_scenario` — the expensive part (plan-cache warmup, rate
-  auto-derivation) runs later on the scenario's worker thread.
+* :func:`parse_spec` — validation into a :class:`ScenarioSpec` (model
+  names, fleet spec, fault targets, traffic/policy names, config blocks,
+  typed scalars), raising ``ValueError`` with a presentable message.  It
+  is cheap, except that ``trace`` traffic reads its file for the model
+  set;
+* :func:`build_scenario` — the expensive part: plan-cache warmup, rate
+  auto-derivation and stream generation.
+
+The observatory adds its own rules on top (no trace replay, a default
+streaming window): see :func:`repro.serve.service.jobs.validate_spec`.
 
 Example spec::
 
@@ -27,6 +32,9 @@ Example spec::
       "control": {"interval_us": 200, "autoscale": "1:4"},
       "telemetry": {"timeline_us": 500}
     }
+
+``{"kind": "trace", "path": FILE}`` replays a recorded trace instead; the
+trace then sets the models.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.fitness import FitnessMode
+from repro.core.ga import GAConfig
 from repro.models import list_models
 from repro.search import validate_optimizer
 from repro.serve import (
@@ -47,20 +56,32 @@ from repro.serve import (
     PlanCache,
     ServingSimulator,
     TelemetryConfig,
+    TraceTraffic,
     fleet_capacity_rps,
     parse_inject,
     validate_fault_targets,
     validate_policy,
 )
-from repro.serve.traffic import Request, TrafficGenerator, validate_traffic
+from repro.serve.traffic import Request, validate_traffic
 
-#: traffic kinds the service accepts (``trace`` needs a server-side file —
-#: out of scope for a JSON submission API)
-SERVICE_TRAFFIC_KINDS = ("poisson", "bursty", "diurnal", "closed")
 
-#: a submitted scenario with no ``telemetry`` block still streams — the
-#: observatory exists to watch windows, so a default interval applies
-DEFAULT_TIMELINE_US = 500.0
+def _coerce(value: object, kind: type, key: str):
+    """``kind(value)``, or a ``ValueError`` naming ``key`` (never a
+    ``TypeError`` for a null, list or object)."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        expected = "an integer" if kind is int else "a number"
+        raise ValueError(f"{key} must be {expected}, got {value!r}") from None
+
+
+def _check_models(models: Sequence[object]) -> None:
+    available = set(list_models())
+    for model in models:
+        if not isinstance(model, str) or model not in available:
+            raise ValueError(
+                f"unknown model {model!r}; available: "
+                + ", ".join(sorted(available)))
 
 
 def _config_from(cls, block: Dict[str, object], label: str):
@@ -86,11 +107,9 @@ def _config_from(cls, block: Dict[str, object], label: str):
 
 def _control_from(block: Dict[str, object]) -> ControlConfig:
     """Control block; ``autoscale`` accepts the CLI's ``"MIN:MAX"`` form."""
-    if not isinstance(block, dict):
-        raise ValueError("control must be an object")
-    block = dict(block)
-    autoscale = block.get("autoscale")
+    autoscale = block.get("autoscale") if isinstance(block, dict) else None
     if isinstance(autoscale, str):
+        block = dict(block)
         lo, sep, hi = autoscale.partition(":")
         try:
             if not sep:
@@ -104,23 +123,22 @@ def _control_from(block: Dict[str, object]) -> ControlConfig:
     return _config_from(ControlConfig, block, "control")
 
 
-def _telemetry_from(block: Optional[Dict[str, object]]) -> TelemetryConfig:
-    """Telemetry block (``timeline_us`` aliases ``timeline_interval_us``)."""
+def _telemetry_from(block: Optional[Dict[str, object]]
+                    ) -> Optional[TelemetryConfig]:
+    """Telemetry block (``timeline_us`` aliases ``timeline_interval_us``);
+    ``None`` when absent or when every part is off."""
     if block is None:
-        return TelemetryConfig(timeline_interval_us=DEFAULT_TIMELINE_US)
-    if not isinstance(block, dict):
-        raise ValueError("telemetry must be an object")
-    block = dict(block)
-    if "timeline_us" in block:
+        return None
+    if isinstance(block, dict) and "timeline_us" in block:
+        block = dict(block)
         block["timeline_interval_us"] = block.pop("timeline_us")
-    if "timeline_interval_us" not in block:
-        block["timeline_interval_us"] = DEFAULT_TIMELINE_US
-    return _config_from(TelemetryConfig, block, "telemetry")
+    config = _config_from(TelemetryConfig, block, "telemetry")
+    return config if config.active else None
 
 
 @dataclass
 class ScenarioSpec:
-    """A validated (but not yet built) scenario submission."""
+    """A validated (but not yet built) scenario."""
 
     models: List[str]
     fleet_spec: str
@@ -132,15 +150,20 @@ class ScenarioSpec:
     cache_capacity: int
     seed: int
     traffic_kind: str
+    #: generator kwargs, minus ``models`` and the rate (``build_scenario``
+    #: adds those); the trace path for ``trace`` traffic
     traffic_kwargs: Dict[str, object]
     slos: Dict[str, float]
     inject: List[str]
     fault_tolerance: FaultTolerance
     control: Optional[ControlConfig]
-    telemetry: TelemetryConfig
+    telemetry: Optional[TelemetryConfig]
     #: rate auto-derivation target when the spec gave no explicit rate
     utilization: float
     rate_rps: Optional[float]
+    #: GA sizes and seed for ``optimizer: "ga"`` plans (no JSON key: the
+    #: CLI sets it from ``--population/--generations/--seed``)
+    ga_config: GAConfig = dataclasses.field(default_factory=GAConfig)
 
 
 @dataclass
@@ -153,9 +176,9 @@ class BuiltScenario:
     traffic_info: Dict[str, object]
 
 
-def validate_spec(raw: Dict[str, object]) -> ScenarioSpec:
-    """Cheap structural validation of a submitted scenario (raises
-    ``ValueError`` with a client-presentable message)."""
+def parse_spec(raw: Dict[str, object]) -> ScenarioSpec:
+    """Validate a scenario spec (raises ``ValueError`` with a
+    presentable message, ``OSError`` for an unreadable trace file)."""
     if not isinstance(raw, dict):
         raise ValueError("scenario spec must be a JSON object")
     known_keys = {
@@ -172,12 +195,7 @@ def validate_spec(raw: Dict[str, object]) -> ScenarioSpec:
     models = raw.get("models") or ["resnet18"]
     if not isinstance(models, list) or not models:
         raise ValueError("models must be a non-empty list of model names")
-    available = set(list_models())
-    for model in models:
-        if model not in available:
-            raise ValueError(
-                f"unknown model {model!r}; available: "
-                + ", ".join(sorted(available)))
+    _check_models(models)
 
     fleet_spec = str(raw.get("fleet", "M:1"))
     fleet = Fleet.from_spec(fleet_spec)  # raises ValueError on a bad spec
@@ -199,9 +217,10 @@ def validate_spec(raw: Dict[str, object]) -> ScenarioSpec:
         raise ValueError("batches must be a list of positive integers")
     batch_sizes = sorted(set(batches))
 
-    cache_capacity = int(raw.get("cache_capacity", 64))
-    seed = int(raw.get("seed", 0))
-    max_wait_us = float(raw.get("max_wait_us", 200.0))
+    cache_capacity = _coerce(raw.get("cache_capacity", 64), int,
+                             "cache_capacity")
+    seed = _coerce(raw.get("seed", 0), int, "seed")
+    max_wait_us = _coerce(raw.get("max_wait_us", 200.0), float, "max_wait_us")
 
     traffic = raw.get("traffic") or {}
     if not isinstance(traffic, dict):
@@ -209,21 +228,35 @@ def validate_spec(raw: Dict[str, object]) -> ScenarioSpec:
     traffic = dict(traffic)
     kind = str(traffic.pop("kind", "poisson"))
     validate_traffic(kind)
-    if kind not in SERVICE_TRAFFIC_KINDS:
-        raise ValueError(
-            f"traffic kind {kind!r} is not serveable over the API; "
-            f"use one of: {', '.join(SERVICE_TRAFFIC_KINDS)}")
-    num_requests = int(traffic.pop("requests", 200))
-    if num_requests <= 0:
-        raise ValueError("traffic.requests must be positive")
-    rate_rps = traffic.pop("rate_rps", None)
-    rate_rps = float(rate_rps) if rate_rps is not None else None
-    utilization = float(traffic.pop("utilization", 0.7))
-    kwargs: Dict[str, object] = {"num_requests": num_requests, "seed": seed}
-    if kind == "closed":
-        kwargs["clients"] = int(traffic.pop("clients", 4))
-        kwargs["concurrency"] = int(traffic.pop("concurrency", 1))
-        kwargs["mean_think_s"] = float(traffic.pop("think_us", 200.0)) * 1e-6
+    rate_rps: Optional[float] = None
+    utilization = 0.7
+    kwargs: Dict[str, object]
+    if kind == "trace":
+        path = traffic.pop("path", None)
+        if not isinstance(path, str) or not path:
+            raise ValueError("trace traffic needs a \"path\" to a trace file")
+        models = list(TraceTraffic(path).models)
+        _check_models(models)
+        kwargs = {"path": path}
+    else:
+        num_requests = _coerce(traffic.pop("requests", 200), int,
+                               "traffic.requests")
+        if num_requests <= 0:
+            raise ValueError("traffic.requests must be positive")
+        rate = traffic.pop("rate_rps", None)
+        if rate is not None:
+            rate_rps = _coerce(rate, float, "traffic.rate_rps")
+        utilization = _coerce(traffic.pop("utilization", utilization), float,
+                              "traffic.utilization")
+        kwargs = {"num_requests": num_requests, "seed": seed}
+        if kind == "closed":
+            kwargs["clients"] = _coerce(traffic.pop("clients", 4), int,
+                                        "traffic.clients")
+            kwargs["concurrency"] = _coerce(traffic.pop("concurrency", 1),
+                                            int, "traffic.concurrency")
+            kwargs["mean_think_s"] = _coerce(
+                traffic.pop("think_us", 200.0), float,
+                "traffic.think_us") * 1e-6
     if traffic:
         raise ValueError(
             "unknown traffic key(s): " + ", ".join(sorted(traffic)))
@@ -237,7 +270,7 @@ def validate_spec(raw: Dict[str, object]) -> ScenarioSpec:
             raise ValueError(
                 f"slo names unknown model {model!r}; served models: "
                 + ", ".join(sorted(models)))
-        slos[model] = float(target)
+        slos[model] = _coerce(target, float, f"slo.{model}")
 
     inject = raw.get("inject") or []
     if not isinstance(inject, list):
@@ -249,11 +282,6 @@ def validate_spec(raw: Dict[str, object]) -> ScenarioSpec:
         FaultTolerance, raw.get("fault_tolerance") or {}, "fault_tolerance")
     control_block = raw.get("control")
     control = _control_from(control_block) if control_block else None
-    telemetry = _telemetry_from(raw.get("telemetry"))
-    if telemetry.timeline_interval_us <= 0:
-        raise ValueError(
-            "telemetry.timeline_us must be positive: the observatory "
-            "streams per-window telemetry")
 
     return ScenarioSpec(
         models=[str(m) for m in models],
@@ -271,7 +299,7 @@ def validate_spec(raw: Dict[str, object]) -> ScenarioSpec:
         inject=[str(spec) for spec in inject],
         fault_tolerance=fault_tolerance,
         control=control,
-        telemetry=telemetry,
+        telemetry=_telemetry_from(raw.get("telemetry")),
         utilization=utilization,
         rate_rps=rate_rps,
     )
@@ -281,19 +309,18 @@ def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
     """Build the simulator + workload (expensive: plan-cache warmup)."""
     fleet = Fleet.from_spec(spec.fleet_spec)
     cache = PlanCache(capacity=spec.cache_capacity, optimizer=spec.optimizer,
-                      mode=spec.mode)
+                      mode=spec.mode, ga_config=spec.ga_config)
     cache.warmup(spec.models, fleet.chip_names, spec.batch_sizes)
-    kwargs = dict(spec.traffic_kwargs, models=spec.models)
-    if spec.traffic_kind != "closed":
+    kwargs = dict(spec.traffic_kwargs)
+    if spec.traffic_kind != "trace":
+        kwargs["models"] = spec.models
+    if spec.traffic_kind not in ("trace", "closed"):
         rate = (spec.rate_rps if spec.rate_rps is not None
                 else spec.utilization * fleet_capacity_rps(
                     cache, fleet, spec.models, spec.batch_sizes))
-        if spec.traffic_kind == "diurnal":
-            kwargs["base_rate_rps"] = rate
-        else:
-            kwargs["rate_rps"] = rate
-    generator: TrafficGenerator = TRAFFIC_GENERATORS[spec.traffic_kind](
-        **kwargs)
+        kwargs["base_rate_rps" if spec.traffic_kind == "diurnal"
+               else "rate_rps"] = rate
+    generator = TRAFFIC_GENERATORS[spec.traffic_kind](**kwargs)
     faults = [parse_inject(entry) for entry in spec.inject]
     simulator = ServingSimulator(
         fleet,

@@ -210,7 +210,7 @@ class DynamicBatcher:
         sizes = sorted(set(int(b) for b in batch_sizes))
         if not sizes or sizes[0] <= 0:
             raise ValueError("batch_sizes must be positive integers")
-        if max_wait_us < 0:
+        if not max_wait_us >= 0:
             raise ValueError("max_wait_us must be non-negative")
         self.batch_sizes: Tuple[int, ...] = tuple(sizes)
         self.max_wait_ns = max_wait_us * 1e3

@@ -6,8 +6,10 @@ hand-rolled minimal HTTP/WebSocket layer):
 
 * **scenarios in** — POST a JSON scenario spec (fleet, traffic, SLOs,
   faults, control plane) and it runs on a worker thread
-  (:mod:`~repro.serve.service.scenario`,
-  :mod:`~repro.serve.service.jobs`);
+  (:mod:`~repro.serve.service.jobs`).  The spec format and its builder
+  are the ones ``repro serve`` uses (:mod:`repro.serve.scenario`); the
+  service adds only its own rules: no trace replay and a default
+  streaming window;
 * **windows out** — the simulator streams each timeline window the
   moment it is provably final, fanned out to WebSocket subscribers with
   per-client bounded queues and slow-consumer drop counters
@@ -28,27 +30,18 @@ tests) and follow a run with ``repro observe --follow <id>``.
 
 from repro.serve.service.broadcast import BroadcastHub, Subscription
 from repro.serve.service.client import WebSocketClient, request_json
-from repro.serve.service.jobs import Observatory, ScenarioJob
+from repro.serve.service.jobs import Observatory, ScenarioJob, validate_spec
 from repro.serve.service.prometheus import render_prometheus
 from repro.serve.service.routes import ObservatoryServer, ServerThread
-from repro.serve.service.scenario import (
-    BuiltScenario,
-    ScenarioSpec,
-    build_scenario,
-    validate_spec,
-)
 
 __all__ = [
     "BroadcastHub",
-    "BuiltScenario",
     "Observatory",
     "ObservatoryServer",
     "ScenarioJob",
-    "ScenarioSpec",
     "ServerThread",
     "Subscription",
     "WebSocketClient",
-    "build_scenario",
     "render_prometheus",
     "request_json",
     "validate_spec",

@@ -23,17 +23,43 @@ import threading
 import traceback
 from typing import Dict, List, Optional
 
+from repro.serve.scenario import ScenarioSpec, build_scenario, parse_spec
 from repro.serve.simulator import CommandQueue
 from repro.serve.service.broadcast import BroadcastHub, Subscription
-from repro.serve.service.scenario import (
-    ScenarioSpec,
-    build_scenario,
-    validate_spec,
-)
 
 #: job lifecycle states
 PENDING, RUNNING, COMPLETED, FAILED = (
     "pending", "running", "completed", "failed")
+
+#: a submitted scenario with no timeline interval still streams — the
+#: observatory exists to watch windows, so a default interval applies
+DEFAULT_TIMELINE_US = 500.0
+
+
+def validate_spec(raw: Dict[str, object]) -> ScenarioSpec:
+    """Validate a submitted scenario: the shared :func:`parse_spec` plus
+    the service's rules (raises ``ValueError`` with a client-presentable
+    message)."""
+    if not isinstance(raw, dict):
+        raise ValueError("scenario spec must be a JSON object")
+    traffic = raw.get("traffic")
+    # checked before parsing: the parser would open the trace file
+    if isinstance(traffic, dict) and traffic.get("kind") == "trace":
+        raise ValueError("traffic kind 'trace' is not serveable over the "
+                         "API: the server opens no client-named file")
+    telemetry = raw.get("telemetry")
+    if telemetry is None:
+        telemetry = {}
+    if (isinstance(telemetry, dict) and "timeline_us" not in telemetry
+            and "timeline_interval_us" not in telemetry):
+        raw = dict(raw, telemetry=dict(telemetry,
+                                       timeline_us=DEFAULT_TIMELINE_US))
+    spec = parse_spec(raw)
+    if spec.telemetry is None or not spec.telemetry.timeline_interval_us > 0:
+        raise ValueError(
+            "telemetry.timeline_us must be positive: the observatory "
+            "streams per-window telemetry")
+    return spec
 
 
 class ScenarioJob:

@@ -463,7 +463,7 @@ class ServingSimulator:
         )
         self.slos: Dict[str, float] = dict(slos or {})
         for model, target_ms in self.slos.items():
-            if target_ms <= 0:
+            if not target_ms > 0:
                 raise ValueError(
                     f"SLO target must be positive, got {model}={target_ms}"
                 )

@@ -95,11 +95,11 @@ class TelemetryConfig:
     streaming_percentiles: bool = False
 
     def __post_init__(self) -> None:
-        if self.timeline_interval_us < 0:
+        if not self.timeline_interval_us >= 0:
             raise ValueError(
                 f"timeline interval must be non-negative, got "
                 f"{self.timeline_interval_us}")
-        if self.trace_every < 0:
+        if not self.trace_every >= 0:
             raise ValueError(
                 f"trace_every must be non-negative, got {self.trace_every}")
 

@@ -160,7 +160,7 @@ class PoissonTraffic(TrafficGenerator):
     def __init__(self, models, num_requests: int = 200, seed: int = 0,
                  rate_rps: float = 100.0, model_weights=None) -> None:
         super().__init__(models, num_requests, seed, model_weights)
-        if rate_rps <= 0:
+        if not rate_rps > 0:
             raise ValueError("rate_rps must be positive")
         self.rate_rps = rate_rps
 
@@ -191,9 +191,9 @@ class BurstyTraffic(TrafficGenerator):
                  mean_idle_s: float = 0.05, idle_factor: float = 0.0,
                  model_weights=None) -> None:
         super().__init__(models, num_requests, seed, model_weights)
-        if rate_rps <= 0:
+        if not rate_rps > 0:
             raise ValueError("rate_rps must be positive")
-        if mean_burst_s <= 0 or mean_idle_s < 0:
+        if not (mean_burst_s > 0 and mean_idle_s >= 0):
             raise ValueError("phase durations must be positive")
         if not 0.0 <= idle_factor <= 1.0:
             raise ValueError("idle_factor must be in [0, 1]")
@@ -243,11 +243,11 @@ class DiurnalTraffic(TrafficGenerator):
                  base_rate_rps: float = 100.0, amplitude: float = 0.8,
                  period_s: float = 1.0, model_weights=None) -> None:
         super().__init__(models, num_requests, seed, model_weights)
-        if base_rate_rps <= 0:
+        if not base_rate_rps > 0:
             raise ValueError("base_rate_rps must be positive")
         if not 0.0 <= amplitude < 1.0:
             raise ValueError("amplitude must be in [0, 1)")
-        if period_s <= 0:
+        if not period_s > 0:
             raise ValueError("period_s must be positive")
         self.base_rate_rps = base_rate_rps
         self.amplitude = amplitude
@@ -391,7 +391,7 @@ class ClosedLoopTraffic(TrafficGenerator):
             raise ValueError("clients must be positive")
         if concurrency <= 0:
             raise ValueError("concurrency must be positive")
-        if mean_think_s < 0:
+        if not mean_think_s >= 0:
             raise ValueError("mean_think_s must be non-negative")
         self.clients = clients
         self.concurrency = concurrency

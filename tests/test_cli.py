@@ -1,10 +1,20 @@
 """Tests for the command-line interface."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.ga import GAConfig
+from repro.serve import (
+    Fleet,
+    PlanCache,
+    PoissonTraffic,
+    ServingSimulator,
+    fleet_capacity_rps,
+)
 
 
 class TestParser:
@@ -51,6 +61,16 @@ class TestParser:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["serve", "observe"])
+    def test_timeline_rows_must_be_non_negative(self, capsys, command):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "--timeline-rows", "-3"])
+        assert excinfo.value.code == 2
+        assert ("expected a non-negative integer, got '-3'"
+                in capsys.readouterr().err)
+        args = build_parser().parse_args([command, "--timeline-rows", "0"])
+        assert args.timeline_rows == 0
+
 
 def _exit_code(argv):
     """Exit code of ``main(argv)``, whether it returns or argparse exits."""
@@ -76,6 +96,15 @@ class TestNoTraceback:
         ["serve", "--model", "squeezenet", "--population", "0"],
         ["serve", "--model", "squeezenet", "--fleet", "Z:1"],
         ["serve", "--model", "squeezenet", "--optimizer", "magic"],
+        # NaN passes ``x <= 0``-style guards; every guard must reject it
+        ["serve", "--model", "squeezenet", "--chip", "S", "--requests", "20",
+         "--rate", "nan"],
+        ["serve", "--model", "squeezenet", "--chip", "S", "--requests", "20",
+         "--utilization", "nan"],
+        ["serve", "--model", "squeezenet", "--chip", "S", "--requests", "20",
+         "--max-wait-us", "nan"],
+        ["serve", "--timeline-rows", "-3"],
+        ["observe", "--submit", "missing.json", "--timeline-rows", "-3"],
         ["observe", "--port", "99999"],
         ["observe", "--port", "-1"],
         ["lint", "--format", "xml"],
@@ -221,6 +250,37 @@ class TestServeCommand:
             assert first["latency_ms"][key] > 0
         assert first["per_chip"][0]["utilisation"] > 0
         assert first["total_energy_mj"] > 0
+
+    def test_serve_keeps_ga_config(self, capsys, tmp_path):
+        # --population/--generations/--seed reach the plan compiler: the
+        # CLI report equals a hand-built run with that GAConfig
+        output = tmp_path / "ga.json"
+        assert main(["serve", "--model", "squeezenet", "--chip", "S",
+                     "--optimizer", "ga", "--population", "6",
+                     "--generations", "2", "--seed", "3", "--requests", "30",
+                     "--batches", "1", "4", "--output", str(output)]) == 0
+        capsys.readouterr()
+        cli_report = json.loads(output.read_text())
+        for key in ("plan_cache", "telemetry", "commands"):
+            cli_report.pop(key, None)
+
+        def hand_built(ga_config):
+            cache = PlanCache(optimizer="ga", ga_config=ga_config)
+            fleet = Fleet.from_spec("S:1")
+            rate = 0.7 * fleet_capacity_rps(cache, fleet, ["squeezenet"], [1, 4])
+            traffic = PoissonTraffic(["squeezenet"], num_requests=30, seed=3,
+                                     rate_rps=rate)
+            simulator = ServingSimulator(fleet, cache, batch_sizes=[1, 4],
+                                         max_wait_us=200.0)
+            report = simulator.run(traffic.generate(),
+                                   traffic_info=traffic.describe())
+            return json.loads(json.dumps(report.determinism_dict()))
+
+        assert cli_report == hand_built(GAConfig(
+            population_size=6, generations=2, n_select=1, n_mutate=5, seed=3))
+        # the pin discriminates: another GA seed compiles other plans
+        assert cli_report != hand_built(GAConfig(
+            population_size=6, generations=2, n_select=1, n_mutate=5, seed=4))
 
     def test_serve_report_sections(self, capsys):
         assert main(self.SERVE_ARGS) == 0
@@ -625,3 +685,41 @@ class TestServeControlCLI:
         assert args.hedge_after_pct == 85.0
         assert args.no_replace_plans is True
         assert args.retry_priority is True
+
+
+def _readme_commands():
+    """Every ``python -m repro ...`` command in README code blocks, as argv
+    (``\\`` continuations joined, trailing ``#`` comments dropped)."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    commands, in_block, line = [], False, ""
+    for raw in readme.read_text(encoding="utf-8").splitlines():
+        if raw.startswith("```"):
+            in_block, line = not in_block, ""
+            continue
+        if not in_block:
+            continue
+        line += raw
+        if line.endswith("\\"):
+            line = line[:-1] + " "
+            continue
+        if "python -m repro" in line:
+            tail = line.split("python -m repro", 1)[1]
+            commands.append(shlex.split(tail, comments=True))
+        line = ""
+    return commands
+
+
+class TestReadmeCommands:
+    """README examples parse; nothing is run."""
+
+    COMMANDS = _readme_commands()
+
+    def test_readme_has_commands(self):
+        assert len(self.COMMANDS) >= 10
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+    def test_readme_command_parses(self, capsys, argv):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as exit_:  # ``--help`` exits 0 after printing
+            assert exit_.code == 0, capsys.readouterr().err

@@ -212,6 +212,22 @@ class TestScenarioSpec:
         ({"telemetry": {"trace_each": 5}}, "unknown telemetry key"),
         ({"inject": ["chip_fail@0:chip=9"]}, "chip"),
         ({"mode": "both"}, "mode must be"),
+        # null / list / object scalars: a presentable error naming the
+        # key, never a TypeError that drops the HTTP connection
+        ({"seed": None}, "seed must be an integer, got None"),
+        ({"max_wait_us": [1]}, "max_wait_us must be a number"),
+        ({"cache_capacity": {}}, "cache_capacity must be an integer"),
+        ({"traffic": {"requests": None}}, "traffic.requests must be"),
+        ({"traffic": {"rate_rps": []}}, "traffic.rate_rps must be"),
+        ({"traffic": {"utilization": None}}, "traffic.utilization must be"),
+        ({"traffic": {"kind": "closed", "clients": None}},
+         "traffic.clients must be"),
+        ({"traffic": {"kind": "closed", "concurrency": {}}},
+         "traffic.concurrency must be"),
+        ({"traffic": {"kind": "closed", "think_us": [1]}},
+         "traffic.think_us must be"),
+        ({"slo": {"resnet18": None}}, "slo.resnet18 must be a number"),
+        ({"models": [["resnet18"]]}, "unknown model"),
     ])
     def test_bad_specs_raise_presentable_errors(self, raw, fragment):
         with pytest.raises(ValueError, match=fragment):
