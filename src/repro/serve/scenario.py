@@ -9,8 +9,8 @@ Both go through the same two steps:
 * :func:`parse_spec` — validation into a :class:`ScenarioSpec` (model
   names, fleet spec, fault targets, traffic/policy names, config blocks,
   typed scalars), raising ``ValueError`` with a presentable message.  It
-  is cheap, except that ``trace`` traffic reads its file for the model
-  set;
+  is cheap, except that ``trace`` traffic reads its file (once: the
+  build step replays what was read);
 * :func:`build_scenario` — the expensive part: plan-cache warmup, rate
   auto-derivation and stream generation.
 
@@ -51,6 +51,7 @@ from repro.serve import (
     TRAFFIC_GENERATORS,
     ClosedLoopTraffic,
     ControlConfig,
+    FaultEvent,
     FaultTolerance,
     Fleet,
     PlanCache,
@@ -123,12 +124,9 @@ def _control_from(block: Dict[str, object]) -> ControlConfig:
     return _config_from(ControlConfig, block, "control")
 
 
-def _telemetry_from(block: Optional[Dict[str, object]]
-                    ) -> Optional[TelemetryConfig]:
+def _telemetry_from(block: Dict[str, object]) -> Optional[TelemetryConfig]:
     """Telemetry block (``timeline_us`` aliases ``timeline_interval_us``);
-    ``None`` when absent or when every part is off."""
-    if block is None:
-        return None
+    ``None`` when every part is off."""
     if isinstance(block, dict) and "timeline_us" in block:
         block = dict(block)
         block["timeline_interval_us"] = block.pop("timeline_us")
@@ -151,10 +149,11 @@ class ScenarioSpec:
     seed: int
     traffic_kind: str
     #: generator kwargs, minus ``models`` and the rate (``build_scenario``
-    #: adds those); the trace path for ``trace`` traffic
+    #: adds those); empty for ``trace`` traffic
     traffic_kwargs: Dict[str, object]
     slos: Dict[str, float]
-    inject: List[str]
+    #: the parsed ``inject`` entries
+    faults: List[FaultEvent]
     fault_tolerance: FaultTolerance
     control: Optional[ControlConfig]
     telemetry: Optional[TelemetryConfig]
@@ -164,6 +163,8 @@ class ScenarioSpec:
     #: GA sizes and seed for ``optimizer: "ga"`` plans (no JSON key: the
     #: CLI sets it from ``--population/--generations/--seed``)
     ga_config: GAConfig = dataclasses.field(default_factory=GAConfig)
+    #: the replayed trace for ``trace`` traffic, read once by parse_spec
+    trace: Optional[TraceTraffic] = None
 
 
 @dataclass
@@ -230,14 +231,15 @@ def parse_spec(raw: Dict[str, object]) -> ScenarioSpec:
     validate_traffic(kind)
     rate_rps: Optional[float] = None
     utilization = 0.7
-    kwargs: Dict[str, object]
+    kwargs: Dict[str, object] = {}
+    trace: Optional[TraceTraffic] = None
     if kind == "trace":
         path = traffic.pop("path", None)
         if not isinstance(path, str) or not path:
             raise ValueError("trace traffic needs a \"path\" to a trace file")
-        models = list(TraceTraffic(path).models)
+        trace = TraceTraffic(path)
+        models = list(trace.models)
         _check_models(models)
-        kwargs = {"path": path}
     else:
         num_requests = _coerce(traffic.pop("requests", 200), int,
                                "traffic.requests")
@@ -275,8 +277,8 @@ def parse_spec(raw: Dict[str, object]) -> ScenarioSpec:
     inject = raw.get("inject") or []
     if not isinstance(inject, list):
         raise ValueError("inject must be a list of fault spec strings")
-    fault_events = [parse_inject(str(spec)) for spec in inject]
-    validate_fault_targets(fault_events, len(fleet.workers))
+    faults = [parse_inject(str(spec)) for spec in inject]
+    validate_fault_targets(faults, len(fleet.workers))
 
     fault_tolerance = _config_from(
         FaultTolerance, raw.get("fault_tolerance") or {}, "fault_tolerance")
@@ -296,12 +298,13 @@ def parse_spec(raw: Dict[str, object]) -> ScenarioSpec:
         traffic_kind=kind,
         traffic_kwargs=kwargs,
         slos=slos,
-        inject=[str(spec) for spec in inject],
+        faults=faults,
         fault_tolerance=fault_tolerance,
         control=control,
-        telemetry=_telemetry_from(raw.get("telemetry")),
+        telemetry=_telemetry_from(raw.get("telemetry") or {}),
         utilization=utilization,
         rate_rps=rate_rps,
+        trace=trace,
     )
 
 
@@ -311,17 +314,17 @@ def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
     cache = PlanCache(capacity=spec.cache_capacity, optimizer=spec.optimizer,
                       mode=spec.mode, ga_config=spec.ga_config)
     cache.warmup(spec.models, fleet.chip_names, spec.batch_sizes)
-    kwargs = dict(spec.traffic_kwargs)
-    if spec.traffic_kind != "trace":
-        kwargs["models"] = spec.models
-    if spec.traffic_kind not in ("trace", "closed"):
-        rate = (spec.rate_rps if spec.rate_rps is not None
-                else spec.utilization * fleet_capacity_rps(
-                    cache, fleet, spec.models, spec.batch_sizes))
-        kwargs["base_rate_rps" if spec.traffic_kind == "diurnal"
-               else "rate_rps"] = rate
-    generator = TRAFFIC_GENERATORS[spec.traffic_kind](**kwargs)
-    faults = [parse_inject(entry) for entry in spec.inject]
+    if spec.trace is not None:
+        generator = spec.trace
+    else:
+        kwargs = dict(spec.traffic_kwargs, models=spec.models)
+        if spec.traffic_kind != "closed":
+            rate = (spec.rate_rps if spec.rate_rps is not None
+                    else spec.utilization * fleet_capacity_rps(
+                        cache, fleet, spec.models, spec.batch_sizes))
+            kwargs["base_rate_rps" if spec.traffic_kind == "diurnal"
+                   else "rate_rps"] = rate
+        generator = TRAFFIC_GENERATORS[spec.traffic_kind](**kwargs)
     simulator = ServingSimulator(
         fleet,
         cache,
@@ -329,7 +332,7 @@ def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
         batch_sizes=spec.batch_sizes,
         max_wait_us=spec.max_wait_us,
         slos=spec.slos,
-        faults=faults,
+        faults=spec.faults,
         fault_tolerance=spec.fault_tolerance,
         control=spec.control,
         telemetry=spec.telemetry,

@@ -47,9 +47,7 @@ def validate_spec(raw: Dict[str, object]) -> ScenarioSpec:
     if isinstance(traffic, dict) and traffic.get("kind") == "trace":
         raise ValueError("traffic kind 'trace' is not serveable over the "
                          "API: the server opens no client-named file")
-    telemetry = raw.get("telemetry")
-    if telemetry is None:
-        telemetry = {}
+    telemetry = raw.get("telemetry") or {}
     if (isinstance(telemetry, dict) and "timeline_us" not in telemetry
             and "timeline_interval_us" not in telemetry):
         raw = dict(raw, telemetry=dict(telemetry,

@@ -82,7 +82,6 @@ import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.hardware.config import get_chip_config
@@ -133,7 +132,6 @@ _EVENT_CONTROL = 5
 #: cumulative control actuator counters the timeline reports deltas of
 _CONTROL_COUNTERS = ("quarantines", "readmissions", "hedges", "scale_ups",
                      "scale_downs", "replacements")
-_read_control_counters = attrgetter(*_CONTROL_COUNTERS)
 
 #: smoothing factor of the per-model interarrival EMA
 _EMA_ALPHA = 0.2
@@ -738,7 +736,7 @@ class _RunState:
         the timeline's delta pass short-circuits on identity, and
         control actions are rare relative to tick frequency.
         """
-        current = _read_control_counters(self.ctrl)
+        current = tuple(getattr(self.ctrl, name) for name in _CONTROL_COUNTERS)
         if current != self.ctl_snapshot_key:
             self.ctl_snapshot_key = current
             self.ctl_snapshot = dict(zip(_CONTROL_COUNTERS, current))

@@ -15,12 +15,11 @@ order (they read state, never change it, and consume no randomness):
 * **Metrics timeline** — :class:`TimelineAccumulator` buckets every
   arrival/completion/fault/control observation into fixed windows of
   ``timeline_interval_us`` and renders one row per window: throughput,
-  window p50/p95/p99 (from per-window sketches in the
-  :class:`Log2Histogram` binning, not stored samples — factor-sqrt(2)
-  bound), queue depth and utilisation sampled at each window boundary
-  (lazily, at the simulator's first event pop past the boundary —
-  between events state cannot change, so the sample is exactly what a
-  dedicated boundary tick would read),
+  window p50/p95/p99 (from per-window :class:`Log2Histogram` sketches,
+  not stored samples — factor-sqrt(2) bound), queue depth and
+  utilisation sampled at each window boundary (lazily, at the simulator's
+  first event pop past the boundary — between events state cannot change,
+  so the sample is exactly what a dedicated boundary tick would read),
   per-model SLO attainment, and fault/control event counts.  Windows
   with zero completions or zero elapsed time report 0.0 rates — never NaN.
 * **Streaming percentile sketches** — :class:`P2Quantile` (the classic
@@ -300,6 +299,34 @@ class Log2Histogram:
                     return _SQRT2 * (2.0 ** b)
         return _SQRT2 * (2.0 ** (len(self._bins) - 1))
 
+    def quantiles(self, qs: Sequence[float]) -> List[float]:
+        """Several quantiles in one bin scan (``qs`` ascending).
+
+        Bin-for-bin identical to calling :meth:`quantile` per ``q`` — the
+        timeline renders three per window, so the shared scan matters.
+        """
+        if self.count == 0:
+            return [0.0] * len(qs)
+        count = self.count
+        ranks = [max(1, math.ceil(q / 100.0 * count)) for q in qs]
+        results: List[float] = []
+        n_q = len(ranks)
+        i = 0
+        seen = 0
+        for b, n in enumerate(self._bins):
+            if n:
+                seen += n
+                while i < n_q and seen >= ranks[i]:
+                    results.append(_SQRT2 * (2.0 ** b))
+                    i += 1
+                if i == n_q:
+                    return results
+        top = _SQRT2 * (2.0 ** (len(self._bins) - 1))
+        while i < n_q:
+            results.append(top)
+            i += 1
+        return results
+
     def mean(self) -> float:
         """Exact running mean (sums are cheap; only quantiles are binned)."""
         return self.total / self.count if self.count else 0.0
@@ -416,20 +443,11 @@ class _TimelineWindow:
         # windows use the log2 histogram sketch: one bucket increment per
         # completion (vs 3 P2 marker updates) keeps the per-event observer
         # cheap, and its factor-sqrt(2) bound is distribution-free — safe
-        # for the handful-of-samples windows a fine-grained timeline has.
-        # A window holds a few samples, so its sketch is sparse: bucket ->
-        # count in the :class:`Log2Histogram` binning (``completions`` is
-        # the sample count)
-        self.latency: Dict[int, int] = {}
+        # for the handful-of-samples windows a fine-grained timeline has
+        self.latency = Log2Histogram()
         #: per-model [attained, completed] for models with an SLO target
         self.slo: Dict[str, List[int]] = {}
 
-
-#: top bucket of a window sketch (the default :class:`Log2Histogram` size)
-_WINDOW_TOP_BUCKET = 63
-
-#: the percentiles every timeline row reports
-_WINDOW_QUANTILES = (50.0, 95.0, 99.0)
 
 #: control counters the timeline rows carry as per-window deltas
 _CONTROL_KEYS = ("quarantines", "readmissions", "hedges",
@@ -512,8 +530,6 @@ class TimelineAccumulator:
         #: boundary sample or to none), decided at the first render
         self._has_control: Optional[bool] = None
         self._empty_slo_block = {model: 0.0 for model in self.slo_models}
-        #: sample count -> nearest-rank targets of _WINDOW_QUANTILES
-        self._ranks: Dict[int, List[int]] = {}
         # quiet windows (the drain tail of a long run can have hundreds)
         # share one read-only empty window instead of paying a fresh
         # sketch construction each
@@ -537,14 +553,6 @@ class TimelineAccumulator:
         self._last_window = window
         return window
 
-    def _window(self, index: int) -> _TimelineWindow:
-        if index < 0:
-            index = 0
-        window = self._windows.get(index)
-        if window is None:
-            window = self._windows[index] = _TimelineWindow()
-        return window
-
     # --- event-side notes (keyed by the event's own timestamp) ---------
     def note_arrival(self, ts_ns: float) -> None:
         self._window_at(ts_ns).arrivals += 1
@@ -554,19 +562,23 @@ class TimelineAccumulator:
                         slo_ok: Optional[bool] = None) -> None:
         window = self._window_at(ts_ns)
         window.completions += 1
-        # the Log2Histogram binning inlined — this is the single hottest
-        # observer statement (one sketch fold per completed request)
+        # window.latency.add inlined — this is the single hottest observer
+        # statement (one histogram fold per completed request)
         value = float(latency_ns)
+        hist = window.latency
+        bins = hist._bins
         if value < 1.0:
             bucket = 0
         else:
             bucket = math.frexp(value)[1] - 1
-            if not 0 <= bucket < _WINDOW_TOP_BUCKET:
-                # past the top, or inf/NaN (exponent 0): the top bin, as
-                # Log2Histogram.add files them
-                bucket = _WINDOW_TOP_BUCKET
-        buckets = window.latency
-        buckets[bucket] = buckets.get(bucket, 0) + 1
+            limit = len(bins) - 1
+            if bucket > limit:
+                bucket = limit
+        bins[bucket] += 1
+        hist.count += 1
+        hist.total += value
+        if value > hist.max:
+            hist.max = value
         if model is not None and slo_ok is not None:
             running = window.slo.get(model)
             if running is None:
@@ -574,50 +586,6 @@ class TimelineAccumulator:
             running[1] += 1
             if slo_ok:
                 running[0] += 1
-
-    def note_many(self, arrivals: Sequence[float],
-                  completions: Sequence[Tuple[float, float, Optional[str],
-                                              Optional[bool]]]) -> None:
-        """Fold buffered notes in one pass (same state as one note each).
-
-        ``completions`` holds :meth:`note_completion` argument tuples,
-        folded with that method's body inlined: every window ends exactly
-        as per-event notes would leave it, without two calls per note.
-        """
-        origin_ns = self.origin_ns
-        interval_ns = self.interval_ns
-        window_of = self._window
-        last = None
-        for ts_ns in arrivals:
-            index = int((ts_ns - origin_ns) // interval_ns)
-            if index != last:
-                last = index
-                window = window_of(index)
-            window.arrivals += 1
-        frexp = math.frexp
-        last = None
-        for ts_ns, latency_ns, model, slo_ok in completions:
-            index = int((ts_ns - origin_ns) // interval_ns)
-            if index != last:
-                last = index
-                window = window_of(index)
-                buckets = window.latency
-            window.completions += 1
-            value = float(latency_ns)
-            if value < 1.0:
-                bucket = 0
-            else:
-                bucket = frexp(value)[1] - 1
-                if not 0 <= bucket < _WINDOW_TOP_BUCKET:
-                    bucket = _WINDOW_TOP_BUCKET
-            buckets[bucket] = buckets.get(bucket, 0) + 1
-            if model is not None and slo_ok is not None:
-                running = window.slo.get(model)
-                if running is None:
-                    running = window.slo[model] = [0, 0]
-                running[1] += 1
-                if slo_ok:
-                    running[0] += 1
 
     def note_shed(self, ts_ns: float) -> None:
         self._window_at(ts_ns).shed += 1
@@ -655,27 +623,6 @@ class TimelineAccumulator:
             self._closed_upto = index + 1
 
     # ------------------------------------------------------------------
-    def _quantiles(self, buckets: Dict[int, int], count: int) -> List[float]:
-        """:meth:`Log2Histogram.quantile` of a window's sparse sketch, for
-        every percentile a row reports, in one pass over its buckets.
-
-        Windows repeat the same handful of sample counts, so the
-        nearest-rank targets are cached per count.
-        """
-        ranks = self._ranks.get(count)
-        if ranks is None:
-            ranks = self._ranks[count] = [
-                max(1, math.ceil(q / 100.0 * count))
-                for q in _WINDOW_QUANTILES]
-        results: List[float] = []
-        n_q = len(ranks)
-        seen = 0
-        for bucket in sorted(buckets):
-            seen += buckets[bucket]
-            while len(results) < n_q and seen >= ranks[len(results)]:
-                results.append(_SQRT2 * (2.0 ** bucket))
-        return results
-
     def _render_one(self, index: int, span_ns: float) -> Dict[str, object]:
         """Render window ``index`` as one report row (carry state advances).
 
@@ -699,21 +646,19 @@ class TimelineAccumulator:
                 0.0, min(start_ns + interval_ns, span_ns) - start_ns
             ) * 1e-9
             throughput = completed / elapsed_s if elapsed_s > 0 else 0.0
-            p50, p95, p99 = self._quantiles(window.latency, completed)
+            p50, p95, p99 = window.latency.quantiles((50.0, 95.0, 99.0))
             p50 *= 1e-6
             p95 *= 1e-6
             p99 *= 1e-6
         else:
             throughput = 0.0
             p50 = p95 = p99 = 0.0
-        attainment = 0.0
         if window.slo:
-            attained = measured = 0
-            for attained_m, measured_m in window.slo.values():
-                attained += attained_m
-                measured += measured_m
-            if measured:
-                attainment = attained / measured
+            attained = sum(a for a, _ in window.slo.values())
+            measured = sum(c for _, c in window.slo.values())
+            attainment = attained / measured if measured else 0.0
+        else:
+            attainment = 0.0
         row: Dict[str, object] = {
             "window": index,
             "t_ms": start_ns * 1e-6,
@@ -1222,8 +1167,13 @@ class TelemetrySession:
         """
         if not (self._pending_arrivals or self._pending_completions):
             return
-        self.timeline.note_many(self._pending_arrivals,
-                                self._pending_completions)
+        timeline = self.timeline
+        note_arrival = timeline.note_arrival
+        for ts_ns in self._pending_arrivals:
+            note_arrival(ts_ns)
+        note_completion = timeline.note_completion
+        for record in self._pending_completions:
+            note_completion(*record)
         self._pending_arrivals.clear()
         self._pending_completions.clear()
 

@@ -25,7 +25,9 @@ from repro.serve import (
     ServingSimulator,
     TelemetryConfig,
     fleet_capacity_rps,
+    save_trace,
 )
+from repro.serve.scenario import build_scenario, parse_spec
 from repro.serve.service import (
     BroadcastHub,
     ServerThread,
@@ -244,6 +246,22 @@ class TestScenarioSpec:
                                           "requests": 30}})
         assert spec.traffic_kwargs["clients"] == 6
         assert spec.traffic_kwargs["num_requests"] == 30
+
+    def test_trace_spec_reads_its_file_once(self, tmp_path):
+        # the shared parser (not the service) accepts trace replay; the
+        # trace it reads for the model set is the one build_scenario
+        # replays, so the file is never opened a second time
+        requests = PoissonTraffic("squeezenet", num_requests=6, seed=1,
+                                  rate_rps=2000.0).generate()
+        path = tmp_path / "trace.json"
+        save_trace(requests, str(path))
+        spec = parse_spec({"fleet": "S:1", "batches": [1, 2],
+                           "traffic": {"kind": "trace", "path": str(path)}})
+        assert spec.models == ["squeezenet"]
+        path.unlink()
+        built = build_scenario(spec)
+        assert built.workload == requests
+        assert built.traffic_info["path"] == str(path)
 
 
 # ----------------------------------------------------------------------
