@@ -1244,3 +1244,88 @@ class TestPrePr7Pins:
         expected = _load_pins()[scenario]
         report = pre_pr7_scenarios()[scenario]()
         assert report.determinism_dict() == expected
+
+
+# ----------------------------------------------------------------------
+# Many-chip and mixed-class routing pins.  The scenarios above run on
+# 2-3 chips; these pin the tie-break among many equal chips and a fleet
+# whose chips change pricing class mid-run (straggler, degraded DRAM,
+# failure and recovery), so a dispatch change that groups chips by class
+# cannot move a routing decision unnoticed.
+# ----------------------------------------------------------------------
+def fleet_scale_scenarios():
+    """Scenario builders for the fleet-scale pins, keyed by capture name.
+
+    ``tests/data/serving_pins.json`` holds the ``determinism_dict()`` each
+    builder produced when the pins were captured, with every idle chip
+    priced one by one through the plan cache.
+    """
+
+    def many_equal_chips(policy):
+        def build():
+            models = ("resnet18", "squeezenet")
+            fleet = Fleet.from_spec("M:16")
+            cache = PlanCache(optimizer="dp")
+            cache.warmup(models, fleet.chip_names, BATCHES)
+            # light load: most chips sit idle, so every dispatch breaks
+            # ties among many equal candidates (and the policies differ)
+            rate = 0.2 * fleet_capacity_rps(cache, fleet, models, BATCHES)
+            traffic = PoissonTraffic(models, num_requests=300, seed=11,
+                                     rate_rps=rate, model_weights=(0.7, 0.3))
+            simulator = ServingSimulator(
+                fleet, cache, policy=policy, batch_sizes=BATCHES,
+                max_wait_us=200.0, switch_cost=True,
+            )
+            return simulator.run(traffic.generate(),
+                                 traffic_info=traffic.describe())
+        return build
+
+    def interleaved_classes_faults():
+        models = ("resnet18", "squeezenet")
+        # worker order: S0 S1 M2 M3 S4 L5 L6
+        fleet = Fleet.from_spec("S:2,M:2,S:1,L:2")
+        cache = PlanCache(optimizer="dp")
+        cache.warmup(models, fleet.chip_names, BATCHES)
+        rate = 0.3 * fleet_capacity_rps(cache, fleet, models, BATCHES)
+        traffic = PoissonTraffic(models, num_requests=240, seed=13,
+                                 rate_rps=rate, model_weights=(0.6, 0.4))
+        span_us = 240 / rate * 1e6
+        faults = [
+            parse_inject(f"straggler@{0.15 * span_us:.0f}:chip=4,factor=2.5,"
+                         f"until={0.55 * span_us:.0f}"),
+            parse_inject(f"dram_degrade@{0.25 * span_us:.0f}:chip=3,"
+                         f"factor=2,until={0.7 * span_us:.0f}"),
+            parse_inject(f"chip_fail@{0.35 * span_us:.0f}:chip=5,"
+                         f"until={0.6 * span_us:.0f}"),
+        ]
+        ft = FaultTolerance(max_retries=2)
+        simulator = ServingSimulator(
+            fleet, cache, policy="latency", batch_sizes=BATCHES,
+            max_wait_us=200.0, switch_cost=True, faults=faults,
+            fault_tolerance=ft,
+        )
+        return simulator.run(traffic.generate(),
+                             traffic_info=traffic.describe())
+
+    return {
+        "m16_latency_switch_on": many_equal_chips("latency"),
+        "m16_fifo_switch_on": many_equal_chips("fifo"),
+        "m16_least_loaded_switch_on": many_equal_chips("least_loaded"),
+        "interleaved_latency_faults": interleaved_classes_faults,
+    }
+
+
+class TestFleetScalePins:
+    """Routing among many equal chips, and among chips whose pricing
+    class changes mid-run, is bit-identical to the per-chip capture."""
+
+    @pytest.mark.parametrize("scenario", [
+        "m16_latency_switch_on",
+        "m16_fifo_switch_on",
+        "m16_least_loaded_switch_on",
+        "interleaved_latency_faults",
+    ])
+    def test_bit_identical(self, scenario):
+        expected = _load_pins()[scenario]
+        report = fleet_scale_scenarios()[scenario]()
+        assert report.determinism_dict() == expected
