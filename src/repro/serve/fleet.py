@@ -36,12 +36,13 @@ non-volatile, so the restarted chip still holds the plan it had.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import envflags
 from repro.hardware.config import get_chip_config
+from repro.serve.plans import PriceTable
 
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a runtime cycle
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.serve.plans import CompiledPlan, PlanCache, PlanKey
 
 
@@ -96,8 +97,8 @@ def service_latency_ns(plan: "CompiledPlan", worker: "ChipWorker",
     return plan.latency_ns * worker.latency_factor
 
 
-def plan_for(plans: "PlanCache", worker: "ChipWorker", model: str,
-             batch: int) -> "CompiledPlan":
+def plan_for(plans: Union["PlanCache", PriceTable], worker: "ChipWorker",
+             model: str, batch: int) -> "CompiledPlan":
     """The compiled plan ``worker`` would run for a (model, batch) dispatch.
 
     On a healthy chip this is exactly ``plans.get(model, chip, batch)``;
@@ -106,14 +107,12 @@ def plan_for(plans: "PlanCache", worker: "ChipWorker", model: str,
     span-matrix stack on first use and cached like any other plan.  The
     single lookup point shared by the scheduler's latency ranking and the
     simulator's dispatch, so the two can never disagree on what a
-    degraded chip costs.
+    degraded chip costs.  ``plans`` is a plan cache or a run's
+    :class:`~repro.serve.plans.PriceTable`, which consults its cache once
+    per plan.
     """
-    if worker.dram_factor != 1.0:
-        from repro.serve.plans import degraded_dram
-
-        return plans.get(model, worker.chip_name, batch,
-                         dram=degraded_dram(plans.dram_config, worker.dram_factor))
-    return plans.get(model, worker.chip_name, batch)
+    table = plans if isinstance(plans, PriceTable) else PriceTable(plans)
+    return table.plan(model, worker.chip_name, batch, worker.dram_factor)
 
 
 @dataclass

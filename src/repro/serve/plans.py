@@ -15,6 +15,10 @@ and the dense span matrix serves the plan's latency/energy numbers.  Because
 decompositions are shared process-wide, warming one plan warms the span
 triangle for every other plan of the same (model, chip) pair — a cache miss
 for batch 16 is almost free after batch 1 was compiled.
+
+A serving run does not query the cache per dispatch: its
+:class:`PriceTable` looks each plan up once and answers the run's
+repeated pricing from a dict.
 """
 
 from __future__ import annotations
@@ -34,7 +38,12 @@ from repro.hardware.dram import DRAMConfig, LPDDR3_8GB
 
 @dataclass(frozen=True)
 class PlanKey:
-    """Identity of one compiled plan."""
+    """Identity of one compiled plan.
+
+    The hash is computed once, at construction: the generated one would
+    re-hash every :class:`DRAMConfig` field on each cache lookup.
+    Equality stays the generated field-by-field comparison.
+    """
 
     model: str
     chip: str
@@ -42,6 +51,21 @@ class PlanKey:
     batch: int
     mode: FitnessMode
     optimizer: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild through __init__ so a copy re-hashes its fields: string
+        # hashes differ between processes
+        return (PlanKey, self._fields())
+
+    def _fields(self) -> Tuple[object, ...]:
+        return (self.model, self.chip, self.dram, self.batch, self.mode,
+                self.optimizer)
 
 
 def degraded_dram(config: DRAMConfig, factor: float) -> DRAMConfig:
@@ -155,6 +179,41 @@ class PlanCacheStats:
             "size": self.size,
             "capacity": self.capacity,
         }
+
+
+class PriceTable:
+    """One serving run's plans, each looked up in the plan cache once.
+
+    Dispatch prices the same few plans over and over: every candidate
+    chip, at every candidate batch size, on every dispatch attempt.  The
+    table keys a plan by ``(model, chip class, DRAM factor, batch)``,
+    consults the :class:`PlanCache` on the first request for a key and
+    answers every later one from a dict.  Every input that changes a plan
+    is in the key, so the table never needs invalidating; the per-chip
+    inputs (straggler factor, resident plan) are applied by the caller
+    (:func:`~repro.serve.fleet.service_latency_ns`).  Plans the cache's LRU
+    evicts stay in the table, so eviction cannot change what a run prices.
+    """
+
+    def __init__(self, cache: "PlanCache") -> None:
+        self.cache = cache
+        self._plans: Dict[Tuple[str, str, float, int], CompiledPlan] = {}
+
+    def plan(self, model: str, chip: str, batch: int,
+             dram_factor: float = 1.0) -> CompiledPlan:
+        """The plan of ``model`` on a ``chip``-class chip whose DRAM runs
+        at ``dram_factor`` times the nominal timings (1.0 = healthy)."""
+        key = (model, chip, dram_factor, batch)
+        plan = self._plans.get(key)
+        if plan is None:
+            cache = self.cache
+            if dram_factor == 1.0:
+                plan = cache.get(model, chip, batch)
+            else:
+                plan = cache.get(model, chip, batch, dram=degraded_dram(
+                    cache.dram_config, dram_factor))
+            self._plans[key] = plan
+        return plan
 
 
 class PlanCache:

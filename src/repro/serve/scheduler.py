@@ -25,6 +25,17 @@ to switch plans pays the incoming plan's weight-replacement cost on top
 of the compiled latency, so a slower chip whose crossbars already hold
 the plan can beat a faster cold one.
 
+Dispatch cost scales with the number of *pricing classes* in the fleet,
+not the number of chips.  Chips with equal ``(chip class, DRAM factor,
+straggler factor, resident plan)`` price every dispatch identically, so a
+policy that ranks by price (``ranks_by_price``: ``latency`` and ``fair``)
+is offered one representative per class — the member with the least
+``(busy_ns, index)``, see :func:`pricing_classes` — and picks exactly the
+chip a ranking of every idle chip would.  ``fifo`` and ``least_loaded``
+see every idle chip.  Plans are priced through the run's
+:class:`~repro.serve.plans.PriceTable`, which consults the plan cache
+once per plan.
+
 A policy may also order the model queues competing for an idle chip
 (:meth:`SchedulingPolicy.order_queues`).  The default is FIFO across
 models — oldest head request first — which all policies except ``fair``
@@ -56,6 +67,10 @@ class SchedulingPolicy(abc.ABC):
 
     #: registry name of the policy (the ``--policy`` value)
     name: str = "base"
+    #: whether the policy ranks chips by (effective latency, busy time,
+    #: index) — then the simulator offers it one chip per pricing class
+    #: (:func:`pricing_classes`), which picks exactly the same chip
+    ranks_by_price: bool = False
 
     @abc.abstractmethod
     def choose_worker(
@@ -127,6 +142,7 @@ class LatencyAwarePolicy(SchedulingPolicy):
     """
 
     name = "latency"
+    ranks_by_price = True
 
     def choose_worker(self, idle_workers, model, batch, plans, now_ns,
                       switch_cost=False):
@@ -173,6 +189,26 @@ class FairPolicy(LatencyAwarePolicy):
 
     def note_dispatch(self, model, served):
         self._served[model] = self._served.get(model, 0) + served
+
+
+def pricing_classes(idle_workers: Sequence[ChipWorker]) -> List[ChipWorker]:
+    """One representative chip per pricing class of ``idle_workers``.
+
+    Chips with equal ``(chip class, DRAM factor, straggler factor,
+    resident plan)`` price every dispatch identically, so a ranking by
+    ``(effective latency, busy_ns, index)`` can only pick the class member
+    with the least ``(busy_ns, index)``.  That member represents the
+    class.  Classes come out in order of first appearance.
+    """
+    classes: Dict[tuple, ChipWorker] = {}
+    for worker in idle_workers:
+        key = (worker.chip_name, worker.dram_factor, worker.latency_factor,
+               worker.loaded_plan)
+        best = classes.get(key)
+        if best is None or worker.busy_ns < best.busy_ns or (
+                worker.busy_ns == best.busy_ns and worker.index < best.index):
+            classes[key] = worker
+    return list(classes.values())
 
 
 #: Scheduling policies by registry name (the ``--policy`` values).

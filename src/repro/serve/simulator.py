@@ -106,8 +106,13 @@ from repro.serve.fleet import (
     service_latency_ns,
     switch_cost_enabled,
 )
-from repro.serve.plans import CompiledPlan, PlanCache
-from repro.serve.scheduler import DynamicBatcher, SchedulingPolicy, make_policy
+from repro.serve.plans import CompiledPlan, PlanCache, PriceTable
+from repro.serve.scheduler import (
+    DynamicBatcher,
+    SchedulingPolicy,
+    make_policy,
+    pricing_classes,
+)
 from repro.serve.telemetry import (
     FLUSH_EVERY_BOUNDARIES,
     TelemetryConfig,
@@ -297,6 +302,10 @@ class ServingReport:
     #: telemetry hub snapshot (counters/gauges/histograms + config echo)
     #: — empty when no telemetry ran
     telemetry: Dict[str, object] = field(default_factory=dict)
+    #: plan-cache counters after the run.  A run prices every dispatch
+    #: from its :class:`~repro.serve.plans.PriceTable`, which consults the
+    #: cache only on a table miss (once per distinct plan), so hits and
+    #: misses count those consultations, not dispatch-time lookups
     plan_cache: Dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -568,6 +577,8 @@ class _RunState:
         self.fleet = fleet
         self.workers = fleet.workers
         self.plan_cache = sim.plan_cache
+        #: every plan this run prices, looked up in the cache once each
+        self.prices = PriceTable(sim.plan_cache)
         self.batcher = sim.batcher
         self.smallest_batch = sim.batcher.batch_sizes[0]
         self.switch_cost = sim.switch_cost
@@ -724,6 +735,16 @@ class _RunState:
         return [w for w in self.workers
                 if w.busy_until_ns <= now and w.up and w.index not in inflight
                 and (ctrl is None or ctrl.available(w))]
+
+    def candidates(self, now: float) -> List[ChipWorker]:
+        """The idle chips the policy chooses among at ``now``.
+
+        A price-ranking policy sees one chip per pricing class
+        (:func:`~repro.serve.scheduler.pricing_classes`), which picks the
+        same chip as ranking every idle chip; other policies see them all.
+        """
+        idle = self.idle_chips(now)
+        return pricing_classes(idle) if self.policy.ranks_by_price else idle
 
     def fault_gauges(self) -> Dict[str, object]:
         return {name: getattr(self, name)
@@ -1044,9 +1065,9 @@ class _RunState:
             # over the live chips, each request costing the fastest
             # single-request service this model has on any live class
             fastest = min(
-                self.plan_cache.get(request.model, chip_name,
-                                    self.smallest_batch).latency_ns
-                for chip_name in {w.chip_name for w in up_chips}
+                self.prices.plan(request.model, chip_name,
+                                 self.smallest_batch).latency_ns
+                for chip_name in dict.fromkeys(w.chip_name for w in up_chips)
             )
             estimated_wait = self.depth * fastest / len(up_chips)
             if estimated_wait > ft.shed_wait_us * 1e3:
@@ -1072,7 +1093,7 @@ class _RunState:
         ctrl = self.ctrl
         # depth is the total queued count, so an empty system is one compare
         while self.depth:
-            idle = self.idle_chips(now)
+            idle = self.candidates(now)
             if not idle:
                 return
             progressed = False
@@ -1132,8 +1153,8 @@ class _RunState:
               now: float) -> Tuple[ChipWorker, CompiledPlan, float]:
         """The chip the policy picks for ``batch``, its plan and latency."""
         worker = self.policy.choose_worker(
-            idle, model, batch, self.plan_cache, now, self.switch_cost)
-        plan = plan_for(self.plan_cache, worker, model, batch)
+            idle, model, batch, self.prices, now, self.switch_cost)
+        plan = plan_for(self.prices, worker, model, batch)
         return worker, plan, service_latency_ns(plan, worker, self.switch_cost)
 
     def start_batch(self, now: float, worker: ChipWorker, model: str,
@@ -1160,7 +1181,7 @@ class _RunState:
         if self.ctrl is not None:
             # ratio baseline: the *healthy-chip* price of this dispatch,
             # so stragglers and degraded DRAM both show up as ratio > 1
-            nominal_plan = self.plan_cache.get(model, worker.chip_name, batch)
+            nominal_plan = self.prices.plan(model, worker.chip_name, batch)
             nominal_ns = nominal_plan.latency_ns + (
                 nominal_plan.weight_replace_ns if switched else 0.0
             )
@@ -1319,7 +1340,7 @@ class _RunState:
     def launch_hedge(self, now: float, request: Request, model: str,
                      beat_ns: Optional[float]) -> bool:
         """Fly one hedge copy; False when no chip is idle."""
-        idle = self.idle_chips(now)
+        idle = self.candidates(now)
         if not idle:
             return False
         batch = self.smallest_batch
@@ -1389,12 +1410,12 @@ class _RunState:
         if not weights or not chips:
             return
         by_index = {w.index: w for w in chips}
-        plan_cache = self.plan_cache
+        prices = self.prices
         smallest_batch = self.smallest_batch
 
         def plan_of(worker: ChipWorker, model: str) -> CompiledPlan:
             batch = ctrl.preferred_batch(model, smallest_batch)
-            return plan_for(plan_cache, worker, model, batch)
+            return plan_for(prices, worker, model, batch)
 
         def price(index: int, model: str) -> float:
             worker = by_index[index]
