@@ -302,10 +302,11 @@ class ServingReport:
     #: telemetry hub snapshot (counters/gauges/histograms + config echo)
     #: — empty when no telemetry ran
     telemetry: Dict[str, object] = field(default_factory=dict)
-    #: plan-cache counters after the run.  A run prices every dispatch
-    #: from its :class:`~repro.serve.plans.PriceTable`, which consults the
-    #: cache only on a table miss (once per distinct plan), so hits and
-    #: misses count those consultations, not dispatch-time lookups
+    #: plan-cache counters after the run, warm-up included.  A run prices
+    #: every dispatch from its :class:`~repro.serve.plans.PriceTable`,
+    #: which consults the cache only on a table miss (once per distinct
+    #: plan), so a run adds those consultations to hits and misses, not
+    #: one lookup per dispatch
     plan_cache: Dict[str, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
