@@ -24,7 +24,7 @@ Five headliners ride with the quick-bench set:
   full per-tick controller overhead on top of the fault machinery.
 * ``test_serving_telemetry`` — the control scenario with the full
   telemetry layer on: per-window timeline accumulation over 2 ms
-  windows, log2-histogram sketch folds at every completion and
+  windows, log-linear histogram folds at every completion and
   every-10th request lifecycle tracing.  Asserts the pure-observer cost
   stays within 10% of the telemetry-off twin, measured in CPU time over
   alternating off/on pairs so scheduler noise hits both sides equally.

@@ -7,12 +7,12 @@ middle third of the run.  The telemetry layer — a pure observer, the
 simulated outcome is bit-identical with it on or off — records:
 
 1. a metrics timeline (``--timeline-us`` on the CLI): per-window
-   arrivals, throughput, latency percentiles from constant-memory
-   log2-histogram sketches, queue depth, utilisation, SLO attainment,
-   and per-window deltas of the controller's actions;
-2. constant-memory percentile sketches (``--streaming-percentiles``):
-   P-squared estimates of the terminal p50/p95/p99 compared below
-   against the exact nearest-rank values;
+   arrivals, throughput, latency percentiles from log-linear histogram
+   sketches, queue depth, utilisation, SLO attainment, and per-window
+   deltas of the controller's actions;
+2. sketch percentiles for the terminal report
+   (``--streaming-percentiles``): log-linear histogram estimates of
+   p50/p95/p99, compared below against the exact nearest-rank values;
 3. request lifecycle traces (``--trace-requests K``): every K-th
    request's queued/service spans, exportable as Chrome trace-event
    JSON via ``--trace-out``.
@@ -105,13 +105,13 @@ def main() -> None:
           f"window {recovered['window']}: attainment back to "
           f"{recovered['attainment']:.1%} — before the chip returns.")
 
-    # terminal percentiles: exact nearest-rank vs the constant-memory
-    # P-squared sketch (documented error bound: within 15% of exact for
-    # the latency mix the serving tests cover)
+    # terminal percentiles: exact nearest-rank vs the log-linear
+    # histogram sketch (each estimate is its bucket's midpoint, within
+    # 2^-8 = 0.4% of exact)
     sketch = serve(TelemetryConfig(streaming_percentiles=True))
     exact = report.latency_ms
     estimate = sketch.latency_ms
-    print("\nexact terminal percentiles vs constant-memory P-squared "
+    print("\nexact terminal percentiles vs log-linear histogram "
           "sketches (--streaming-percentiles):")
     print(format_table([{
         "percentile": name,

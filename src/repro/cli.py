@@ -650,9 +650,9 @@ def build_parser() -> argparse.ArgumentParser:
                               help="write the metrics timeline to this file "
                                    "(.json or .csv; needs --timeline-us)")
     serve_parser.add_argument("--streaming-percentiles", action="store_true",
-                              help="constant-memory P^2 percentile sketches for "
-                                   "the terminal report instead of storing "
-                                   "every latency sample (approximate)")
+                              help="log-linear histogram percentiles (within "
+                                   "0.4%% of exact) for the terminal report "
+                                   "instead of storing every latency sample")
     serve_parser.add_argument("--trace-requests", type=int, default=0,
                               metavar="K",
                               help="trace the lifecycle of every K-th request; "

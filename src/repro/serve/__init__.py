@@ -42,10 +42,9 @@ streams.  Four pieces, all deterministic for a fixed seed:
 * :mod:`~repro.serve.telemetry` — the passive observability layer
   (:class:`TelemetryConfig`): a :class:`Telemetry` registry the existing
   stat surfaces plug into, a per-window metrics timeline sampled lazily
-  at window boundaries, constant-memory percentile sketches
-  (:class:`P2Quantile`, :class:`Log2Histogram`) with documented error
-  bounds vs the exact nearest-rank percentile, and every-K-th request
-  lifecycle tracing exported as Chrome trace-event JSON
+  at window boundaries, one percentile sketch (:class:`LogLinearHistogram`,
+  within 2^-8 of the exact nearest-rank percentile), and every-K-th
+  request lifecycle tracing exported as Chrome trace-event JSON
   (:class:`RequestTracer`).  Telemetry is a pure observer — telemetry-off
   runs stay bit-identical, and the ``REPRO_SERVE_TELEMETRY=0`` gate drops
   it wholesale.
@@ -68,7 +67,6 @@ The CLI's ``repro serve`` and ``repro observe`` subcommands route here.
 
 from repro.serve.control import COLD_PLAN, ControlConfig, Controller, place_plans
 from repro.serve.faults import (
-    FAULT_KINDS,
     FaultEvent,
     FaultTolerance,
     faults_enabled,
@@ -94,20 +92,14 @@ from repro.serve.plans import (
 from repro.serve.scheduler import (
     POLICIES,
     DynamicBatcher,
-    FairPolicy,
-    FifoPolicy,
-    LatencyAwarePolicy,
-    LeastLoadedPolicy,
     SchedulingPolicy,
     make_policy,
     validate_policy,
 )
 from repro.serve.simulator import CommandQueue, ServingReport, ServingSimulator
 from repro.serve.telemetry import (
-    Log2Histogram,
-    P2Quantile,
+    LogLinearHistogram,
     RequestTracer,
-    StreamingQuantiles,
     Telemetry,
     TelemetryConfig,
     TelemetrySession,
@@ -124,7 +116,6 @@ from repro.serve.traffic import (
     Request,
     TraceTraffic,
     TrafficGenerator,
-    load_trace,
     retry_request,
     save_trace,
     validate_traffic,
@@ -142,16 +133,10 @@ __all__ = [
     "Controller",
     "DiurnalTraffic",
     "DynamicBatcher",
-    "FAULT_KINDS",
-    "FairPolicy",
     "FaultEvent",
     "FaultTolerance",
-    "FifoPolicy",
     "Fleet",
-    "LatencyAwarePolicy",
-    "LeastLoadedPolicy",
-    "Log2Histogram",
-    "P2Quantile",
+    "LogLinearHistogram",
     "POLICIES",
     "PlanCache",
     "PlanCacheStats",
@@ -162,7 +147,6 @@ __all__ = [
     "SchedulingPolicy",
     "ServingReport",
     "ServingSimulator",
-    "StreamingQuantiles",
     "TRAFFIC_GENERATORS",
     "Telemetry",
     "TelemetryConfig",
@@ -173,7 +157,6 @@ __all__ = [
     "degraded_dram",
     "faults_enabled",
     "fleet_capacity_rps",
-    "load_trace",
     "make_policy",
     "materialize",
     "parse_inject",

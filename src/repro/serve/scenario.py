@@ -8,7 +8,8 @@ Both go through the same two steps:
 
 * :func:`parse_spec` — validation into a :class:`ScenarioSpec` (model
   names, fleet spec, fault targets, traffic/policy names, config blocks,
-  typed scalars), raising ``ValueError`` with a presentable message.  It
+  typed and range-checked scalars), raising ``ValueError`` with a
+  presentable message before any plan is compiled.  It
   is cheap, except that ``trace`` traffic reads its file (once: the
   build step replays what was read);
 * :func:`build_scenario` — the expensive part: plan-cache warmup, rate
@@ -222,6 +223,8 @@ def parse_spec(raw: Dict[str, object]) -> ScenarioSpec:
                              "cache_capacity")
     seed = _coerce(raw.get("seed", 0), int, "seed")
     max_wait_us = _coerce(raw.get("max_wait_us", 200.0), float, "max_wait_us")
+    if not max_wait_us >= 0:
+        raise ValueError("max_wait_us must be non-negative")
 
     traffic = raw.get("traffic") or {}
     if not isinstance(traffic, dict):
@@ -248,17 +251,27 @@ def parse_spec(raw: Dict[str, object]) -> ScenarioSpec:
         rate = traffic.pop("rate_rps", None)
         if rate is not None:
             rate_rps = _coerce(rate, float, "traffic.rate_rps")
+            if not rate_rps > 0:
+                raise ValueError("rate_rps must be positive")
         utilization = _coerce(traffic.pop("utilization", utilization), float,
                               "traffic.utilization")
+        if not utilization > 0:
+            raise ValueError("utilization must be positive")
         kwargs = {"num_requests": num_requests, "seed": seed}
         if kind == "closed":
             kwargs["clients"] = _coerce(traffic.pop("clients", 4), int,
                                         "traffic.clients")
+            if kwargs["clients"] <= 0:
+                raise ValueError("clients must be positive")
             kwargs["concurrency"] = _coerce(traffic.pop("concurrency", 1),
                                             int, "traffic.concurrency")
+            if kwargs["concurrency"] <= 0:
+                raise ValueError("concurrency must be positive")
             kwargs["mean_think_s"] = _coerce(
                 traffic.pop("think_us", 200.0), float,
                 "traffic.think_us") * 1e-6
+            if not kwargs["mean_think_s"] >= 0:
+                raise ValueError("mean_think_s must be non-negative")
     if traffic:
         raise ValueError(
             "unknown traffic key(s): " + ", ".join(sorted(traffic)))
@@ -273,6 +286,9 @@ def parse_spec(raw: Dict[str, object]) -> ScenarioSpec:
                 f"slo names unknown model {model!r}; served models: "
                 + ", ".join(sorted(models)))
         slos[model] = _coerce(target, float, f"slo.{model}")
+        if not slos[model] > 0:
+            raise ValueError(
+                f"SLO target must be positive, got {model}={slos[model]}")
 
     inject = raw.get("inject") or []
     if not isinstance(inject, list):

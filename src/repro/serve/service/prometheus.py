@@ -4,10 +4,11 @@ The ``/metrics`` endpoint turns the per-job ``Telemetry`` hub snapshots
 (the same ``counters`` / ``gauges`` / ``histograms`` mapping the report's
 ``telemetry`` block carries) into the Prometheus text exposition format
 (version 0.0.4): one ``# TYPE`` line per metric family, counter families
-suffixed ``_total``, and each :class:`~repro.serve.telemetry.Log2Histogram`
-exposed as a cumulative ``le``-bucketed classic histogram — bin *b* of
-the log2 sketch covers ``[2^b, 2^(b+1))``, so its upper bound maps to
-``le="2^(b+1)"`` exactly.
+suffixed ``_total``, and each :class:`~repro.serve.telemetry.
+LogLinearHistogram` exposed as a cumulative ``le``-bucketed classic
+histogram.  The snapshot keys each bin by its bucket's upper edge and
+that key becomes the bucket's ``le``, so only the telemetry module knows
+the bucket layout.
 
 No external client library — the format is plain text and the writer
 below emits nothing outside the spec's grammar (a test parses the output
@@ -125,11 +126,10 @@ def render_prometheus(
             hist_family = family(_name(str(hist_name)), "histogram")
             bins = block.get("bins") or {}
             cumulative = 0
-            for bin_index in sorted(bins, key=int):
-                cumulative += int(bins[bin_index])
-                upper = float(2 ** (int(bin_index) + 1))
-                hist_family.add(dict(base, le=_number(upper)), cumulative,
-                                suffix="_bucket")
+            for upper in sorted(bins, key=float):
+                cumulative += int(bins[upper])
+                hist_family.add(dict(base, le=_number(float(upper))),
+                                cumulative, suffix="_bucket")
             count = int(block.get("count", 0))
             hist_family.add(dict(base, le="+Inf"), count, suffix="_bucket")
             total = float(block.get("mean", 0.0)) * count

@@ -168,9 +168,14 @@ class _Inflight:
     hedge: bool = False
 
 
+#: the percentiles the report prints
+_REPORT_QS = (50.0, 95.0, 99.0)
+
+
 class _SortedSamples:
-    """Exact samples read like a streaming sketch (count, mean, percentile,
-    max), so the report renders either kind through one code path."""
+    """Exact samples read like the percentile sketch (count, mean,
+    quantiles, max), so the report renders either kind through one code
+    path."""
 
     def __init__(self, values: List[float]) -> None:
         values.sort()
@@ -181,8 +186,8 @@ class _SortedSamples:
     def mean(self) -> float:
         return sum(self.values) / self.count if self.count else 0.0
 
-    def percentile(self, q: float) -> float:
-        return nearest_rank_percentile(self.values, q)
+    def quantiles(self, qs: Sequence[float]) -> List[float]:
+        return [nearest_rank_percentile(self.values, q) for q in qs]
 
 
 class CommandQueue:
@@ -609,9 +614,9 @@ class _RunState:
         if tele is not None and sim.stream_sink is not None:
             tele.sink = sim.stream_sink
         self.tele = tele
-        #: constant-memory substitutes for the latency/wait sample lists
-        #: (only under --streaming-percentiles; None keeps the exact path)
-        self.stream = tele.stream if tele is not None else None
+        #: under --streaming-percentiles the report reads the telemetry
+        #: hub's sketches and no latency/wait samples are stored
+        self.streaming = tele is not None and tele.config.streaming_percentiles
         self.applied_commands: List[Dict[str, object]] = []
 
         # --- event heap: (time, kind, tie, seq, payload) ----------------
@@ -1212,7 +1217,7 @@ class _RunState:
             ctrl.note_completion(worker.index,
                                  record.service_ns / record.nominal_ns)
         tele = self.tele
-        stream = self.stream
+        streaming = self.streaming
         session = self.session
         slos = self.slos
         origins = self.origins
@@ -1235,13 +1240,11 @@ class _RunState:
                 running[1] += 1
                 if slo_ok:
                     running[0] += 1
-            if stream is None:
+            if not streaming:
                 latencies.append(total)
                 waits.append(wait_ns)
                 if slo_ok is not None:
                     self.by_model.setdefault(request.model, []).append(total)
-            else:
-                stream.note(total, wait_ns, request.model, slo_ok)
             if tele is not None:
                 tele.completion(now, request, total, wait_ns, slo_ok, worker)
             if ctrl is not None:
@@ -1510,7 +1513,6 @@ class _RunState:
         configuration is echoed, not any command-driven swap)."""
         sim = self.sim
         workers = self.workers
-        stream = self.stream
         ctrl = self.ctrl
         tele = self.tele
         first_arrival = self.first_arrival
@@ -1530,13 +1532,16 @@ class _RunState:
                          / (len(workers) * makespan_ns)))
             if makespan_ns > 0 else 1.0
         )
-        if stream is not None:
-            # constant-memory terminal report: P² sketch estimates stand in
-            # for the exact nearest-rank percentiles (documented error
-            # bound on :class:`~repro.serve.telemetry.P2Quantile`)
-            lat, wait = stream.lat, stream.wait
+        if self.streaming:
+            # the hub's sketches stand in for the exact nearest-rank
+            # percentiles (within 2^-8, see :class:`~repro.serve.telemetry.
+            # LogLinearHistogram`)
+            lat, wait = tele.latency_hist, tele.wait_hist
+            by_model = tele.slo_hists
         else:
             lat, wait = _SortedSamples(self.latencies), _SortedSamples(self.waits)
+            by_model = {model: _SortedSamples(samples)
+                        for model, samples in self.by_model.items()}
         total_energy_pj = sum(w.energy_pj for w in workers)
         completed = lat.count
         per_chip = []
@@ -1561,29 +1566,27 @@ class _RunState:
         slo_blocks: Dict[str, Dict[str, float]] = {}
         for model, target_ms in sorted(self.slos.items()):
             attained, count = self.slo_running.get(model, (0, 0))
-            samples = (
-                stream.by_model.get(model) or _SortedSamples([])
-                if stream is not None
-                else _SortedSamples(self.by_model.get(model, []))
-            )
+            p50, p95, p99 = (by_model.get(model) or _SortedSamples([])
+                             ).quantiles(_REPORT_QS)
             slo_blocks[model] = {
                 "target_ms": target_ms,
                 "completed": count,
-                "p50_ms": samples.percentile(50.0) * 1e-6,
-                "p95_ms": samples.percentile(95.0) * 1e-6,
-                "p99_ms": samples.percentile(99.0) * 1e-6,
+                "p50_ms": p50 * 1e-6,
+                "p95_ms": p95 * 1e-6,
+                "p99_ms": p99 * 1e-6,
                 "attainment": attained / count if count else 0.0,
             }
+        p50, p95, p99 = lat.quantiles(_REPORT_QS)
         latency_ms = {
             "mean": lat.mean() * 1e-6,
-            "p50": lat.percentile(50.0) * 1e-6,
-            "p95": lat.percentile(95.0) * 1e-6,
-            "p99": lat.percentile(99.0) * 1e-6,
+            "p50": p50 * 1e-6,
+            "p95": p95 * 1e-6,
+            "p99": p99 * 1e-6,
             "max": lat.max * 1e-6,
         }
         wait_ms = {
             "mean": wait.mean() * 1e-6,
-            "p95": wait.percentile(95.0) * 1e-6,
+            "p95": wait.quantiles((95.0,))[0] * 1e-6,
             "max": wait.max * 1e-6,
         }
         timeline_rows: List[Dict[str, object]] = []

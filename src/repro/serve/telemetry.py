@@ -10,30 +10,27 @@ order (they read state, never change it, and consume no randomness):
 * **Metrics registry** — :class:`Telemetry`, one hub of named counters,
   gauge *sources* (callables returning a stats dictionary, e.g.
   ``PlanCacheStats.as_dict`` or the fleet's occupancy/energy totals) and
-  :class:`Log2Histogram` histograms, snapshot-able at any instant in the
-  :class:`~repro.perf.spantable.SpanTableStats` counter style.
+  :class:`LogLinearHistogram` histograms, snapshot-able at any instant in
+  the :class:`~repro.perf.spantable.SpanTableStats` counter style.
 * **Metrics timeline** — :class:`TimelineAccumulator` buckets every
   arrival/completion/fault/control observation into fixed windows of
   ``timeline_interval_us`` and renders one row per window: throughput,
-  window p50/p95/p99 (from per-window :class:`Log2Histogram` sketches,
-  not stored samples — factor-sqrt(2) bound), queue depth and
+  window p50/p95/p99 (from a per-window :class:`LogLinearHistogram`, not
+  stored samples), queue depth and
   utilisation sampled at each window boundary (lazily, at the simulator's
   first event pop past the boundary — between events state cannot change,
   so the sample is exactly what a dedicated boundary tick would read),
   per-model SLO attainment, and fault/control event counts.  Windows
   with zero completions or zero elapsed time report 0.0 rates — never NaN.
-* **Streaming percentile sketches** — :class:`P2Quantile` (the classic
-  piecewise-parabolic P² estimator: five markers, O(1) memory and update)
-  and :class:`Log2Histogram` (fixed power-of-two bins).  Error contracts:
-  P² is *exact* below 5 samples (it falls back to nearest rank) and stays
-  within **15% relative error** of the exact nearest-rank percentile on
-  the latency distributions the test suite pins (Poisson / bursty /
-  diurnal / closed-loop, n >= 50); the log2 histogram's quantile is always
-  within a **factor of sqrt(2)** of the exact nearest-rank sample (the
-  estimate is the geometric midpoint of the bin holding that sample).
-  ``TelemetryConfig.streaming_percentiles`` opts the *terminal* report
-  into constant-memory sketches; the default path stores samples and
-  stays bit-identical to the pre-telemetry simulator.
+* **One percentile sketch** — :class:`LogLinearHistogram`, a sparse
+  histogram with 128 linear sub-buckets per power of two.  Its quantiles
+  are within a relative **2^-8 (0.4%)** of the exact nearest-rank
+  percentile on any positive samples.  The hub histograms, every
+  timeline window and the streaming terminal report all use it.
+  ``TelemetryConfig.streaming_percentiles`` has the *terminal* report
+  read its percentiles from the hub's sketches instead of stored sample
+  lists; the default path stores samples and stays bit-identical to the
+  pre-telemetry simulator.
 * **Request lifecycle tracing** — :class:`RequestTracer` samples every
   K-th request id (deterministic, no reservoirs) and records its span
   events — queued (arrival -> dispatch/shed/timeout), service (dispatch ->
@@ -52,16 +49,17 @@ seed.  Gate globally with ``REPRO_SERVE_TELEMETRY=0``.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro import envflags
-
-from repro.sim.metrics import nearest_rank_percentile
-
-_SQRT2 = math.sqrt(2.0)
 
 
 def telemetry_enabled() -> bool:
@@ -83,15 +81,15 @@ class TelemetryConfig:
     ``timeline_interval_us > 0`` buckets metrics into fixed windows,
     ``trace_every > 0`` traces every K-th request's lifecycle, and
     ``streaming_percentiles`` swaps the terminal report's sample-storing
-    percentiles for constant-memory P² sketches (approximate — see the
-    documented error bound on :class:`P2Quantile`).
+    percentiles for :class:`LogLinearHistogram` sketches (within 2^-8 of
+    exact; memory grows with distinct buckets, not requests).
     """
 
     #: metrics-timeline window in µs; 0 disables the timeline
     timeline_interval_us: float = 0.0
     #: trace every K-th request id; 0 disables lifecycle tracing
     trace_every: int = 0
-    #: constant-memory terminal-report percentiles (approximate)
+    #: terminal-report percentiles from sketches, not stored samples
     streaming_percentiles: bool = False
 
     def __post_init__(self) -> None:
@@ -111,263 +109,125 @@ class TelemetryConfig:
 
 
 # ----------------------------------------------------------------------
-# streaming percentile sketches
+# the percentile sketch
 # ----------------------------------------------------------------------
-class P2Quantile:
-    """Streaming quantile via the P² (piecewise-parabolic) algorithm.
+#: the one bucket every zero or negative sample shares; it sorts below
+#: every positive key (the smallest subnormal, 2**-1074, has key -1073 << 7)
+_ZERO_KEY = -(1 << 20)
 
-    Five markers track the running estimate of one quantile in O(1) memory
-    and O(1) per-sample work (Jain & Chlamtac, 1985).  The first five
-    samples are stored and the estimate is the **exact** nearest-rank
-    percentile until the marker invariant can be established — so tiny
-    windows degrade gracefully to the exact answer.  From the sixth sample
-    on, marker heights move by parabolic (falling back to linear)
-    interpolation; the tested accuracy contract on this repository's
-    serving latency distributions is <= 15% relative error vs the exact
-    nearest-rank percentile (see ``tests/test_telemetry.py``).
+
+def _bucket_point(key: int, half_widths: int) -> float:
+    """Bucket ``key``'s lower edge plus ``half_widths`` half bucket widths.
+
+    Bucket ``(e << 7) + s`` spans ``[(128 + s) * 2**(e-8), (129 + s) *
+    2**(e-8))``, so 1 gives its midpoint and 2 its exclusive upper edge;
+    the zero bucket reads as 0.0.
+    """
+    if key == _ZERO_KEY:
+        return 0.0
+    return math.ldexp(2 * (key & 127) + 256 + half_widths, (key >> 7) - 9)
+
+
+@functools.lru_cache(maxsize=4096)
+def _edge_label(key: int) -> str:
+    """``repr`` of bucket ``key``'s exclusive upper edge, the snapshot's bin
+    label (memoised: every snapshot labels every non-empty bucket, and a
+    process's runs keep landing in the same few thousand buckets)."""
+    return repr(_bucket_point(key, 2))
+
+
+class LogLinearHistogram:
+    """Sparse log-linear histogram: the serving layer's percentile sketch.
+
+    A positive sample ``value = m * 2**e`` (``math.frexp``, ``m`` in
+    ``[0.5, 1)``) lands in bucket ``(e << 7) + s`` with ``s = int(m * 256)
+    - 128``: one of 128 equal-width sub-buckets of the octave
+    ``[2**(e-1), 2**e)``.  Zero and negative samples share one zero
+    bucket.  Buckets live in a dict, so memory grows with the number of
+    distinct buckets touched, never with the sample count, and positive
+    floats of any magnitude need no clamp.
+
+    A quantile reads as the midpoint of the bucket holding the exact
+    nearest-rank sample (0.0 for the zero bucket), so it is within a
+    relative ``2**-8`` (0.4%) of :func:`~repro.sim.metrics.
+    nearest_rank_percentile` on the same samples.  ``count``, ``total``
+    and ``max`` are exact.
     """
 
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 100.0:
-            raise ValueError(f"quantile must be in (0, 100), got {q}")
-        self.q = float(q)
-        p = self.q / 100.0
-        self._increments: Tuple[float, ...] = (
-            0.0, p / 2.0, p, (1.0 + p) / 2.0, 1.0)
-        self.count = 0
-        self._heights: List[float] = []
-        self._positions: List[int] = []
-        self._desired: List[float] = []
+    __slots__ = ("_bins", "count", "total", "max")
 
-    # ------------------------------------------------------------------
-    def add(self, value: float) -> None:
-        """Fold one sample into the sketch."""
-        value = float(value)
-        self.count += 1
-        if self.count <= 5:
-            # exact phase: keep the samples sorted; on the fifth they
-            # become the initial marker heights
-            lo, hi = 0, len(self._heights)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if self._heights[mid] < value:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            self._heights.insert(lo, value)
-            if self.count == 5:
-                self._positions = [1, 2, 3, 4, 5]
-                self._desired = [1.0 + 4.0 * inc for inc in self._increments]
-            return
-        heights, positions = self._heights, self._positions
-        # locate the cell and stretch the extremes
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            for i in range(1, 4):
-                if value >= heights[i]:
-                    cell = i
-        for i in range(cell + 1, 5):
-            positions[i] += 1
-        for i in range(5):
-            self._desired[i] += self._increments[i]
-        # nudge the three interior markers toward their desired positions
-        for i in range(1, 4):
-            drift = self._desired[i] - positions[i]
-            if ((drift >= 1.0 and positions[i + 1] - positions[i] > 1)
-                    or (drift <= -1.0 and positions[i - 1] - positions[i] < -1)):
-                step = 1 if drift >= 1.0 else -1
-                candidate = self._parabolic(i, step)
-                if heights[i - 1] < candidate < heights[i + 1]:
-                    heights[i] = candidate
-                else:
-                    heights[i] = self._linear(i, step)
-                positions[i] += step
-
-    def _parabolic(self, i: int, step: int) -> float:
-        q, n = self._heights, self._positions
-        return q[i] + step / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + step) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - step) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, step: int) -> float:
-        q, n = self._heights, self._positions
-        return q[i] + step * (q[i + step] - q[i]) / (n[i + step] - n[i])
-
-    # ------------------------------------------------------------------
-    def value(self) -> float:
-        """Current estimate (0.0 with no samples; exact below 5 samples)."""
-        if self.count == 0:
-            return 0.0
-        if self.count < 5:
-            return nearest_rank_percentile(self._heights, self.q)
-        return self._heights[2]
-
-
-class Log2Histogram:
-    """Fixed-bin power-of-two latency histogram (constant memory).
-
-    Bin ``b`` covers values in ``[2**b, 2**(b+1))`` (values below 1 fold
-    into bin 0, values past the last bin into the last).  A quantile
-    estimate is the geometric midpoint ``2**(b + 0.5)`` of the bin holding
-    the exact nearest-rank sample, so for in-range positive samples it is
-    guaranteed within a factor of ``sqrt(2)`` of the exact value — the
-    documented (and tested) error bound.
-    """
-
-    def __init__(self, num_bins: int = 64) -> None:
-        if num_bins < 1:
-            raise ValueError(f"num_bins must be positive, got {num_bins}")
-        self._bins = [0] * num_bins
+    def __init__(self) -> None:
+        self._bins: Dict[int, int] = {}
         self.count = 0
         self.total = 0.0
         self.max = 0.0
 
-    def _bucket(self, value: float) -> int:
-        if value < 1.0:
-            return 0
-        # frexp's exponent is float-exact where floor(log2(...)) can
-        # round wrong just below a power of two — and it is cheaper, which
-        # matters: every completion feeds two of these histograms
-        bucket = math.frexp(value)[1] - 1
-        limit = len(self._bins) - 1
-        return bucket if bucket < limit else limit
-
     def add(self, value: float) -> None:
-        """Fold one sample into the histogram (same binning as _bucket)."""
-        value = float(value)
-        bins = self._bins
-        if value < 1.0:
-            bucket = 0
+        """Fold one sample into its bucket."""
+        if value > 0.0:
+            mantissa, exponent = math.frexp(value)
+            key = (exponent << 7) + int(mantissa * 256.0) - 128
         else:
-            bucket = math.frexp(value)[1] - 1
-            limit = len(bins) - 1
-            if bucket > limit:
-                bucket = limit
-        bins[bucket] += 1
+            key = _ZERO_KEY
+        bins = self._bins
+        bins[key] = bins.get(key, 0) + 1
         self.count += 1
         self.total += value
         if value > self.max:
             self.max = value
 
     def extend(self, values: Sequence[float]) -> None:
-        """Fold many samples in one pass (same binning as :meth:`add`).
+        """Fold many samples at once, bucket for bucket as :meth:`add`.
 
-        Histogram contents are order-independent, so batch-folding a
-        sample list after the fact yields the same state as one
-        :meth:`add` per event — at a fraction of the call overhead.
+        Bucket counts are order-independent, so folding a finished sample
+        list leaves the same buckets as one :meth:`add` per sample.
         """
+        samples = np.asarray(values, dtype=np.float64)
+        if not samples.size:
+            return
+        mantissas, exponents = np.frexp(samples)
+        keys = ((exponents.astype(np.int64) << 7)
+                + (mantissas * 256.0).astype(np.int64) - 128)
+        keys[~(samples > 0.0)] = _ZERO_KEY
+        uniques, counts = np.unique(keys, return_counts=True)
         bins = self._bins
-        limit = len(bins) - 1
-        frexp = math.frexp
-        count = 0
-        total = 0.0
-        peak = self.max
-        for value in values:
-            value = float(value)
-            if value < 1.0:
-                bucket = 0
-            else:
-                bucket = frexp(value)[1] - 1
-                if bucket > limit:
-                    bucket = limit
-            bins[bucket] += 1
-            count += 1
-            total += value
-            if value > peak:
-                peak = value
-        self.count += count
-        self.total += total
-        self.max = peak
-
-    def quantile(self, q: float) -> float:
-        """Geometric midpoint of the bin holding the nearest-rank sample."""
-        if self.count == 0:
-            return 0.0
-        rank = max(1, math.ceil(q / 100.0 * self.count))
-        seen = 0
-        for b, n in enumerate(self._bins):
-            if n:
-                seen += n
-                if seen >= rank:
-                    return _SQRT2 * (2.0 ** b)
-        return _SQRT2 * (2.0 ** (len(self._bins) - 1))
+        for key, n in zip(uniques.tolist(), counts.tolist()):
+            bins[key] = bins.get(key, 0) + n
+        self.count += int(samples.size)
+        self.total += float(samples.sum())
+        self.max = max(self.max, float(samples.max()))
 
     def quantiles(self, qs: Sequence[float]) -> List[float]:
-        """Several quantiles in one bin scan (``qs`` ascending).
-
-        Bin-for-bin identical to calling :meth:`quantile` per ``q`` — the
-        timeline renders three per window, so the shared scan matters.
-        """
-        if self.count == 0:
-            return [0.0] * len(qs)
+        """Nearest-rank estimates of the percentiles ``qs``, from one
+        cumulative scan over the sorted keys."""
         count = self.count
-        ranks = [max(1, math.ceil(q / 100.0 * count)) for q in qs]
-        results: List[float] = []
-        n_q = len(ranks)
-        i = 0
-        seen = 0
-        for b, n in enumerate(self._bins):
-            if n:
-                seen += n
-                while i < n_q and seen >= ranks[i]:
-                    results.append(_SQRT2 * (2.0 ** b))
-                    i += 1
-                if i == n_q:
-                    return results
-        top = _SQRT2 * (2.0 ** (len(self._bins) - 1))
-        while i < n_q:
-            results.append(top)
-            i += 1
-        return results
+        if not count:
+            return [0.0] * len(qs)
+        keys = sorted(self._bins)
+        seen = list(accumulate(map(self._bins.__getitem__, keys)))
+        return [_bucket_point(keys[bisect_left(
+                    seen, max(1, math.ceil(q / 100.0 * count)))], 1)
+                for q in qs]
 
     def mean(self) -> float:
-        """Exact running mean (sums are cheap; only quantiles are binned)."""
+        """Exact running mean (0.0 when empty)."""
         return self.total / self.count if self.count else 0.0
 
     def as_dict(self) -> Dict[str, object]:
-        """Snapshot: count/mean/max plus the non-empty bins and quantiles."""
+        """Snapshot: count/mean/max, p50/p95/p99 and the non-empty bins,
+        each keyed by its bucket's exclusive upper edge (``"0.0"`` for the
+        zero bucket)."""
+        p50, p95, p99 = self.quantiles((50.0, 95.0, 99.0))
+        bins = self._bins
         return {
             "count": self.count,
             "mean": self.mean(),
             "max": self.max,
-            "p50": self.quantile(50.0),
-            "p95": self.quantile(95.0),
-            "p99": self.quantile(99.0),
-            "bins": {str(b): n for b, n in enumerate(self._bins) if n},
+            "p50": p50,
+            "p95": p95,
+            "p99": p99,
+            "bins": {_edge_label(key): bins[key] for key in sorted(bins)},
         }
-
-
-class StreamingQuantiles:
-    """Constant-memory summary: count, mean, max and P² percentiles."""
-
-    def __init__(self, quantiles: Sequence[float] = (50.0, 95.0, 99.0)) -> None:
-        self._estimators = {float(q): P2Quantile(q) for q in quantiles}
-        self.count = 0
-        self.total = 0.0
-        self.max = 0.0
-
-    def add(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if value > self.max:
-            self.max = value
-        for estimator in self._estimators.values():
-            estimator.add(value)
-
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Sketch estimate of the ``q``-th percentile (0.0 when empty)."""
-        return self._estimators[float(q)].value()
 
 
 # ----------------------------------------------------------------------
@@ -381,14 +241,14 @@ class Telemetry:
     numbers (``PlanCacheStats.as_dict``, a fleet occupancy/energy lambda,
     the controller's counter view, ...) evaluated lazily at
     :meth:`snapshot` time.  Counters are plain monotonic integers;
-    histograms are :class:`Log2Histogram` created on first use.  Snapshots
+    histograms are :class:`LogLinearHistogram` created on first use.  Snapshots
     are deterministic: every mapping is emitted in sorted-key order.
     """
 
     def __init__(self) -> None:
         self._counters: Dict[str, int] = {}
         self._sources: Dict[str, Callable[[], Dict[str, object]]] = {}
-        self._histograms: Dict[str, Log2Histogram] = {}
+        self._histograms: Dict[str, LogLinearHistogram] = {}
 
     def inc(self, name: str, delta: int = 1) -> None:
         """Increment the named counter (created at zero on first use)."""
@@ -403,11 +263,11 @@ class Telemetry:
         """Register (or replace) a gauge source evaluated at snapshot time."""
         self._sources[name] = source
 
-    def histogram(self, name: str) -> Log2Histogram:
+    def histogram(self, name: str) -> LogLinearHistogram:
         """The named histogram, created on first use."""
         histogram = self._histograms.get(name)
         if histogram is None:
-            histogram = self._histograms[name] = Log2Histogram()
+            histogram = self._histograms[name] = LogLinearHistogram()
         return histogram
 
     def snapshot(self) -> Dict[str, object]:
@@ -440,11 +300,7 @@ class _TimelineWindow:
         self.retries = 0
         self.failures = 0
         self.recoveries = 0
-        # windows use the log2 histogram sketch: one bucket increment per
-        # completion (vs 3 P2 marker updates) keeps the per-event observer
-        # cheap, and its factor-sqrt(2) bound is distribution-free — safe
-        # for the handful-of-samples windows a fine-grained timeline has
-        self.latency = Log2Histogram()
+        self.latency = LogLinearHistogram()
         #: per-model [attained, completed] for models with an SLO target
         self.slo: Dict[str, List[int]] = {}
 
@@ -562,23 +418,7 @@ class TimelineAccumulator:
                         slo_ok: Optional[bool] = None) -> None:
         window = self._window_at(ts_ns)
         window.completions += 1
-        # window.latency.add inlined — this is the single hottest observer
-        # statement (one histogram fold per completed request)
-        value = float(latency_ns)
-        hist = window.latency
-        bins = hist._bins
-        if value < 1.0:
-            bucket = 0
-        else:
-            bucket = math.frexp(value)[1] - 1
-            limit = len(bins) - 1
-            if bucket > limit:
-                bucket = limit
-        bins[bucket] += 1
-        hist.count += 1
-        hist.total += value
-        if value > hist.max:
-            hist.max = value
+        window.latency.add(latency_ns)
         if model is not None and slo_ok is not None:
             running = window.slo.get(model)
             if running is None:
@@ -915,31 +755,8 @@ class RequestTracer:
 # ----------------------------------------------------------------------
 # per-run session: what the simulator threads through its event loop
 # ----------------------------------------------------------------------
-class _StreamingReportStats:
-    """Constant-memory substitutes for the report's sample lists."""
-
-    def __init__(self) -> None:
-        self.lat = StreamingQuantiles((50.0, 95.0, 99.0))
-        self.wait = StreamingQuantiles((95.0,))
-        self.by_model: Dict[str, StreamingQuantiles] = {}
-        self.attained: Dict[str, int] = {}
-
-    def note(self, latency_ns: float, wait_ns: float, model: str,
-             slo_ok: Optional[bool]) -> None:
-        self.lat.add(latency_ns)
-        self.wait.add(wait_ns)
-        if slo_ok is not None:
-            per_model = self.by_model.get(model)
-            if per_model is None:
-                per_model = self.by_model[model] = StreamingQuantiles(
-                    (50.0, 95.0, 99.0))
-            per_model.add(latency_ns)
-            if slo_ok:
-                self.attained[model] = self.attained.get(model, 0) + 1
-
-
 class TelemetrySession:
-    """Per-run telemetry state: hub + timeline + tracer + stream sketches.
+    """Per-run telemetry state: hub + timeline + tracer.
 
     One session is created per :meth:`ServingSimulator.run` when the
     configured :class:`TelemetryConfig` is active; the simulator calls the
@@ -960,19 +777,19 @@ class TelemetrySession:
         )
         self.tracer = (RequestTracer(config.trace_every)
                        if config.trace_every > 0 else None)
-        self.stream = (_StreamingReportStats()
-                       if config.streaming_percentiles else None)
-        # the two hub histograms every completion feeds, bound once — the
-        # completion hook is the hottest observer site
-        self._latency_hist = self.hub.histogram("latency_ns")
-        self._wait_hist = self.hub.histogram("wait_ns")
+        #: the hub's latency/wait sketches — under streaming percentiles
+        #: the terminal report reads its figures from these
+        self.latency_hist = self.hub.histogram("latency_ns")
+        self.wait_hist = self.hub.histogram("wait_ns")
+        #: per-model latency sketches of SLO'd models (streaming only)
+        self.slo_hists: Dict[str, LogLinearHistogram] = {}
         # in exact mode the simulator keeps every latency/wait sample for
         # the report anyway, so the hub histograms are batch-folded from
         # those lists at snapshot time (fold order is irrelevant to a
         # histogram) instead of two .add() calls per completion on the
         # hot path; streaming mode keeps no sample lists, so it feeds
         # the histograms live
-        self._live_hists = self.stream is not None
+        self._live_hists = config.streaming_percentiles
         #: tracer sampling stride (0 = tracing off) — hooks check the
         #: modulo inline so untraced requests pay one comparison, not a
         #: method call into the tracer
@@ -983,9 +800,9 @@ class TelemetrySession:
         # the rendered rows are identical to per-event notes at a
         # fraction of the hot-path cost.  The buffers are O(completed),
         # the same class of memory as the exact report's sample lists;
-        # streaming runs fold per event to keep their constant-memory
-        # contract
-        self._buffer_notes = self.timeline is not None and self.stream is None
+        # streaming runs fold per event, so they hold no per-request
+        # buffers
+        self._buffer_notes = self.timeline is not None and not self._live_hists
         self._pending_arrivals: List[float] = []
         self._pending_completions: List[
             Tuple[float, float, Optional[str], Optional[bool]]] = []
@@ -1122,11 +939,14 @@ class TelemetrySession:
         """One request completed end to end (counted exactly once)."""
         self._n_completions += 1
         if self._live_hists:
-            self._latency_hist.add(latency_ns)
-            self._wait_hist.add(wait_ns)
-        # ``stream`` is fed by the simulator's accounting sites directly
-        # (it *replaces* the sample lists there); feeding it here too
-        # would double-count
+            self.latency_hist.add(latency_ns)
+            self.wait_hist.add(wait_ns)
+            if slo_ok is not None:
+                sketch = self.slo_hists.get(request.model)
+                if sketch is None:
+                    sketch = LogLinearHistogram()
+                    self.slo_hists[request.model] = sketch
+                sketch.add(latency_ns)
         if self._buffer_notes:
             self._pending_completions.append(
                 (ts_ns, latency_ns, request.model, slo_ok))
@@ -1238,8 +1058,8 @@ class TelemetrySession:
         """
         if self._live_hists:
             return
-        self._latency_hist.extend(latencies)
-        self._wait_hist.extend(waits)
+        self.latency_hist.extend(latencies)
+        self.wait_hist.extend(waits)
 
     def _event_counter_items(self) -> Tuple[Tuple[str, int], ...]:
         return (

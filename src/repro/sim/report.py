@@ -227,7 +227,7 @@ def render_serving_report(report: "ServingReport") -> str:
         if config.get("trace_every"):
             parts.append(f"tracing every {int(config['trace_every'])}th request")
         if config.get("streaming_percentiles"):
-            parts.append("streaming percentiles (P^2 sketch)")
+            parts.append("streaming percentiles (log-linear sketch)")
         lines.append("  telemetry             : " + (", ".join(parts) or "on"))
     return "\n".join(lines)
 

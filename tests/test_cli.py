@@ -103,6 +103,16 @@ class TestNoTraceback:
          "--utilization", "nan"],
         ["serve", "--model", "squeezenet", "--chip", "S", "--requests", "20",
          "--max-wait-us", "nan"],
+        ["serve", "--model", "squeezenet", "--slo", "squeezenet=0"],
+        ["serve", "--model", "squeezenet", "--max-wait-us", "-5"],
+        ["serve", "--model", "squeezenet", "--traffic", "closed",
+         "--clients", "0"],
+        ["serve", "--model", "squeezenet", "--traffic", "closed",
+         "--concurrency", "0"],
+        ["serve", "--model", "squeezenet", "--traffic", "closed",
+         "--think-us", "-1"],
+        ["serve", "--model", "squeezenet", "--rate", "-1"],
+        ["serve", "--model", "squeezenet", "--utilization", "0"],
         ["serve", "--timeline-rows", "-3"],
         ["observe", "--submit", "missing.json", "--timeline-rows", "-3"],
         ["observe", "--port", "99999"],
@@ -112,11 +122,16 @@ class TestNoTraceback:
         ["models", "--bogus"],
         ["chips", "extra"],
     ], ids=" ".join)
-    def test_bad_argv_exits_2(self, capsys, argv):
+    def test_bad_argv_exits_2(self, capsys, monkeypatch, argv):
+        # bad input is rejected before any plan compiles
+        warmups = []
+        monkeypatch.setattr(PlanCache, "warmup",
+                            lambda *args, **kwargs: warmups.append(args))
         assert _exit_code(argv) == 2
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+        assert warmups == []
 
     @pytest.mark.parametrize("port", ["0", "65535"])
     def test_port_bounds_accepted(self, port):

@@ -17,11 +17,8 @@ from repro.serve import (
     CompiledPlan,
     DiurnalTraffic,
     DynamicBatcher,
-    FairPolicy,
     FaultTolerance,
     Fleet,
-    LatencyAwarePolicy,
-    LeastLoadedPolicy,
     PlanCache,
     PlanCacheStats,
     PlanKey,
@@ -30,7 +27,6 @@ from repro.serve import (
     ServingSimulator,
     TraceTraffic,
     fleet_capacity_rps,
-    load_trace,
     make_policy,
     parse_inject,
     save_trace,
@@ -39,6 +35,12 @@ from repro.serve import (
     validate_policy,
     validate_traffic,
 )
+from repro.serve.scheduler import (
+    FairPolicy,
+    LatencyAwarePolicy,
+    LeastLoadedPolicy,
+)
+from repro.serve.traffic import load_trace
 from repro.sim.metrics import nearest_rank_percentile
 
 BATCHES = (1, 2, 4, 8, 16)

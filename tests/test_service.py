@@ -20,6 +20,7 @@ from repro.serve import (
     ControlConfig,
     FaultTolerance,
     Fleet,
+    LogLinearHistogram,
     PlanCache,
     PoissonTraffic,
     ServingSimulator,
@@ -137,7 +138,7 @@ class TestPrometheusExposition:
             "histograms": {
                 "latency_ns": {"count": 4, "mean": 6.0, "max": 12.0,
                                "p50": 6.0, "p95": 12.0, "p99": 12.0,
-                               "bins": {"2": 3, "3": 1}},
+                               "bins": {"8.0": 3, "16.0": 1}},
             },
         }
 
@@ -164,7 +165,7 @@ class TestPrometheusExposition:
         _, samples = parse_exposition(text)["repro_serve_latency_ns"]
         buckets = [(label["le"], value) for name, label, value in samples
                    if name.endswith("_bucket")]
-        # log2 bin b covers [2^b, 2^(b+1)): bins 2 and 3 -> le 8 and 16
+        # bins are keyed by their bucket's upper edge, which is the le
         assert [b[0] for b in buckets] == ["8.0", "16.0", "+Inf"]
         counts = [b[1] for b in buckets]
         assert counts == sorted(counts)  # cumulative, monotone
@@ -172,6 +173,16 @@ class TestPrometheusExposition:
         assert counts[-1] == count == 4.0
         total = next(v for n, _, v in samples if n.endswith("_sum"))
         assert total == pytest.approx(6.0 * 4)  # mean * count
+
+    def test_sketch_bins_become_le_buckets(self):
+        sketch = LogLinearHistogram()
+        sketch.extend([5.0, 5.0, 8.0])
+        text = render_prometheus(
+            {"s1": {"histograms": {"latency_ns": sketch.as_dict()}}}, {})
+        _, samples = parse_exposition(text)["repro_serve_latency_ns"]
+        buckets = [(label["le"], value) for name, label, value in samples
+                   if name.endswith("_bucket")]
+        assert buckets == [("5.03125", 2.0), ("8.0625", 3.0), ("+Inf", 3.0)]
 
     def test_non_numeric_gauges_and_label_escapes(self):
         snapshot = {"gauges": {"fleet": {"spec": "M:2", "chips": 2}}}
@@ -230,6 +241,17 @@ class TestScenarioSpec:
          "traffic.think_us must be"),
         ({"slo": {"resnet18": None}}, "slo.resnet18 must be a number"),
         ({"models": [["resnet18"]]}, "unknown model"),
+        # range checks the constructors would only make after warmup
+        ({"slo": {"resnet18": 0}}, "SLO target must be positive"),
+        ({"max_wait_us": -5}, "max_wait_us must be non-negative"),
+        ({"traffic": {"kind": "closed", "clients": 0}},
+         "clients must be positive"),
+        ({"traffic": {"kind": "closed", "concurrency": 0}},
+         "concurrency must be positive"),
+        ({"traffic": {"kind": "closed", "think_us": -1}},
+         "mean_think_s must be non-negative"),
+        ({"traffic": {"rate_rps": -1}}, "rate_rps must be positive"),
+        ({"traffic": {"utilization": 0}}, "utilization must be positive"),
     ])
     def test_bad_specs_raise_presentable_errors(self, raw, fragment):
         with pytest.raises(ValueError, match=fragment):
