@@ -128,8 +128,8 @@ def render_prometheus(
             cumulative = 0
             for upper in sorted(bins, key=float):
                 cumulative += int(bins[upper])
-                hist_family.add(dict(base, le=_number(float(upper))),
-                                cumulative, suffix="_bucket")
+                hist_family.add(dict(base, le=upper), cumulative,
+                                suffix="_bucket")
             count = int(block.get("count", 0))
             hist_family.add(dict(base, le="+Inf"), count, suffix="_bucket")
             total = float(block.get("mean", 0.0)) * count

@@ -16,12 +16,12 @@ order (they read state, never change it, and consume no randomness):
   arrival/completion/fault/control observation into fixed windows of
   ``timeline_interval_us`` and renders one row per window: throughput,
   window p50/p95/p99 (from a per-window :class:`LogLinearHistogram`, not
-  stored samples), queue depth and
-  utilisation sampled at each window boundary (lazily, at the simulator's
-  first event pop past the boundary — between events state cannot change,
-  so the sample is exactly what a dedicated boundary tick would read),
-  per-model SLO attainment, and fault/control event counts.  Windows
-  with zero completions or zero elapsed time report 0.0 rates — never NaN.
+  stored samples), queue depth and utilisation sampled at each window
+  boundary (lazily, at the simulator's first event pop past the boundary
+  — between events state cannot change, so the sample is exactly what a
+  dedicated boundary tick would read), per-model SLO attainment, and
+  fault/control event counts.  Windows with zero completions or zero
+  elapsed time report 0.0 rates — never NaN.
 * **One percentile sketch** — :class:`LogLinearHistogram`, a sparse
   histogram with 128 linear sub-buckets per power of two.  Its quantiles
   are within a relative **2^-8 (0.4%)** of the exact nearest-rank
