@@ -200,11 +200,16 @@ class LogLinearHistogram:
     def quantiles(self, qs: Sequence[float]) -> List[float]:
         """Nearest-rank estimates of the percentiles ``qs``, from one
         cumulative scan over the sorted keys."""
+        keys = sorted(self._bins)
+        return self._quantiles(keys, list(map(self._bins.__getitem__, keys)),
+                               qs)
+
+    def _quantiles(self, keys: List[int], counts: List[int],
+                   qs: Sequence[float]) -> List[float]:
         count = self.count
         if not count:
             return [0.0] * len(qs)
-        keys = sorted(self._bins)
-        seen = list(accumulate(map(self._bins.__getitem__, keys)))
+        seen = list(accumulate(counts))
         return [_bucket_point(keys[bisect_left(
                     seen, max(1, math.ceil(q / 100.0 * count)))], 1)
                 for q in qs]
@@ -217,8 +222,10 @@ class LogLinearHistogram:
         """Snapshot: count/mean/max, p50/p95/p99 and the non-empty bins,
         each keyed by its bucket's exclusive upper edge (``"0.0"`` for the
         zero bucket)."""
-        p50, p95, p99 = self.quantiles((50.0, 95.0, 99.0))
-        bins = self._bins
+        # one sort serves both the percentile scan and the bin listing
+        keys = sorted(self._bins)
+        counts = list(map(self._bins.__getitem__, keys))
+        p50, p95, p99 = self._quantiles(keys, counts, (50.0, 95.0, 99.0))
         return {
             "count": self.count,
             "mean": self.mean(),
@@ -226,7 +233,7 @@ class LogLinearHistogram:
             "p50": p50,
             "p95": p95,
             "p99": p99,
-            "bins": {_edge_label(key): bins[key] for key in sorted(bins)},
+            "bins": dict(zip(map(_edge_label, keys), counts)),
         }
 
 
@@ -988,9 +995,9 @@ class TelemetrySession:
         if not (self._pending_arrivals or self._pending_completions):
             return
         timeline = self.timeline
-        note_arrival = timeline.note_arrival
+        window_at = timeline._window_at
         for ts_ns in self._pending_arrivals:
-            note_arrival(ts_ns)
+            window_at(ts_ns).arrivals += 1
         note_completion = timeline.note_completion
         for record in self._pending_completions:
             note_completion(*record)

@@ -105,11 +105,25 @@ class TestLogLinearHistogram:
     @pytest.mark.parametrize("name", ["poisson", "bursty", "diurnal"])
     @pytest.mark.parametrize("q", [50.0, 90.0, 95.0, 99.0])
     def test_within_bound_of_exact(self, name, q):
+        # fed one sample at a time, as the streaming report feeds it
         samples = _distributions()[name]
         assert len(samples) >= 50
         sketch = LogLinearHistogram()
         for value in samples:
             sketch.add(value)
+        exact = nearest_rank_percentile(sorted(samples), q)
+        [estimate] = sketch.quantiles((q,))
+        assert sketch.count == len(samples)
+        assert abs(estimate - exact) <= SKETCH_BOUND * exact
+
+    @pytest.mark.parametrize("name", ["poisson", "bursty", "diurnal"])
+    @pytest.mark.parametrize("q", [50.0, 90.0, 95.0, 99.0])
+    def test_extend_within_bound_of_exact(self, name, q):
+        # batch-folded, as exact-mode runs fill the hub histograms
+        samples = _distributions()[name]
+        assert len(samples) >= 50
+        sketch = LogLinearHistogram()
+        sketch.extend(samples)
         exact = nearest_rank_percentile(sorted(samples), q)
         [estimate] = sketch.quantiles((q,))
         assert sketch.count == len(samples)
@@ -130,7 +144,13 @@ class TestLogLinearHistogram:
         sketch = LogLinearHistogram()
         assert sketch.quantiles((50.0, 95.0, 99.0)) == [0.0, 0.0, 0.0]
         assert sketch.mean() == 0.0
-        assert sketch.as_dict()["bins"] == {}
+        assert sketch.max == 0.0
+
+    def test_empty_snapshot_zero(self):
+        data = LogLinearHistogram().as_dict()
+        assert data["count"] == 0
+        assert (data["p50"], data["p95"], data["p99"]) == (0.0, 0.0, 0.0)
+        assert data["bins"] == {}
 
     def test_exact_mean_max_count(self):
         sketch = LogLinearHistogram()
@@ -139,6 +159,18 @@ class TestLogLinearHistogram:
         assert sketch.count == 3
         assert sketch.mean() == pytest.approx(37.0)
         assert sketch.max == 100.0
+
+    def test_tracks_count_mean_max_and_percentiles(self):
+        samples = _distributions()["poisson"]
+        sketch = LogLinearHistogram()
+        sketch.extend(samples)
+        assert sketch.count == len(samples)
+        assert sketch.mean() == pytest.approx(sum(samples) / len(samples))
+        assert sketch.max == max(samples)
+        qs = (50.0, 95.0, 99.0)
+        for q, estimate in zip(qs, sketch.quantiles(qs)):
+            exact = nearest_rank_percentile(sorted(samples), q)
+            assert abs(estimate - exact) <= SKETCH_BOUND * exact
 
     def test_as_dict_only_nonempty_bins(self):
         sketch = LogLinearHistogram()
