@@ -1,79 +1,84 @@
 #!/usr/bin/env python
-"""Run the benchmark suite and store a dated pytest-benchmark JSON record.
+"""Run the repository benchmark and write a dated perfbench record.
 
 Usage::
 
-    python benchmarks/run_bench.py [extra pytest args...]
+    python benchmarks/run_bench.py
 
-Writes ``BENCH_<YYYYMMDD>.json`` (pytest-benchmark's ``--benchmark-json``
-format) into the repository root, so successive runs leave a consistent
-performance trajectory in the repo.  Full runs include the full-size GA
-benchmark (``test_ga_fullsize.py``: paper-default population 100 x 30
-generations).  Compare two records with::
-
-    python benchmarks/compare_bench.py BENCH_<old>.json BENCH_<new>.json
-
-and guard against regressions with ``scripts/check_bench_regression.py``
-(or ``REPRO_CHECK_BENCH=1 pytest tests/test_bench_regression.py``).
-
-Environment variables:
-
-``REPRO_BENCH_QUICK=1``
-    Quick mode: run only the headline benchmarks
-    (``test_fig6_throughput_comparison``, ``test_fig10_ga_convergence``,
-    the partition-search headliners ``test_dp_optimal_search`` /
-    ``test_optimality_gap_experiment``, and the serving headliners
-    ``test_serving_throughput`` / ``test_serving_switch_cost`` /
-    ``test_serving_faults`` / ``test_serving_control``).
-``REPRO_BENCH_OUT=<path>``
-    Override the output JSON path.
-``COMPASS_PAPER_SCALE=1``
-    Forwarded to the harness (paper-scale GA instead of the fast preset,
-    see ``benchmarks/conftest.py``).
+Runs the command of ``BENCHMARK.json`` (``perfbench/run.py``) twice on each
+of its workloads, seed 1, for ``run_seconds`` each: ``--trace 0`` gives the
+end-to-end metrics and the host-speed probe's quartiles, ``--trace 1`` the
+per-layer split and its wrapper-versus-program checks, read back from
+``.perfbench/<workload>.layers.json``.  Writes ``BENCH_<YYYYMMDD>.json``
+into the repository root and exits 1 unless every workload reads
+``correct: true``.  ``benchmarks/compare_bench.py`` diffs two records.
 """
 
 from __future__ import annotations
 
 import datetime
-import os
+import json
+import re
 import subprocess
 import sys
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+from compare_bench import HARNESS, ROOT, load_spec
 
-from repro import envflags  # noqa: E402
+SEED = 1
+HOST_SPEED = re.compile(r"host speed from (\d+) probes .*: median ([\d.]+), "
+                        r"quartiles ([\d.]+)-([\d.]+)")
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    date = datetime.date.today().strftime("%Y%m%d")
-    out = envflags.bench_out() or os.path.join(REPO_ROOT, f"BENCH_{date}.json")
+def run_perfbench(spec, workload: str, trace: int) -> str:
+    """Standard output of one perfbench run; raises if the run fails."""
+    command = [*spec["command"], "--workload", workload, "--seed", str(SEED),
+               "--seconds", str(spec["run_seconds"]), "--trace", str(trace)]
+    return subprocess.run(command, cwd=ROOT, capture_output=True, text=True,
+                          check=True).stdout
 
-    cmd = [
-        sys.executable, "-m", "pytest",
-        os.path.join(REPO_ROOT, "benchmarks"),
-        "-q",
-        f"--benchmark-json={out}",
-    ]
-    if envflags.bench_quick_enabled():
-        cmd += ["-k", "fig6_throughput or fig10_ga or dp_optimal or optimality_gap"
-                      " or serving_throughput or serving_switch_cost"
-                      " or serving_faults or serving_control"
-                      " or serving_telemetry or serving_service"]
-    cmd += argv
 
-    env = dict(os.environ)
-    src = os.path.join(REPO_ROOT, "src")
-    env["PYTHONPATH"] = src + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
+def workload_entry(plain_stdout: str, traced_stdout: str, layers_text: str) -> dict:
+    """One workload's record entry from its two runs and the traced layers file."""
+    plain = json.loads(plain_stdout.splitlines()[-1])
+    traced = json.loads(traced_stdout.splitlines()[-1])
+    layers = json.loads(layers_text)
+    probes, median, q1, q3 = HOST_SPEED.search(plain_stdout).groups()
+    return {
+        "correct": plain["correct"] and traced["correct"],
+        "attempted": plain["attempted"] + traced["attempted"],
+        "failed": plain["failed"] + traced["failed"],
+        "metrics": {name: m["value"] for name, m in plain["metrics"].items()},
+        "host_speed": {"probes": int(probes), "median": float(median),
+                       "q1": float(q1), "q3": float(q3)},
+        "layers": layers["metrics"],
+        "checks": layers["checks"],
+    }
 
-    print("running:", " ".join(cmd))
-    result = subprocess.run(cmd, env=env, cwd=REPO_ROOT)
-    if result.returncode == 0:
-        print(f"benchmark record written to {out}")
-    return result.returncode
+
+def record(path) -> dict:
+    """Run every workload of ``BENCHMARK.json`` and write the record to ``path``."""
+    spec = load_spec()
+    workloads = {}
+    for workload in spec["workloads"]:
+        name = workload["name"]
+        plain = run_perfbench(spec, name, 0)
+        traced = run_perfbench(spec, name, 1)
+        layers = (ROOT / ".perfbench" / f"{name}.layers.json").read_text()
+        workloads[name] = workload_entry(plain, traced, layers)
+        print(f"{name}: correct {workloads[name]['correct']}", flush=True)
+    data = {"harness": HARNESS, "seed": SEED, "run_seconds": spec["run_seconds"],
+            "workloads": workloads}
+    with open(path, "w") as handle:
+        json.dump(data, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    return data
+
+
+def main() -> int:
+    path = ROOT / f"BENCH_{datetime.date.today():%Y%m%d}.json"
+    data = record(path)
+    print(f"benchmark record written to {path}")
+    return 0 if all(entry["correct"] for entry in data["workloads"].values()) else 1
 
 
 if __name__ == "__main__":

@@ -1,83 +1,52 @@
 #!/usr/bin/env python
-"""Fail when the quick-bench headliners regress against the committed baseline.
+"""Fail when the current tree regresses against the newest committed perfbench record.
 
-Runs the quick benchmark suite (``REPRO_BENCH_QUICK=1``, i.e. the fig6/fig10
-and partition-search DP/gap headliners) into a temporary JSON record and
-compares it against the most recent ``BENCH_<date>.json`` committed in the
-repository root.  Exits non-zero if any common benchmark's mean regressed by
-more than the threshold (default 20%, override with
-``REPRO_BENCH_REGRESSION_PCT``).  Benchmarks present in only one record —
-headliners newer than the committed baseline, or retired ones — are
-tolerated: they are reported but only the common set can fail the check.
+Usage::
 
-The comparison is only meaningful on the machine profile that produced the
-baseline; on a different CPU brand/core count the check is skipped (exit 0
-with a notice).  Wire-up into the test suite is opt-in:
-``REPRO_CHECK_BENCH=1 pytest tests/test_bench_regression.py``.
+    python scripts/check_bench_regression.py
+
+Records the current tree with ``benchmarks/run_bench.py`` into a temporary
+file and diffs it with ``benchmarks/compare_bench.py`` against the newest
+``BENCH_<date>.json`` in the repository root that is a perfbench record
+(older pytest-benchmark files are skipped); exits 1 when that diff fails.
+perfbench corrects CPU time for host speed, but the check is still most
+telling on the host that wrote the baseline.
 """
 
 from __future__ import annotations
 
-import glob
-import os
 import re
-import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(REPO_ROOT, "benchmarks"))
-sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
-from compare_bench import compare, load_means  # noqa: E402
-
-from repro import envflags  # noqa: E402
+from compare_bench import compare, load_record, load_spec  # noqa: E402
+from run_bench import record  # noqa: E402
 
 
-def latest_baseline() -> str:
-    """Path of the newest committed BENCH_<date>.json (by filename date)."""
-    records = glob.glob(os.path.join(REPO_ROOT, "BENCH_*.json"))
-    dated = [r for r in records if re.search(r"BENCH_\d{8}\.json$", r)]
-    if not dated:
-        raise SystemExit("no BENCH_<date>.json baseline found in the repository root")
-    return max(dated, key=lambda path: os.path.basename(path))
+def latest_baseline(root: Path = REPO_ROOT) -> Path:
+    """Newest perfbench ``BENCH_<date>.json`` in ``root`` (by filename date)."""
+    for path in sorted(root.glob("BENCH_*.json"), reverse=True):
+        if not re.fullmatch(r"BENCH_\d{8}\.json", path.name):
+            continue
+        try:
+            load_record(path)
+        except ValueError:
+            continue
+        return path
+    raise SystemExit(f"no perfbench BENCH_<date>.json baseline in {root}")
 
 
 def main() -> int:
     baseline = latest_baseline()
-    threshold = envflags.bench_regression_pct()
-
-    _, baseline_profile = load_means(baseline)
-    try:
-        import cpuinfo
-
-        current = cpuinfo.get_cpu_info()
-        current_profile = {
-            "brand": current.get("brand_raw", ""),
-            "count": os.cpu_count() or 0,
-        }
-    except ImportError:
-        current_profile = None
-    if current_profile is not None and current_profile != baseline_profile:
-        print(f"machine profile differs from baseline {os.path.basename(baseline)} "
-              f"({current_profile} vs {baseline_profile}); skipping regression check")
-        return 0
-
+    print(f"recording the current tree against baseline {baseline.name}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
-        out = os.path.join(tmp, "bench_current.json")
-        env = dict(os.environ)
-        env["REPRO_BENCH_QUICK"] = "1"
-        env["REPRO_BENCH_OUT"] = out
-        print(f"running quick benchmarks against baseline {os.path.basename(baseline)} "
-              f"(threshold {threshold:.0f}%)")
-        run = subprocess.run(
-            [sys.executable, os.path.join(REPO_ROOT, "benchmarks", "run_bench.py"), "-q"],
-            env=env, cwd=REPO_ROOT,
-        )
-        if run.returncode != 0:
-            print("quick benchmark run failed")
-            return run.returncode
-        return compare(baseline, out, fail_above_pct=threshold)
+        current = Path(tmp) / "bench_current.json"
+        record(current)
+        return compare(baseline, current, load_spec())
 
 
 if __name__ == "__main__":

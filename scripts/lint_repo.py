@@ -8,8 +8,9 @@ stale baseline entry, so the grandfathered set shrinks monotonically
 instead of fossilising.  The per-rule stats table is always printed, so CI
 logs show suppression/baseline drift even on green runs.
 
-Mirror of ``scripts/check_bench_regression.py`` for the static side:
-``python scripts/lint_repo.py`` locally is exactly what CI runs.  Pass
+``python scripts/lint_repo.py`` locally is exactly what CI runs (as
+``repro lint src/``); its dynamic counterpart is
+``scripts/check_bench_regression.py``, the perfbench regression gate.  Pass
 extra paths to lint more than ``src/`` (e.g. ``benchmarks/ scripts/``).
 """
 

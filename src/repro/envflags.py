@@ -19,8 +19,7 @@ replaced; the three gate styles in use are deliberately kept distinct:
     ``REPRO_SERVE_TELEMETRY`` — default on, the empty string keeps it on;
     only a literal ``0`` drops the telemetry layer.
 truthiness
-    opt-ins where any non-empty value enables (``REPRO_BENCH_QUICK``,
-    ``REPRO_CHECK_BENCH``, ``COMPASS_PAPER_SCALE``).
+    the opt-in where any non-empty value enables (``COMPASS_PAPER_SCALE``).
 
 These distinctions are pinned by ``tests/test_envflags.py`` and by the
 env-gate bit-identity pins in ``tests/test_serve.py`` /
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -47,14 +46,6 @@ class EnvFlag:
 REGISTRY: Tuple[EnvFlag, ...] = (
     EnvFlag("REPRO_PARALLEL_SWEEPS", "off",
             "non-0 runs figure sweeps through ParallelSweepRunner workers"),
-    EnvFlag("REPRO_BENCH_QUICK", "off",
-            "1 restricts run_bench.py to the quick headline benchmarks"),
-    EnvFlag("REPRO_BENCH_OUT", "BENCH_<date>.json",
-            "overrides the benchmark JSON output path"),
-    EnvFlag("REPRO_CHECK_BENCH", "off",
-            "1 enables the opt-in benchmark regression test"),
-    EnvFlag("REPRO_BENCH_REGRESSION_PCT", "20",
-            "regression threshold (percent) for check_bench_regression.py"),
     EnvFlag("REPRO_SERVE_SWITCH_COST", "on",
             "0 disables plan-switch weight-replacement cost in serving"),
     EnvFlag("REPRO_SERVE_FAULTS", "on",
@@ -62,7 +53,7 @@ REGISTRY: Tuple[EnvFlag, ...] = (
     EnvFlag("REPRO_SERVE_TELEMETRY", "on",
             "0 drops the telemetry layer wholesale"),
     EnvFlag("COMPASS_PAPER_SCALE", "off",
-            "1 runs the benchmark harness with the paper-scale GA"),
+            "1 runs the benchmarks/ figure tests with the paper-scale GA"),
 )
 
 #: flag names, for registry/doc cross-checks
@@ -76,26 +67,6 @@ REGISTERED_NAMES: Tuple[str, ...] = tuple(flag.name for flag in REGISTRY)
 def parallel_sweeps_enabled() -> bool:
     """Parallel figure-sweep opt-in (default off; non-``0`` enables)."""
     return os.environ.get("REPRO_PARALLEL_SWEEPS", "0") not in ("", "0")
-
-
-def bench_quick_enabled() -> bool:
-    """Quick-benchmark restriction opt-in (any non-empty value enables)."""
-    return bool(os.environ.get("REPRO_BENCH_QUICK"))
-
-
-def bench_out() -> Optional[str]:
-    """Benchmark JSON output override, or ``None`` for the dated default."""
-    return os.environ.get("REPRO_BENCH_OUT") or None
-
-
-def check_bench_enabled() -> bool:
-    """Benchmark regression-test opt-in (any non-empty value enables)."""
-    return bool(os.environ.get("REPRO_CHECK_BENCH"))
-
-
-def bench_regression_pct() -> float:
-    """Regression threshold percentage for the benchmark gate (default 20)."""
-    return float(os.environ.get("REPRO_BENCH_REGRESSION_PCT", "20"))
 
 
 def serve_switch_cost_enabled() -> bool:

@@ -173,30 +173,10 @@ def dump_compilation_result(result: CompilationResult, path: str,
         json.dump(compilation_result_to_dict(result, include_ga_history), handle, indent=2)
 
 
-def serving_report_to_dict(report: ServingReport) -> Dict[str, Any]:
-    """Flatten a serving run (:mod:`repro.serve`) for JSON dumps.
-
-    Everything except the ``plan_cache`` block is bit-identical for a fixed
-    traffic seed, whatever the cache temperature (see
-    :meth:`~repro.serve.simulator.ServingReport.determinism_dict`).
-    Histogram keys are stringified for JSON; the ``switch`` block appears
-    only when plan-switch cost was modelled, the ``slo`` block only when
-    per-model targets were set, the ``faults`` block (failures, retries,
-    timeouts, shed/lost counts, lost work, availability — plus per-chip
-    downtime columns) only when faults were injected or fault-tolerance
-    machinery was active, and the ``control`` block (detections vs
-    injected truth, hedge outcomes, scale events, re-placements) only when
-    the self-healing control plane ran, and the ``timeline``/``telemetry``
-    blocks only when the telemetry layer ran — so dumps with every feature
-    off keep the original shape.
-    """
-    return report.as_dict()
-
-
 def dump_serving_report(report: ServingReport, path: str) -> None:
     """Write a serving report to a JSON file."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(serving_report_to_dict(report), handle, indent=2)
+        json.dump(report.as_dict(), handle, indent=2)
 
 
 #: canonical timeline CSV column order: headline metrics, then event

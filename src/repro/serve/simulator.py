@@ -114,6 +114,7 @@ from repro.serve.scheduler import (
     pricing_classes,
 )
 from repro.serve.telemetry import (
+    CONTROL_COUNTERS,
     FLUSH_EVERY_BOUNDARIES,
     TelemetryConfig,
     TelemetrySession,
@@ -133,10 +134,6 @@ _EVENT_FREE, _EVENT_FAULT, _EVENT_ARRIVAL, _EVENT_TIMEOUT, _EVENT_DEADLINE = (
     0, 1, 2, 3, 4,
 )
 _EVENT_CONTROL = 5
-
-#: cumulative control actuator counters the timeline reports deltas of
-_CONTROL_COUNTERS = ("quarantines", "readmissions", "hedges", "scale_ups",
-                     "scale_downs", "replacements")
 
 #: smoothing factor of the per-model interarrival EMA
 _EMA_ALPHA = 0.2
@@ -337,9 +334,10 @@ class ServingReport:
         The ``switch`` block appears only when plan-switch cost was
         modelled, the ``slo`` block only when SLO targets were set, the
         ``faults`` block only when faults were injected or fault-tolerance
-        machinery was active, and the ``control`` block only when the
-        self-healing control plane ran — so a run with every feature off
-        serializes exactly like the pre-fault model did.
+        machinery was active, the ``control`` block only when the
+        self-healing control plane ran, and the ``timeline``/``telemetry``
+        blocks only when the telemetry layer ran — so a run with every
+        feature off serializes exactly like the pre-fault model did.
         """
         data: Dict[str, object] = {
             "fleet": self.fleet_spec,
@@ -763,10 +761,10 @@ class _RunState:
         the timeline's delta pass short-circuits on identity, and
         control actions are rare relative to tick frequency.
         """
-        current = tuple(getattr(self.ctrl, name) for name in _CONTROL_COUNTERS)
+        current = tuple(getattr(self.ctrl, name) for name in CONTROL_COUNTERS)
         if current != self.ctl_snapshot_key:
             self.ctl_snapshot_key = current
-            self.ctl_snapshot = dict(zip(_CONTROL_COUNTERS, current))
+            self.ctl_snapshot = dict(zip(CONTROL_COUNTERS, current))
         return self.ctl_snapshot
 
     def busy_fraction(self, at_ns: float) -> float:

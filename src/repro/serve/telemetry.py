@@ -312,9 +312,9 @@ class _TimelineWindow:
         self.slo: Dict[str, List[int]] = {}
 
 
-#: control counters the timeline rows carry as per-window deltas
-_CONTROL_KEYS = ("quarantines", "readmissions", "hedges",
-                 "scale_ups", "scale_downs", "replacements")
+#: cumulative control counters the timeline rows carry as per-window deltas
+CONTROL_COUNTERS = ("quarantines", "readmissions", "hedges",
+                    "scale_ups", "scale_downs", "replacements")
 
 #: attempt a mid-run flush every K-th window boundary, not every one —
 #: per-boundary fold/scan call overhead on fine windows costs more than
@@ -386,8 +386,8 @@ class TimelineAccumulator:
         self._carry_util = 0.0
         self._carry_control: Dict[str, object] = {}
         self._previous_control: Dict[str, object] = self._carry_control
-        self._previous_values: Tuple[int, ...] = (0,) * len(_CONTROL_KEYS)
-        self._zero_deltas = dict.fromkeys(_CONTROL_KEYS, 0)
+        self._previous_values: Tuple[int, ...] = (0,) * len(CONTROL_COUNTERS)
+        self._zero_deltas = dict.fromkeys(CONTROL_COUNTERS, 0)
         #: whether the run carries control-counter columns — constant per
         #: run (the simulator passes the controller snapshot to *every*
         #: boundary sample or to none), decided at the first render
@@ -547,8 +547,8 @@ class TimelineAccumulator:
             else:
                 current = self._carry_control
                 values = tuple(int(current.get(key, 0))
-                               for key in _CONTROL_KEYS)
-                for key, value, prev in zip(_CONTROL_KEYS, values,
+                               for key in CONTROL_COUNTERS)
+                for key, value, prev in zip(CONTROL_COUNTERS, values,
                                             self._previous_values):
                     row[key] = value - prev
                 self._previous_values = values

@@ -199,11 +199,7 @@ def render_serving_report(report: "ServingReport") -> str:
             )
     if report.per_chip:
         lines.append("  per-chip utilisation:")
-        columns = ["chip", "batches", "requests", "busy_ms", "utilisation", "energy_mj"]
-        if report.switch_cost:
-            columns += ["plan_switches", "switch_ms"]
-        if report.fault_tolerance:
-            columns += ["failures", "downtime_ms", "lost_requests"]
+        columns = [key for key in report.per_chip[0] if key != "class"]
         table = format_table(report.per_chip, columns=columns)
         lines.extend("    " + row for row in table.splitlines())
     cache = report.plan_cache

@@ -423,15 +423,15 @@ class TestEnvGateRule:
     def test_bad_getenv_outside_envflags_flagged(self, tmp_path):
         active, _ = lint_snippet(tmp_path, "repro/core/x.py", """\
             import os
-            quick = os.getenv("REPRO_BENCH_QUICK")
+            demo = os.getenv("REPRO_DEMO_FLAG")
             """, [EnvGateRule])
         assert rule_ids(active) == ["env-gate"]
-        assert "REPRO_BENCH_QUICK" in active[0].message
+        assert "REPRO_DEMO_FLAG" in active[0].message
 
     def test_bad_environ_subscript_flagged(self, tmp_path):
         active, _ = lint_snippet(tmp_path, "repro/core/x.py", """\
             import os
-            quick = os.environ["REPRO_BENCH_QUICK"]
+            demo = os.environ["REPRO_DEMO_FLAG"]
             """, [EnvGateRule])
         assert rule_ids(active) == ["env-gate"]
 

@@ -529,6 +529,28 @@ class TestControlReport:
         assert loaded == report.as_dict()
         assert loaded["control"]["ticks"] == report.control["ticks"]
 
+    @pytest.mark.parametrize("control, kwargs", [
+        (None, {}),
+        (None, {"switch_cost": True}),
+        (ControlConfig(interval_us=200.0, hedge_after_pct=70.0),
+         {"faults": [parse_inject("chip_fail@1000:chip=1,until=20000")],
+          "ft": FaultTolerance(max_retries=1), "switch_cost": True}),
+    ], ids=["plain", "switch-cost", "ft-control"])
+    def test_per_chip_table_matches_feature_gates(self, control, kwargs):
+        # the per-chip columns come from the row keys; they must equal the
+        # columns the report once chose from its switch/fault-tolerance flags
+        from repro.sim.report import format_table, render_serving_report
+
+        report = _control_run(control, **kwargs)
+        columns = ["chip", "batches", "requests", "busy_ms", "utilisation", "energy_mj"]
+        if report.switch_cost:
+            columns += ["plan_switches", "switch_ms"]
+        if report.fault_tolerance:
+            columns += ["failures", "downtime_ms", "lost_requests"]
+        table = format_table(report.per_chip, columns=columns)
+        block = "".join(f"\n    {row}" for row in table.splitlines())
+        assert f"\n  per-chip utilisation:{block}\n" in render_serving_report(report)
+
     def test_self_healing_beats_uncontrolled_attainment(self):
         # the headline acceptance scenario: chip death + straggler under
         # load, identical traffic — the controller materially lifts SLO

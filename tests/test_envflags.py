@@ -7,10 +7,8 @@ centralisation can never silently normalise them:
 * ``not in ("", "0")`` — default-on gates where ``""`` *disables*
   (switch cost, faults) and the default-off sweep opt-in;
 * ``!= "0"`` — telemetry: the empty string keeps it ON;
-* truthiness — plain opt-ins where any non-empty value enables.
+* truthiness — the plain opt-in where any non-empty value enables.
 """
-
-import pytest
 
 from repro import envflags
 
@@ -55,41 +53,15 @@ class TestOptIns:
                {None: False, "": False, "0": False, "1": True, "4": True})
 
     def test_truthiness_opt_ins(self, monkeypatch):
-        cases = {None: False, "": False, "1": True, "0": True}
-        _sweep(monkeypatch, "REPRO_BENCH_QUICK",
-               envflags.bench_quick_enabled, cases)
-        _sweep(monkeypatch, "REPRO_CHECK_BENCH",
-               envflags.check_bench_enabled, cases)
-        _sweep(monkeypatch, "COMPASS_PAPER_SCALE",
-               envflags.paper_scale_enabled, cases)
-
-
-class TestValueAccessors:
-    def test_bench_out(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_OUT", raising=False)
-        assert envflags.bench_out() is None
-        monkeypatch.setenv("REPRO_BENCH_OUT", "")
-        assert envflags.bench_out() is None  # empty string = dated default
-        monkeypatch.setenv("REPRO_BENCH_OUT", "out.json")
-        assert envflags.bench_out() == "out.json"
-
-    def test_bench_regression_pct(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BENCH_REGRESSION_PCT", raising=False)
-        assert envflags.bench_regression_pct() == 20.0
-        monkeypatch.setenv("REPRO_BENCH_REGRESSION_PCT", "7.5")
-        assert envflags.bench_regression_pct() == 7.5
-        monkeypatch.setenv("REPRO_BENCH_REGRESSION_PCT", "junk")
-        with pytest.raises(ValueError):
-            envflags.bench_regression_pct()
+        _sweep(monkeypatch, "COMPASS_PAPER_SCALE", envflags.paper_scale_enabled,
+               {None: False, "": False, "1": True, "0": True})
 
 
 class TestRegistry:
     def test_registry_covers_every_accessor(self):
         assert envflags.REGISTERED_NAMES == (
-            "REPRO_PARALLEL_SWEEPS", "REPRO_BENCH_QUICK", "REPRO_BENCH_OUT",
-            "REPRO_CHECK_BENCH", "REPRO_BENCH_REGRESSION_PCT", "REPRO_SERVE_SWITCH_COST",
-            "REPRO_SERVE_FAULTS", "REPRO_SERVE_TELEMETRY",
-            "COMPASS_PAPER_SCALE")
+            "REPRO_PARALLEL_SWEEPS", "REPRO_SERVE_SWITCH_COST",
+            "REPRO_SERVE_FAULTS", "REPRO_SERVE_TELEMETRY", "COMPASS_PAPER_SCALE")
         assert len(set(envflags.REGISTERED_NAMES)) == len(envflags.REGISTRY)
         for flag in envflags.REGISTRY:
             assert flag.description
