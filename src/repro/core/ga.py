@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.decomposition import ModelDecomposition
 from repro.core.fitness import FitnessEvaluator, FitnessMode, GroupEvaluation
-from repro.core.mutation import MutationKind, apply_mutation
+from repro.core.mutation import MutationKind, MutationTargets, apply_mutation, mutation_targets
 from repro.core.partition import PartitionGroup
 from repro.core.score import (
     population_partition_scores,
@@ -92,6 +92,9 @@ class GAResult:
     #: this run's span-table statistics (delta over the shared table's
     #: counters during the run)
     span_stats: Dict[str, float] = field(default_factory=dict)
+    #: per mutation kind: ``{"tried": n, "failed": m}``, where a failed
+    #: attempt returned ``None`` and the next kind in the draw's order ran
+    mutation_stats: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     @property
     def best_fitness(self) -> float:
@@ -131,6 +134,9 @@ class CompassGA:
         #: never re-scored, within a generation or across generations
         self._eval_cache: Dict[Tuple[int, ...], GroupEvaluation] = {}
         self._dedup_hits = 0
+        #: mutation attempts and failures, indexed like ``mutation_kinds``
+        self._tried = [0] * len(self.mutation_kinds)
+        self._failed = [0] * len(self.mutation_kinds)
 
     # ------------------------------------------------------------------
     # population handling
@@ -154,36 +160,17 @@ class CompassGA:
     ) -> List[GroupEvaluation]:
         """Evaluate a population with chromosome-level deduplication.
 
-        The population's cut vectors are zero-padded into one int matrix and
-        deduplicated with a vectorized ``np.unique`` over its rows; only
-        unique chromosomes not seen in any earlier generation reach the
+        ``dict.fromkeys`` keeps each distinct cut vector once, in first-seen
+        order; only those not seen in any earlier generation reach the
         evaluator, in one :meth:`FitnessEvaluator.evaluate_many` batch (a
-        dense-matrix gather when the span matrix is engaged).  Evaluations
-        are immutable downstream, so sharing one object between population
-        slots is safe.  Hit accounting matches the historical sequential
-        scan: every occurrence beyond a chromosome's first-ever evaluation
-        counts as a dedup hit.
+        dense-matrix gather).  Per-group fitness does not depend on the
+        batch order.  Evaluations are immutable downstream, so sharing one
+        object between population slots is safe.  Every occurrence beyond a
+        chromosome's first-ever evaluation counts as a dedup hit.
         """
-        if not population:
-            return []
         cache = self._eval_cache
-        count = len(population)
-        lengths = np.fromiter((len(bounds) for bounds in population),
-                              dtype=np.int64, count=count)
-        total = int(lengths.sum())
-        flat = np.fromiter((end for bounds in population for end in bounds),
-                           dtype=np.int64, count=total)
-        padded = np.zeros((count, int(lengths.max())), dtype=np.int64)
-        rows = np.repeat(np.arange(count), lengths)
-        columns = np.arange(total) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        padded[rows, columns] = flat
-        unique_rows, inverse = np.unique(padded, axis=0, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        # boundaries are >= 1, so trailing zeros are unambiguous padding
-        unique_bounds = [tuple(row[row > 0].tolist()) for row in unique_rows]
-
-        new_bounds = [bounds for bounds in unique_bounds if bounds not in cache]
-        self._dedup_hits += count - len(new_bounds)
+        new_bounds = [bounds for bounds in dict.fromkeys(population) if bounds not in cache]
+        self._dedup_hits += len(population) - len(new_bounds)
         if new_bounds:
             groups = [
                 PartitionGroup.from_boundaries(self.decomposition, bounds)
@@ -191,30 +178,31 @@ class CompassGA:
             ]
             for bounds, evaluation in zip(new_bounds, self.evaluator.evaluate_many(groups)):
                 cache[bounds] = evaluation
-        by_unique = [cache[bounds] for bounds in unique_bounds]
-        return [by_unique[i] for i in inverse.tolist()]
+        return [cache[bounds] for bounds in population]
 
     def _mutate_one(
         self,
         evaluation: GroupEvaluation,
-        scores: np.ndarray,
-        kind_order: np.ndarray,
+        targets: MutationTargets,
+        kind_order: List[int],
     ) -> Tuple[int, ...]:
         """Mutate one partition group; falls back to the original on failure.
 
-        ``scores`` are the group's partition R values, precomputed for all
-        survivors in one vectorized pass per generation (the scores depend
-        only on the survivor and the population expectation, not on the
-        mutation draw); ``kind_order`` is this draw's row of the batched
+        ``targets`` are the group's mutation targets, derived for all
+        survivors once per generation (the partition scores depend only on
+        the survivor and the population expectation, not on the mutation
+        draw); ``kind_order`` is this draw's row of the batched
         mutation-scheme permutations.
         """
         kinds = self.mutation_kinds
         for index in kind_order:
+            self._tried[index] += 1
             result = apply_mutation(
-                kinds[index], evaluation.group, self.validity, scores, self.rng
+                kinds[index], evaluation.group, self.validity, targets, self.rng
             )
             if result is not None:
                 return result
+            self._failed[index] += 1
         return evaluation.group.boundaries
 
     # ------------------------------------------------------------------
@@ -272,8 +260,11 @@ class CompassGA:
             survivors = evaluations[: config.n_select]
             expectation = population_unit_expectation(evaluations, self.decomposition.num_units)
             # score every survivor once against this generation's expectation;
-            # mutation draws below only index into the precomputed arrays
-            survivor_scores = population_partition_scores(survivors, expectation)
+            # mutation draws below only index into the precomputed targets
+            survivor_targets = [
+                mutation_targets(scores)
+                for scores in population_partition_scores(survivors, expectation)
+            ]
 
             # mutation: draw n_mutate parents (with replacement) from the
             # survivors, and this generation's mutation-scheme permutations,
@@ -285,13 +276,13 @@ class CompassGA:
             kind_orders = self.rng.permuted(
                 np.tile(np.arange(len(self.mutation_kinds)), (config.n_mutate, 1)),
                 axis=1,
-            )
+            ).tolist()
             mutated: List[Tuple[int, ...]] = []
             for draw, parent_index in enumerate(parent_indices):
                 mutated.append(
                     self._mutate_one(
                         survivors[parent_index],
-                        survivor_scores[parent_index],
+                        survivor_targets[parent_index],
                         kind_orders[draw],
                     )
                 )
@@ -309,6 +300,12 @@ class CompassGA:
             best_eval = final_best
 
         assert best_eval is not None
+        # summed per kind: an ablation may list one kind more than once
+        mutation_stats = {kind.value: {"tried": 0, "failed": 0} for kind in self.mutation_kinds}
+        for kind, tried, failed in zip(self.mutation_kinds, self._tried, self._failed):
+            counts = mutation_stats[kind.value]
+            counts["tried"] += tried
+            counts["failed"] += failed
         return GAResult(
             best_group=best_eval.group,
             best_evaluation=best_eval,
@@ -318,4 +315,5 @@ class CompassGA:
             unique_evaluations=len(self._eval_cache),
             dedup_hits=self._dedup_hits,
             span_stats=self._span_stats_delta(span_stats_baseline),
+            mutation_stats=mutation_stats,
         )

@@ -17,12 +17,20 @@ All operators return a *new* boundary tuple and never produce a partition
 that violates the validity map; if an operator cannot apply (e.g. a merge
 would overflow the chip), it returns ``None`` and the caller picks another
 scheme.
+
+Precondition: the parent group is valid (every span within the validity
+map), as every group the GA and :mod:`repro.search.anneal` hold is.
+``max_end`` is non-decreasing, so every sub-span of a valid span is valid,
+and an operator only checks the spans it changed: merge its merged span,
+move its two shifted spans and split its two new sub-spans.  Fixed-random
+is valid by construction (its regenerated spans come from the validity
+map's sampler and the fixed span is the parent's).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,21 +47,6 @@ class MutationKind(enum.Enum):
     FIXED_RANDOM = "fixed_random"
 
 
-def _spans(boundaries: Sequence[int]) -> List[Tuple[int, int]]:
-    result = []
-    start = 0
-    for end in boundaries:
-        result.append((start, end))
-        start = end
-    return result
-
-
-def _valid_group(validity: ValidityMap, boundaries: Sequence[int]) -> bool:
-    # one chained sweep over the boundary list (no span materialisation);
-    # semantics identical to all(is_valid(s, e) for every span)
-    return validity.group_valid(boundaries)
-
-
 def mutate_merge(
     boundaries: Sequence[int],
     validity: ValidityMap,
@@ -63,13 +56,13 @@ def mutate_merge(
 
     Returns ``None`` if there is no such pair or the merged span is invalid.
     """
-    bounds = list(boundaries)
-    if pair_index < 0 or pair_index >= len(bounds) - 1:
+    if not 0 <= pair_index < len(boundaries) - 1:
         return None
-    merged = bounds[:pair_index] + bounds[pair_index + 1:]
-    if not _valid_group(validity, merged):
+    start = boundaries[pair_index - 1] if pair_index else 0
+    if not validity.is_valid(start, boundaries[pair_index + 1]):
         return None
-    return tuple(merged)
+    bounds = tuple(boundaries)
+    return bounds[:pair_index] + bounds[pair_index + 1:]
 
 
 def mutate_split(
@@ -79,18 +72,17 @@ def mutate_split(
     rng: np.random.Generator,
 ) -> Optional[Tuple[int, ...]]:
     """Split the selected partition at a random internal position."""
-    bounds = list(boundaries)
-    spans = _spans(bounds)
-    if not 0 <= partition_index < len(spans):
+    if not 0 <= partition_index < len(boundaries):
         return None
-    start, end = spans[partition_index]
+    start = boundaries[partition_index - 1] if partition_index else 0
+    end = boundaries[partition_index]
     if end - start < 2:
         return None  # single-unit partitions cannot be split
     cut = int(rng.integers(start + 1, end))
-    new_bounds = sorted(set(bounds) | {cut})
-    if not _valid_group(validity, new_bounds):
+    if not (validity.is_valid(start, cut) and validity.is_valid(cut, end)):
         return None
-    return tuple(new_bounds)
+    bounds = tuple(boundaries)
+    return bounds[:partition_index] + (cut,) + bounds[partition_index:]
 
 
 def mutate_move(
@@ -100,21 +92,20 @@ def mutate_move(
     rng: np.random.Generator,
 ) -> Optional[Tuple[int, ...]]:
     """Move one unit across the boundary between partitions ``pair_index`` and +1."""
-    bounds = list(boundaries)
-    if pair_index < 0 or pair_index >= len(bounds) - 1:
+    if not 0 <= pair_index < len(boundaries) - 1:
         return None
-    boundary = bounds[pair_index]
-    left_start = bounds[pair_index - 1] if pair_index > 0 else 0
-    right_end = bounds[pair_index + 1]
-    directions = [1, -1] if rng.random() < 0.5 else [-1, 1]
+    boundary = boundaries[pair_index]
+    left_start = boundaries[pair_index - 1] if pair_index else 0
+    right_end = boundaries[pair_index + 1]
+    directions = (1, -1) if rng.random() < 0.5 else (-1, 1)
     for direction in directions:
         candidate = boundary + direction
         if candidate <= left_start or candidate >= right_end:
             continue
-        new_bounds = list(bounds)
-        new_bounds[pair_index] = candidate
-        if _valid_group(validity, new_bounds):
-            return tuple(new_bounds)
+        if validity.is_valid(left_start, candidate) and validity.is_valid(candidate, right_end):
+            bounds = list(boundaries)
+            bounds[pair_index] = candidate
+            return tuple(bounds)
     return None
 
 
@@ -131,91 +122,89 @@ def mutate_fixed_random(
     operator dominates the GA's random-number overhead otherwise.  Each
     segment end remains uniform over its valid range.
     """
-    spans = _spans(boundaries)
-    if not 0 <= fixed_partition_index < len(spans):
+    if not 0 <= fixed_partition_index < len(boundaries):
         return None
-    fixed_start, fixed_end = spans[fixed_partition_index]
+    fixed_start = boundaries[fixed_partition_index - 1] if fixed_partition_index else 0
+    fixed_end = boundaries[fixed_partition_index]
 
     num_units = validity.num_units
     limit = fixed_start + (num_units - fixed_end)
-    uniform = rng.random(limit) if limit > 0 else None
-    sampled_end = validity.sampled_end
-    draw = 0
-
-    new_bounds: List[int] = []
-    # random prefix covering [0, fixed_start)
-    start = 0
-    while start < fixed_start:
-        end = min(sampled_end(start, uniform[draw]), fixed_start)
-        draw += 1
-        new_bounds.append(end)
-        start = end
-    # the fixed partition itself
-    new_bounds.append(fixed_end)
+    uniform = rng.random(limit).tolist() if limit > 0 else []
+    # random prefix covering [0, fixed_start), the fixed partition, then a
     # random suffix covering [fixed_end, num_units)
-    start = fixed_end
-    while start < num_units:
-        end = sampled_end(start, uniform[draw])
-        draw += 1
-        new_bounds.append(end)
-        start = end
-    if not _valid_group(validity, new_bounds):
-        return None
-    return tuple(new_bounds)
+    prefix, draw = validity.sample_ends(0, fixed_start, uniform)
+    suffix, _ = validity.sample_ends(fixed_end, num_units, uniform, draw)
+    return tuple(prefix + [fixed_end] + suffix)
+
+
+class MutationTargets(NamedTuple):
+    """Mutation target orders of one group, derived once from its R scores."""
+
+    #: neighbouring-pair indices, worst (highest summed score) first
+    pairs: List[int]
+    #: partition indices, worst (highest score) first
+    partitions: List[int]
+    #: the best (lowest-scoring) partition, the one fixed-random keeps
+    best: int
+
+
+def mutation_targets(partition_scores: Sequence[float]) -> MutationTargets:
+    """The merge/move, split and fixed-random targets of a group's R scores.
+
+    Array methods, not the ``np.argsort`` wrappers: this runs once per
+    survivor and generation, where the wrapper overhead is the cost.
+    """
+    scores = np.asarray(partition_scores, dtype=float)  # no copy for float64 arrays
+    return MutationTargets(
+        (scores[:-1] + scores[1:]).argsort()[::-1].tolist(),
+        scores.argsort()[::-1].tolist(),
+        int(scores.argmin()),
+    )
 
 
 def apply_mutation(
     kind: MutationKind,
     group: PartitionGroup,
     validity: ValidityMap,
-    partition_scores: Sequence[float],
+    partition_scores: Union[Sequence[float], MutationTargets],
     rng: np.random.Generator,
 ) -> Optional[Tuple[int, ...]]:
     """Apply one mutation scheme to a group, guided by partition scores.
 
-    ``partition_scores`` are the per-partition R values (higher = worse),
-    accepted as any sequence (the GA hands in the population-vectorized
-    score arrays directly).  Merge targets the worst-scoring *pair*;
-    split/move target the worst partition; fixed-random keeps the *best*
-    partition.
+    ``partition_scores`` are the per-partition R values (higher = worse) as
+    any sequence, or the :class:`MutationTargets` derived from them (the GA
+    derives them once per survivor and generation, not once per draw).
+    Merge targets the worst-scoring *pair*; split/move target the worst
+    partition; fixed-random keeps the *best* partition.
     """
+    targets = (partition_scores if isinstance(partition_scores, MutationTargets)
+               else mutation_targets(partition_scores))
     bounds = group.boundaries
-    scores = np.asarray(partition_scores, dtype=float)
-    if len(scores) != group.num_partitions:
+    if len(targets.partitions) != len(bounds):
         raise ValueError("partition_scores length must match the number of partitions")
 
     if kind is MutationKind.MERGE:
-        if group.num_partitions < 2:
-            return None
-        pair_scores = scores[:-1] + scores[1:]
-        order = np.argsort(pair_scores)[::-1]
-        for pair_index in order:
-            result = mutate_merge(bounds, validity, int(pair_index))
+        for pair_index in targets.pairs:
+            result = mutate_merge(bounds, validity, pair_index)
             if result is not None:
                 return result
         return None
 
     if kind is MutationKind.SPLIT:
-        order = np.argsort(scores)[::-1]
-        for partition_index in order:
-            result = mutate_split(bounds, validity, int(partition_index), rng)
+        for partition_index in targets.partitions:
+            result = mutate_split(bounds, validity, partition_index, rng)
             if result is not None:
                 return result
         return None
 
     if kind is MutationKind.MOVE:
-        if group.num_partitions < 2:
-            return None
-        pair_scores = scores[:-1] + scores[1:]
-        order = np.argsort(pair_scores)[::-1]
-        for pair_index in order:
-            result = mutate_move(bounds, validity, int(pair_index), rng)
+        for pair_index in targets.pairs:
+            result = mutate_move(bounds, validity, pair_index, rng)
             if result is not None:
                 return result
         return None
 
     if kind is MutationKind.FIXED_RANDOM:
-        best_index = int(np.argmin(scores))
-        return mutate_fixed_random(bounds, validity, best_index, rng)
+        return mutate_fixed_random(bounds, validity, targets.best, rng)
 
     raise ValueError(f"unknown mutation kind {kind!r}")

@@ -15,7 +15,7 @@ valid random partition O(1).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -139,21 +139,32 @@ class ValidityMap:
         hi = self.max_end(start)
         return int(rng.integers(start + 1, hi + 1))
 
-    def sampled_end(self, start: int, uniform: float) -> int:
-        """Valid end position for ``start`` from one uniform double in [0, 1).
+    def sample_ends(self, start: int, stop: int, uniform: List[float],
+                    draw: int = 0) -> Tuple[List[int], int]:
+        """Random valid partition ends covering ``[start, stop)``.
 
-        The block-sampling kernel shared by :meth:`random_partition_boundaries`
-        and the fixed-random mutation operator: callers draw uniform doubles
-        in batches (one ``Generator.random(k)`` call instead of ``k``
-        ``integers`` calls, whose per-call overhead dominates the GA's
-        samplers) and convert each here.  The result is uniform over
-        ``[start + 1, max_end(start)]``.
+        The one segment-sampling kernel of the repository, shared by
+        :meth:`random_partition_boundaries` and the fixed-random mutation
+        operator.  Callers draw uniform doubles in one block (a
+        ``Generator.random(k).tolist()`` instead of ``k`` ``integers``
+        calls, whose per-call overhead dominates the GA's samplers);
+        segment ``k`` consumes ``uniform[draw + k]`` and its end is uniform
+        over ``[s + 1, max_end(s)]``, clipped to ``stop``.  Returns the ends
+        and the next unused draw index.
         """
-        size = self._max_end[start] - start
-        offset = int(uniform * size)
-        if offset >= size:  # guard the u -> 1.0 rounding edge
-            offset = size - 1
-        return start + 1 + offset
+        max_end = self._max_end
+        ends: List[int] = []
+        while start < stop:
+            size = max_end[start] - start
+            offset = int(uniform[draw] * size)
+            if offset >= size:  # guard the u -> 1.0 rounding edge
+                offset = size - 1
+            draw += 1
+            start += 1 + offset
+            if start > stop:
+                start = stop
+            ends.append(start)
+        return ends, draw
 
     def random_partition_boundaries(self, rng: np.random.Generator) -> List[int]:
         """Sample a random valid partitioning of the whole unit string.
@@ -162,17 +173,7 @@ class ValidityMap:
         ``num_units``).  Every partition respects the validity map.
         Randomness is consumed as one block of uniform doubles
         (``rng.random(num_units)``, the worst-case number of segments)
-        converted through :meth:`sampled_end`.
+        converted through :meth:`sample_ends`.
         """
         num_units = self._num_units
-        uniform = rng.random(num_units)
-        sampled_end = self.sampled_end
-        boundaries: List[int] = []
-        start = 0
-        draw = 0
-        while start < num_units:
-            end = sampled_end(start, uniform[draw])
-            draw += 1
-            boundaries.append(end)
-            start = end
-        return boundaries
+        return self.sample_ends(0, num_units, rng.random(num_units).tolist())[0]

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.decomposition import ModelDecomposition
 from repro.core.fitness import FitnessEvaluator, GroupEvaluation
-from repro.core.mutation import MutationKind, apply_mutation
+from repro.core.mutation import MutationKind, apply_mutation, mutation_targets
 from repro.core.partition import PartitionGroup
 from repro.core.score import partition_scores, population_unit_expectation
 from repro.core.validity import ValidityMap
@@ -123,11 +123,11 @@ class SimulatedAnnealing(PartitionSearch):
         history: List[SearchStep] = []
         kinds = self.mutation_kinds
         for step in range(self.steps):
-            scores = np.asarray(partition_scores(current, expectation))
+            targets = mutation_targets(partition_scores(current, expectation))
             mutated: Optional[Tuple[int, ...]] = None
             for index in kind_orders[step]:
                 mutated = apply_mutation(
-                    kinds[index], current.group, self.validity, scores, rng
+                    kinds[index], current.group, self.validity, targets, rng
                 )
                 if mutated is not None:
                     break

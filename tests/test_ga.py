@@ -5,6 +5,7 @@ import pytest
 from repro.core.baselines import greedy_partition, layerwise_partition
 from repro.core.fitness import FitnessEvaluator
 from repro.core.ga import CompassGA, GAConfig
+from repro.core.mutation import MutationKind
 from repro.core.validity import ValidityMap
 
 
@@ -95,6 +96,46 @@ class TestGARun:
         r2 = CompassGA(d, FitnessEvaluator(d, batch_size=4), GAConfig(seed=2, **base)).run()
         # not required to differ, but their initial populations should
         assert r1.history[0].fitnesses != r2.history[0].fitnesses
+
+
+class TestMutationStats:
+    # with all four kinds a child never falls back (split and fixed-random
+    # always apply); merge alone falls back often, and a repeated kind sums
+    @pytest.mark.parametrize("kinds", [None, [MutationKind.MERGE],
+                                       [MutationKind.MERGE, MutationKind.MOVE, MutationKind.MERGE]],
+                             ids=["all", "merge", "repeated"])
+    def test_counts_match_the_mutations_made(self, resnet18_decomposition_m, monkeypatch, kinds):
+        """Per kind, tried >= failed; the successes of all kinds are the
+        children that did not fall back to their parent, counted here
+        independently by watching every ``apply_mutation`` call."""
+        import repro.core.ga as ga_module
+
+        outcomes = []  # one list of per-attempt "returned None" flags per child
+        real_mutate_one, real_apply = CompassGA._mutate_one, ga_module.apply_mutation
+
+        def mutate_one(self, *args):
+            outcomes.append([])
+            return real_mutate_one(self, *args)
+
+        def apply(*args):
+            result = real_apply(*args)
+            outcomes[-1].append(result is None)
+            return result
+
+        monkeypatch.setattr(CompassGA, "_mutate_one", mutate_one)
+        monkeypatch.setattr(ga_module, "apply_mutation", apply)
+        d = resnet18_decomposition_m
+        result = CompassGA(d, FitnessEvaluator(d, batch_size=8), SMALL_GA,
+                           mutation_kinds=kinds).run()
+
+        stats = result.mutation_stats
+        assert sorted(stats) == sorted({kind.value for kind in kinds or MutationKind})
+        assert all(counts["tried"] >= counts["failed"] for counts in stats.values())
+        successes = sum(counts["tried"] - counts["failed"] for counts in stats.values())
+        children = sum(1 for flags in outcomes if not all(flags))
+        assert successes == children
+        assert sum(counts["tried"] for counts in stats.values()) == sum(map(len, outcomes))
+        assert len(outcomes) == result.evaluations - SMALL_GA.population_size
 
 
 class TestEarlyStopping:

@@ -11,6 +11,7 @@ from repro.core.mutation import (
     mutate_merge,
     mutate_move,
     mutate_split,
+    mutation_targets,
 )
 from repro.core.partition import PartitionGroup
 from repro.core.validity import ValidityMap
@@ -172,3 +173,210 @@ class TestApplyMutation:
         a = apply_mutation(MutationKind.SPLIT, group, vm, scores, np.random.default_rng(5))
         b = apply_mutation(MutationKind.SPLIT, group, vm, scores, np.random.default_rng(5))
         assert a == b
+
+
+# ----------------------------------------------------------------------
+# reference oracles: the operators as first written, checking the whole
+# group after every candidate and sampling one segment per method call
+# ----------------------------------------------------------------------
+def oracle_sampled_end(vm, start, uniform):
+    size = vm.max_end(start) - start
+    offset = int(uniform * size)
+    if offset >= size:
+        offset = size - 1
+    return start + 1 + offset
+
+
+def oracle_merge(boundaries, vm, pair_index):
+    bounds = list(boundaries)
+    if pair_index < 0 or pair_index >= len(bounds) - 1:
+        return None
+    merged = bounds[:pair_index] + bounds[pair_index + 1:]
+    if not vm.group_valid(merged):
+        return None
+    return tuple(merged)
+
+
+def oracle_split(boundaries, vm, partition_index, rng):
+    bounds = list(boundaries)
+    spans = spans_of(bounds)
+    if not 0 <= partition_index < len(spans):
+        return None
+    start, end = spans[partition_index]
+    if end - start < 2:
+        return None
+    cut = int(rng.integers(start + 1, end))
+    new_bounds = sorted(set(bounds) | {cut})
+    if not vm.group_valid(new_bounds):
+        return None
+    return tuple(new_bounds)
+
+
+def oracle_move(boundaries, vm, pair_index, rng):
+    bounds = list(boundaries)
+    if pair_index < 0 or pair_index >= len(bounds) - 1:
+        return None
+    boundary = bounds[pair_index]
+    left_start = bounds[pair_index - 1] if pair_index > 0 else 0
+    right_end = bounds[pair_index + 1]
+    directions = [1, -1] if rng.random() < 0.5 else [-1, 1]
+    for direction in directions:
+        candidate = boundary + direction
+        if candidate <= left_start or candidate >= right_end:
+            continue
+        new_bounds = list(bounds)
+        new_bounds[pair_index] = candidate
+        if vm.group_valid(new_bounds):
+            return tuple(new_bounds)
+    return None
+
+
+def oracle_fixed_random(boundaries, vm, fixed_partition_index, rng):
+    spans = spans_of(boundaries)
+    if not 0 <= fixed_partition_index < len(spans):
+        return None
+    fixed_start, fixed_end = spans[fixed_partition_index]
+    num_units = vm.num_units
+    limit = fixed_start + (num_units - fixed_end)
+    uniform = rng.random(limit) if limit > 0 else None
+    draw = 0
+    new_bounds = []
+    start = 0
+    while start < fixed_start:
+        end = min(oracle_sampled_end(vm, start, uniform[draw]), fixed_start)
+        draw += 1
+        new_bounds.append(end)
+        start = end
+    new_bounds.append(fixed_end)
+    start = fixed_end
+    while start < num_units:
+        end = oracle_sampled_end(vm, start, uniform[draw])
+        draw += 1
+        new_bounds.append(end)
+        start = end
+    if not vm.group_valid(new_bounds):
+        return None
+    return tuple(new_bounds)
+
+
+def oracle_apply(kind, group, vm, partition_scores, rng):
+    bounds = group.boundaries
+    scores = np.asarray(partition_scores, dtype=float)
+    if len(scores) != group.num_partitions:
+        raise ValueError("partition_scores length must match the number of partitions")
+    if kind is MutationKind.FIXED_RANDOM:
+        return oracle_fixed_random(bounds, vm, int(np.argmin(scores)), rng)
+    if kind is MutationKind.SPLIT:
+        for index in np.argsort(scores)[::-1]:
+            result = oracle_split(bounds, vm, int(index), rng)
+            if result is not None:
+                return result
+        return None
+    if group.num_partitions < 2:
+        return None
+    operator = oracle_merge if kind is MutationKind.MERGE else oracle_move
+    for index in np.argsort(scores[:-1] + scores[1:])[::-1]:
+        result = (operator(bounds, vm, int(index)) if kind is MutationKind.MERGE
+                  else operator(bounds, vm, int(index), rng))
+        if result is not None:
+            return result
+    return None
+
+
+#: the (model, chip) pairs of the repository benchmark's compile workloads
+PAIRS = [(m, c) for m in ("vgg16", "resnet18", "squeezenet") for c in ("S", "M", "L")]
+
+
+def parents_of(vm, seed):
+    """Valid parents: random ones, the fully split one and the greedy maximal one."""
+    rng = np.random.default_rng(seed)
+    parents = [tuple(vm.random_partition_boundaries(rng)) for _ in range(3)]
+    parents.append(tuple(range(1, vm.num_units + 1)))
+    greedy, start = [], 0
+    while start < vm.num_units:
+        start = vm.max_end(start)
+        greedy.append(start)
+    parents.append(tuple(greedy))
+    return parents
+
+
+def same_draws(new, oracle, seed):
+    """Run both with equally seeded generators; return both results and states."""
+    rng_new, rng_oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    return (new(rng_new), rng_new.bit_generator.state,
+            oracle(rng_oracle), rng_oracle.bit_generator.state)
+
+
+@pytest.mark.parametrize("model,chip", PAIRS)
+class TestOperatorsMatchOracles:
+    """Checking only the changed spans returns what the whole-group check did,
+    from the same draws: every operator, every index, valid parents."""
+
+    def test_operators(self, model, chip):
+        from repro.evaluation.registry import shared_decomposition
+
+        _, vm = shared_decomposition(model, chip)
+        for seed, parent in enumerate(parents_of(vm, 17)):
+            for index in range(-1, len(parent) + 1):
+                assert mutate_merge(parent, vm, index) == oracle_merge(parent, vm, index)
+                for new, oracle in ((mutate_split, oracle_split), (mutate_move, oracle_move),
+                                    (mutate_fixed_random, oracle_fixed_random)):
+                    got, state, want, want_state = same_draws(
+                        lambda rng: new(parent, vm, index, rng),
+                        lambda rng: oracle(parent, vm, index, rng), seed * 1000 + index + 1)
+                    assert got == want, (new.__name__, parent, index)
+                    assert state == want_state, (new.__name__, parent, index)
+
+    def test_apply_mutation(self, model, chip):
+        from repro.evaluation.registry import shared_decomposition
+
+        d, vm = shared_decomposition(model, chip)
+        score_rng = np.random.default_rng(5)
+        for seed, parent in enumerate(parents_of(vm, 23)):
+            group = PartitionGroup.from_boundaries(d, parent)
+            # coarse scores tie often, which pins the argsort tie order too
+            for scores in (score_rng.uniform(0.5, 1.5, len(parent)),
+                           np.round(score_rng.uniform(0.5, 1.5, len(parent)), 1)):
+                for kind in MutationKind:
+                    for given in (list(scores), mutation_targets(scores)):
+                        got, state, want, want_state = same_draws(
+                            lambda rng: apply_mutation(kind, group, vm, given, rng),
+                            lambda rng: oracle_apply(kind, group, vm, scores, rng), seed)
+                        assert got == want, (kind, parent)
+                        assert state == want_state, (kind, parent)
+
+
+@pytest.mark.parametrize("model,chip", PAIRS)
+def test_fixed_random_output_is_valid_by_construction(model, chip):
+    """Without a final check, fixed-random still yields a valid cover that keeps
+    the fixed span, for every fixed index of valid parents."""
+    from repro.evaluation.registry import shared_decomposition
+
+    _, vm = shared_decomposition(model, chip)
+    rng = np.random.default_rng(31)
+    for parent in parents_of(vm, 29):
+        for index, span in enumerate(spans_of(parent)):
+            result = mutate_fixed_random(parent, vm, index, rng)
+            assert vm.group_valid(result) and result[-1] == vm.num_units
+            assert span in spans_of(result)
+
+
+@pytest.mark.parametrize("model,chip", PAIRS)
+def test_sample_ends_matches_per_segment_sampling(model, chip):
+    """The one sampling kernel: same ends and draw count as one sampled end per
+    segment, with the clip at ``stop`` and uniforms at the largest double
+    below 1.0 (every segment then takes its longest valid end)."""
+    from repro.evaluation.registry import shared_decomposition
+
+    _, vm = shared_decomposition(model, chip)
+    uniform = np.random.default_rng(41).random(vm.num_units)
+    uniform[::7] = np.nextafter(1.0, 0.0)
+    for start, stop, draw in ((0, vm.num_units, 0), (0, vm.num_units // 2, 3),
+                              (vm.num_units // 3, vm.num_units, 5)):
+        ends, position = [], draw
+        cursor = start
+        while cursor < stop:
+            cursor = min(oracle_sampled_end(vm, cursor, uniform[position]), stop)
+            position += 1
+            ends.append(cursor)
+        assert vm.sample_ends(start, stop, uniform.tolist(), draw) == (ends, position)
