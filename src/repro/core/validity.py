@@ -89,10 +89,10 @@ class ValidityMap:
     def group_valid(self, boundaries) -> bool:
         """Whether every span of a boundary list forms a valid partition.
 
-        Equivalent to ``all(is_valid(s, e))`` over the implied spans, but as
-        one chained sweep over the boundary list — this sits inside every
-        mutation attempt of the GA, where the per-span call overhead
-        dominates the check itself.
+        Equivalent to ``all(is_valid(s, e))`` over the implied spans, as one
+        chained sweep over the boundary list.  The mutation operators check
+        only the spans they change (see :mod:`repro.core.mutation`); this
+        whole-group check is what their tests hold them to.
         """
         max_end = self._max_end
         num_units = len(max_end)
