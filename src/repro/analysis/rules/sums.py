@@ -1,7 +1,9 @@
 """``sequential-sum``: pinned modules must sum left-to-right.
 
-The fitness/span accumulation modules are pinned bit-identical to the
-naive path, whose group fitness is a naive left-to-right Python ``sum``.
+The fitness/span accumulation modules — and the on-chip estimator and
+mapping allocators whose per-span sums feed them — are pinned bit-identical
+to the naive path, whose group fitness is a naive left-to-right Python
+``sum``.
 ``np.sum`` uses pairwise summation and ``math.fsum`` compensated
 summation — both are *better* numerically and precisely therefore not
 bit-identical to the pin.  Inside the scoped modules any NumPy/fsum
@@ -36,7 +38,8 @@ class SequentialSumRule(Rule):
     description = ("np.sum/math.fsum/.sum() over fitness or span "
                    "accumulations in modules pinned to sequential "
                    "left-to-right sums; wrap counts in int(...)")
-    scopes = ("repro/core", "repro/search", "repro/perf")
+    scopes = ("repro/core", "repro/search", "repro/perf", "repro/onchip",
+              "repro/mapping")
 
     def __init__(self) -> None:
         #: sum calls sanctioned as counts by a direct ``int(...)`` wrapper

@@ -230,18 +230,19 @@ def max_core_crossbars_only(
     copies: Sequence[int],
     factors: Sequence[int],
     chip: ChipConfig,
-) -> int:
-    """``map_tiles_to_cores(...).max_core_crossbars`` without the mapping.
+) -> Tuple[int, int]:
+    """``(max_core_crossbars, cores_used)`` of ``map_tiles_to_cores(...)``.
 
-    The latency-only span profiler needs exactly one number from the core
-    mapping — the largest per-core crossbar occupancy, which bounds the
-    weight-write phase — so this replays the packer's placement decisions
-    (the round-robin fast path and the max-free-core greedy loop) while
-    tracking only the per-core free counts.  ``factors`` is the per-geometry
-    replication factor (``replication.factor(name)`` for each name).  It is
-    an exact replay: the bookkeeping skipped here (entries, layer→core
-    lists) never influences where a tile lands.  Pinned against the full
-    mapper by the perf equivalence tests.
+    The slim span profilers need exactly two numbers from the core mapping —
+    the largest per-core crossbar occupancy, which bounds the weight-write
+    phase, and the number of occupied cores, which scales static energy — so
+    this replays the packer's placement decisions (the round-robin fast path
+    and the max-free-core greedy loop) while tracking only the per-core free
+    counts.  ``factors`` is the per-geometry replication factor
+    (``replication.factor(name)`` for each name).  It is an exact replay:
+    the bookkeeping skipped here (entries, layer→core lists) never
+    influences where a tile lands.  Pinned against the full mapper by the
+    perf equivalence tests.
     """
     per_core = chip.core.crossbars_per_core
     num_cores = chip.num_cores
@@ -262,16 +263,16 @@ def max_core_crossbars_only(
         and num_replicas <= num_cores * (per_core // uniform_tiles)
         and (n == 1 or len(set(names)) == n)
     ):
-        if num_replicas == 0:
-            return 0
         # round-robin: core 0 receives ceil(num_replicas / num_cores) replicas
-        return uniform_tiles * (-(-num_replicas // num_cores))
+        return (uniform_tiles * (-(-num_replicas // num_cores)),
+                min(num_replicas, num_cores))
 
     # Fresh-core fast path: replicas are placed largest-first, and a touched
     # core's free space (per_core - tiles, tiles >= 1) is always below an
     # untouched core's, so while empty cores remain every non-empty replica
     # lands alone on a fresh core.  When all of them fit that way, the
-    # fullest core simply holds the largest replica.
+    # fullest core simply holds the largest replica and every non-empty
+    # replica occupies a core of its own.
     max_tiles = 0
     nonzero_replicas = 0
     for tiles, factor in zip(copies, factors):
@@ -280,7 +281,7 @@ def max_core_crossbars_only(
             if tiles > max_tiles:
                 max_tiles = tiles
     if max_tiles <= per_core and nonzero_replicas <= num_cores:
-        return max_tiles
+        return max_tiles, nonzero_replicas
 
     # The greedy packer's state is fully described by the *multiset* of
     # per-core free counts: every placement takes from a core with the
@@ -291,7 +292,6 @@ def max_core_crossbars_only(
     free_counts = [0] * (per_core + 1)
     free_counts[per_core] = num_cores
     max_free = per_core
-    placed_any = False
     order = sorted(range(n), key=copies.__getitem__, reverse=True)
     for geom_index in order:
         layer_name = names[geom_index]
@@ -312,13 +312,12 @@ def max_core_crossbars_only(
                 free_counts[best_free] -= 1
                 free_counts[best_free - placed] += 1
                 remaining -= placed
-                placed_any = True
-    if not placed_any:
-        return 0
+    # every placement leaves its core below full, so untouched cores are
+    # exactly those still at per_core free
     min_free = 0
     while free_counts[min_free] == 0:
         min_free += 1
-    return per_core - min_free
+    return per_core - min_free, num_cores - free_counts[per_core]
 
 
 def map_partition_to_cores(

@@ -16,9 +16,10 @@ kernel shares the replication count.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, List, Sequence
 
 from repro.mapping.geometry import WeightMatrixGeometry
 
@@ -41,13 +42,6 @@ class ReplicationPlan:
         return self.factors.get(layer_name, 1)
 
 
-def _bottleneck(geometries: Sequence[WeightMatrixGeometry], factors: Mapping[str, int]) -> int:
-    slots = 0
-    for geom in geometries:
-        slots = max(slots, math.ceil(geom.windows / factors[geom.layer_name]))
-    return slots
-
-
 def replication_factor_list(
     names: Sequence[str],
     windows: Sequence[int],
@@ -57,16 +51,18 @@ def replication_factor_list(
 ) -> List[int]:
     """Per-geometry replication factors for *unique* layer names, as a list.
 
-    This is the single greedy core of the allocator: with distinct layer
-    names (one slice per layer, which every span produces) factors live in
-    a parallel list, and the selected bottleneck layer keeps being selected
-    until its service time drops below the runner-up's, so its factor is
-    advanced in one batched jump per selection — an exact replay of the
-    one-at-a-time greedy loop (ties select the lowest index; competitors'
-    service times cannot change while the selected layer replicates, and
-    validity only ever shrinks, which at worst ends a batch early before
-    the next reselection).  :func:`replication_factors` wraps this for the
-    name-keyed dict API; the latency-only span profiler calls it directly.
+    The greedy allocator: repeatedly give one more replica to the bottleneck
+    layer — the most MVM slots ``ceil(windows / factor)``, ties to the
+    lowest index — among layers below their limit whose next copy fits the
+    budget.  Candidates sit in a heap of ``(-slots, index)``; the budget only
+    shrinks, so a layer whose copy no longer fits is popped lazily and never
+    returns.  The selected layer keeps being selected until its slots drop
+    below the runner-up's (the cleaned heap top, which must be beaten
+    strictly when its index is lower), so its factor advances in one
+    batched jump per selection — an exact replay of the one-at-a-time loop:
+    competitors' slots cannot change while the selected layer replicates,
+    and a shrinking budget at worst ends a jump early, before the next
+    reselection.
     """
     n = len(names)
     factors = [1] * n
@@ -89,48 +85,36 @@ def replication_factor_list(
         if w > 0:
             factors[0] = min(limits[0], crossbar_budget // copies[0])
         return factors
-    ceil = math.ceil
-    slots_cache = [ceil(w / 1) if w else 0 for w in windows]
+    # factors start at 1, so a layer's slots start at its window count
+    heap = [(-w, i) for i, w in enumerate(windows) if limits[i] > 1]
+    heapq.heapify(heap)
+    heappop = heapq.heappop
     while True:
-        # find the bottleneck layer that can still be replicated
-        best_index = -1
-        best_slots = -1
-        for i in range(n):
-            if factors[i] >= limits[i]:
-                continue
-            if used + copies[i] > crossbar_budget:
-                continue
-            if slots_cache[i] > best_slots:
-                best_slots = slots_cache[i]
-                best_index = i
-        if best_index < 0 or best_slots <= 1:
+        while heap and used + copies[heap[0][1]] > crossbar_budget:
+            heappop(heap)
+        if not heap:
             break
-        copy = copies[best_index]
-        factor = factors[best_index]
-        # the selected layer stays selected while its slots beat every valid
-        # earlier index strictly and every later index weakly; replicate
-        # until its slots would fall below that threshold
+        neg_slots, best_index = heappop(heap)
+        if neg_slots >= -1:  # best slots <= 1
+            break
+        while heap and used + copies[heap[0][1]] > crossbar_budget:
+            heappop(heap)
         runner_up = 1
-        for i in range(n):
-            if i == best_index:
-                continue
-            if factors[i] >= limits[i]:
-                continue
-            if used + copies[i] > crossbar_budget:
-                continue
-            required = slots_cache[i] + 1 if i < best_index else slots_cache[i]
-            if required > runner_up:
-                runner_up = required
+        if heap:
+            neg_other, other_index = heap[0]
+            runner_up = 1 - neg_other if other_index < best_index else -neg_other
         threshold = runner_up if runner_up > 2 else 2
         w = windows[best_index]
+        copy = copies[best_index]
+        factor = factors[best_index]
         # smallest factor whose slots drop below the threshold
         target_factor = -(-w // (threshold - 1))
         budget_factor = factor + (crossbar_budget - used) // copy
         new_factor = min(target_factor, limits[best_index], budget_factor)
         used += (new_factor - factor) * copy
         factors[best_index] = new_factor
-        if w:
-            slots_cache[best_index] = ceil(w / new_factor)
+        if new_factor < limits[best_index]:
+            heapq.heappush(heap, (-w // new_factor, best_index))
     return factors
 
 
@@ -143,51 +127,14 @@ def replication_factors(
 ) -> Dict[str, int]:
     """Per-layer replication factors as a name-keyed dict.
 
-    Unique names (every span's slice list) delegate to the batched greedy
-    core :func:`replication_factor_list`.  Repeated names fall back to the
-    historical one-factor-at-a-time greedy: units of one kernel share a
-    replication count, so the factor advances by one per selection with
-    every same-name slot refreshed.
+    Replication is allocated per layer and a partition holds one slice per
+    layer, so the names must be unique; repeated names raise ``ValueError``.
     """
-    n = len(names)
-    if len(set(names)) == n:
-        return dict(zip(names, replication_factor_list(
-            names, windows, copies, crossbar_budget, max_replication
-        )))
-
-    factors: Dict[str, int] = {name: 1 for name in names}
-    used = sum(copies)
-    if used > crossbar_budget:
-        raise ValueError(
-            f"partition needs {used} crossbars for a single copy of each layer "
-            f"but only {crossbar_budget} are available"
-        )
-    limits = [min(max_replication, max(w, 1)) for w in windows]
-    slots_cache = [
-        math.ceil(w / factors[name]) if w else 0 for w, name in zip(windows, names)
-    ]
-    while True:
-        # find the bottleneck layer that can still be replicated
-        best_index = -1
-        best_slots = -1
-        for i in range(n):
-            if factors[names[i]] >= limits[i]:
-                continue
-            if used + copies[i] > crossbar_budget:
-                continue
-            if slots_cache[i] > best_slots:
-                best_slots = slots_cache[i]
-                best_index = i
-        if best_index < 0 or best_slots <= 1:
-            break
-        best_name = names[best_index]
-        new_factor = factors[best_name] + 1
-        used += copies[best_index]
-        factors[best_name] = new_factor
-        for i in range(n):
-            if names[i] == best_name and windows[i]:
-                slots_cache[i] = math.ceil(windows[i] / new_factor)
-    return factors
+    if len(set(names)) != len(names):
+        raise ValueError(f"layer names must be unique, got {list(names)}")
+    return dict(zip(names, replication_factor_list(
+        names, windows, copies, crossbar_budget, max_replication
+    )))
 
 
 def allocate_replication_arrays(

@@ -24,6 +24,10 @@ Estimation is split in two stages so the span-table engine
   per-sample pipeline stage latencies and per-sample energy terms).
 * :meth:`PartitionEstimator.estimate_from_profile` turns a profile into a
   :class:`PartitionEstimate` for a concrete batch size with O(1) arithmetic.
+* :meth:`PartitionEstimator.slim_profile` and
+  :meth:`PartitionEstimator.energy_record` are exact replays of ``profile``
+  that return only the latency triple, or the energy terms, that the dense
+  span matrices fill from, without building plan objects.
 
 ``estimate()`` composes the two, so the single-call path is unchanged and
 the split is bit-identical to the historical monolithic implementation.
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.partition import Partition, PartitionIO
 from repro.hardware.chip import ChipConfig
@@ -41,7 +45,7 @@ from repro.hardware.dram import DRAMConfig, DRAMModel, LPDDR3_8GB
 from repro.hardware.power import EnergyBreakdown, PowerModel
 from repro.mapping.core_mapping import max_core_crossbars_only
 from repro.mapping.replication import replication_factor_list
-from repro.onchip.plan import LayerSlice, PartitionPlan, build_partition_plan
+from repro.onchip.plan import LayerSlice, PartitionPlan, build_partition_plan, layer_slices
 
 
 @dataclass(slots=True)
@@ -107,6 +111,28 @@ class SpanProfile:
         return self.plan.partition
 
 
+class EnergyRecord(NamedTuple):
+    """What a dense energy-matrix fill reads from one span.
+
+    The eight energy terms and ``cores_used`` of :class:`SpanProfile`, plus
+    its slim latency triple; field names match the profile's, so a cached
+    profile converts field by field.
+    """
+
+    mvm_pj_per_sample: float
+    data_load_pj_per_sample: float
+    data_store_pj_per_sample: float
+    vfu_pj_per_sample: float
+    interconnect_pj_per_sample: float
+    local_memory_pj_per_sample: float
+    weight_write_pj: float
+    weight_load_pj: float
+    cores_used: int
+    weight_replace_ns: float
+    fill_ns: float
+    bottleneck_ns: float
+
+
 @dataclass(slots=True)
 class PartitionEstimate:
     """Complete performance/energy estimate for one partition."""
@@ -155,10 +181,10 @@ class PartitionEstimator:
     """Estimates latency/energy of partitions on a given chip.
 
     A single estimator instance memoises only pure allocator results (the
-    replication factors and max per-core occupancy of a ``(windows, copies)``
-    geometry signature — many distinct spans clip their edge layers the same
-    way) and is safe to reuse for many partitions; per-span caching lives in
-    :class:`repro.perf.SpanTable`.
+    replication factors, max per-core occupancy and occupied-core count of
+    a ``(windows, copies)`` geometry signature — many distinct spans clip
+    their edge layers the same way) and is safe to reuse for many
+    partitions; per-span caching lives in :class:`repro.perf.SpanTable`.
     """
 
     def __init__(
@@ -173,11 +199,12 @@ class PartitionEstimator:
         self.batch_size = batch_size
         self.dram = DRAMModel(dram_config)
         self.power = PowerModel(chip)
-        #: (windows..., copies...) -> (factor list, max core crossbars); the
-        #: allocators are pure functions of these (layer names only key the
-        #: returned dict in the legacy API), so sharing across spans is exact
+        #: (windows..., copies...) -> (factor list, (max core crossbars,
+        #: cores used)); the allocators are pure functions of these (layer
+        #: names only key the returned dict in the legacy API), so sharing
+        #: across spans is exact
         self._allocation_memo: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]],
-                                    Tuple[List[int], int]] = {}
+                                    Tuple[List[int], Tuple[int, int]]] = {}
 
     # ------------------------------------------------------------------
     # public API
@@ -186,60 +213,136 @@ class PartitionEstimator:
                 plan: Optional[PartitionPlan] = None) -> SpanProfile:
         """Walk one partition and compute its batch-independent profile.
 
-        Per-sample stage latencies and energies are accumulated in a single
-        pass over the plan's layer slices with the chip constants hoisted to
-        locals — this is the innermost loop of span profiling.
+        Builds the on-chip plan (unless one is given) and runs the shared
+        stage-latency and energy arithmetic over its slices.
+        :meth:`slim_profile` and :meth:`energy_record` run the same
+        arithmetic over the same slices with a memoised plan-free
+        allocation, so the three agree bit for bit whenever the plan's
+        replication and core mapping are the default ones.
         """
         plan = plan if plan is not None else build_partition_plan(partition, self.chip)
         io = partition.io()
+        slices = plan.slices
+        factors = [plan.replication.factor(s.layer_name) for s in slices]
+        stage_values, weight_load_ns, weight_write_ns, weight_replace_ns = (
+            self._latency_phases(partition, slices, factors,
+                                 plan.core_mapping.max_core_crossbars, io)
+        )
+        energy = self._energy_terms(partition, slices, factors, io)
+        stage_names = ("__load__", *(s.layer_name for s in slices), "__store__")
+        return SpanProfile(
+            plan=plan,
+            io=io,
+            stage_latency_ns=dict(zip(stage_names, stage_values)),
+            fill_ns=sum(stage_values),
+            bottleneck_ns=max(stage_values),
+            load_ns=stage_values[0],
+            store_ns=stage_values[-1],
+            weight_load_ns=weight_load_ns,
+            weight_write_ns=weight_write_ns,
+            weight_replace_ns=weight_replace_ns,
+            cores_used=plan.core_mapping.cores_used,
+            **dict(zip(EnergyRecord._fields, energy)),
+        )
+
+    def slim_profile(self, partition: Partition) -> "Tuple[float, float, float]":
+        """Latency-only profile: ``(weight_replace_ns, fill_ns, bottleneck_ns)``.
+
+        An exact replay of :meth:`profile` restricted to the three floats the
+        scalar latency record (and the dense span matrix) needs: no plan or
+        core-mapping objects are built and every energy term is skipped.  Bit-identical to ``profile(partition)`` and reading the
+        same three fields — pinned by the perf equivalence tests.
+        """
+        slices = layer_slices(partition)
+        factors, (max_core_crossbars, _) = self._allocation(slices)
+        stage_values, _, _, weight_replace_ns = self._latency_phases(
+            partition, slices, factors, max_core_crossbars, partition.io()
+        )
+        return (weight_replace_ns, sum(stage_values), max(stage_values))
+
+    def energy_record(self, partition: Partition) -> EnergyRecord:
+        """Energy-only profile: what a dense energy-matrix fill reads.
+
+        An exact replay of :meth:`profile` returning its eight per-sample and
+        per-batch-constant energy terms, ``cores_used`` and the slim latency
+        triple, built without plan objects as :meth:`slim_profile` is.
+        Every field equals the full profile's — pinned by the perf
+        equivalence tests.
+        """
+        slices = layer_slices(partition)
+        factors, (max_core_crossbars, cores_used) = self._allocation(slices)
+        io = partition.io()
+        stage_values, _, _, weight_replace_ns = self._latency_phases(
+            partition, slices, factors, max_core_crossbars, io
+        )
+        return EnergyRecord(
+            *self._energy_terms(partition, slices, factors, io),
+            cores_used=cores_used,
+            weight_replace_ns=weight_replace_ns,
+            fill_ns=sum(stage_values),
+            bottleneck_ns=max(stage_values),
+        )
+
+    # ------------------------------------------------------------------
+    # allocation and arithmetic shared by profile and the slim replays
+    # ------------------------------------------------------------------
+    def _allocation(self, slices: List[LayerSlice]) -> Tuple[List[int], Tuple[int, int]]:
+        """``(factors, (max core crossbars, cores used))`` of a span's slices.
+
+        The plan-free equivalent of ``build_partition_plan``'s replication
+        and core mapping, memoised: layers in a span are distinct, so the
+        unique-names allocator applies, and distinct spans sharing a
+        geometry signature (same windows and per-copy crossbars, i.e. same
+        interior layers and same edge clippings) share one allocation.
+        """
+        windows = tuple([s.windows for s in slices])
+        copies = tuple([s.crossbars for s in slices])
+        allocation = self._allocation_memo.get((windows, copies))
+        if allocation is None:
+            names = [s.layer_name for s in slices]
+            factors = replication_factor_list(
+                names, windows, copies, crossbar_budget=self.chip.total_crossbars
+            )
+            allocation = (factors, max_core_crossbars_only(names, copies, factors, self.chip))
+            self._allocation_memo[(windows, copies)] = allocation
+        return allocation
+
+    def _latency_phases(self, partition: Partition, slices: List[LayerSlice],
+                        factors: List[int], max_core_crossbars: int,
+                        io: PartitionIO) -> Tuple[List[float], float, float, float]:
+        """Per-sample stage latencies and the weight-replace phase.
+
+        Returns ``(stage latencies, weight_load_ns, weight_write_ns,
+        weight_replace_ns)``; the stages are the entry load, one per slice
+        in order, and the exit store.  The chip constants are hoisted to
+        locals — this is the innermost loop of span profiling.
+        """
         chip = self.chip
         core = chip.core
         xbar = core.crossbar
-        power = self.power
         index = partition.decomposition.index
         owned = partition.owned_nodes()
-
-        # hoisted chip constants
         mvm_latency_ns = xbar.mvm_latency_ns
         weight_rows = xbar.weight_rows
         vfu_throughput = core.vfu_count * core.vfu_elements_per_ns
-        vfu_energy_per_element = core.vfu_energy_per_element_pj
-        local_energy_per_byte = core.local_memory_energy_per_byte_pj
         bus = chip.interconnect
         bus_latency_ns = bus.transfer_latency_ns
         bus_bandwidth = bus.bandwidth_bytes_per_ns
-        bus_energy_per_byte = bus.energy_per_byte_pj
         sizes = index.node_size_bytes
         node_inputs = index.node_inputs
         attached_elements = index.layer_attached_elements
-        factor_of = plan.replication.factors.get
         ceil = math.ceil
+        dram = self.dram
 
-        # hoisted I/O sums (the PartitionIO properties re-sum on every access)
-        io_load_bytes = io.load_bytes
-        io_store_bytes = io.store_bytes
-
-        # ---------------- pipeline stage latencies (per sample) ----------
-        stages: Dict[str, float] = {}
-        load_ns = self.dram.bulk_transfer_latency_ns(io_load_bytes, sequential=True)
+        load_ns = dram.bulk_transfer_latency_ns(io.load_bytes, sequential=True)
         # several entry nodes mean scattered accesses; add a per-entry penalty
         load_ns += max(0, io.num_entries - 1) * bus_latency_ns
-        stages["__load__"] = load_ns
-
+        stage_values = [load_ns]
         single_copy_bytes = 0
-        replicated_bytes = 0
-        mvm_pj = 0.0
-        vfu_pj = 0.0
-        local_pj = 0.0
-        intercore_pj = 0.0
-        for layer_slice in plan.slices:
+        for layer_slice, replication in zip(slices, factors):
             layer_name = layer_slice.layer_name
             windows = layer_slice.windows
-            fraction = layer_slice.fraction
-            replication = factor_of(layer_name, 1)
             single_copy_bytes += layer_slice.weight_bytes
-            replicated_bytes += layer_slice.weight_bytes * replication
-
             # matrix-unit time: windows round-robin over replicas, tile ops
             # serialised over the slice's crossbars
             windows_per_replica = ceil(windows / max(1, replication))
@@ -254,178 +357,11 @@ class PartitionEstimator:
                 if vfu_elements > 0:
                     stage_ns += vfu_elements / vfu_throughput
             # attached non-crossbar layers: this partition processes its share
-            elements = attached_elements[layer_name]
-            shared_elements = int(elements * max(fraction, 0.0))
+            shared_elements = int(attached_elements[layer_name] * max(layer_slice.fraction, 0.0))
             if shared_elements > 0:
                 stage_ns += shared_elements / vfu_throughput
             # bus time to gather on-chip inputs from producer cores (inputs
             # coming from DRAM are accounted in the load stage)
-            in_bytes = 0
-            intercore_ns = 0.0
-            for src in node_inputs[layer_name]:
-                num_bytes = sizes[src]
-                in_bytes += num_bytes
-                if src in owned and num_bytes > 0:
-                    intercore_ns += bus_latency_ns + num_bytes / bus_bandwidth
-            stage_ns += intercore_ns
-            stages[layer_name] = stage_ns
-
-            # per-sample energies of the slice
-            tile_mvms = windows * layer_slice.tile_ops_per_window
-            active_rows = layer_slice.rows
-            if active_rows > weight_rows:
-                active_rows = weight_rows
-            mvm_pj += tile_mvms * xbar.mvm_energy_for_rows(active_rows)
-            vfu_pj += max(int(elements * fraction), 0) * vfu_energy_per_element
-            out_bytes = int(sizes[layer_name] * fraction)
-            local_pj += max(in_bytes + out_bytes, 0) * local_energy_per_byte
-            intercore_pj += max(in_bytes, 0) * bus_energy_per_byte
-
-        store_ns = self.dram.bulk_transfer_latency_ns(io_store_bytes, sequential=True)
-        store_ns += max(0, io.num_exits - 1) * bus_latency_ns
-        stages["__store__"] = store_ns
-
-        fill_ns = sum(stages.values())
-        bottleneck_ns = max(stages.values()) if stages else 0.0
-
-        # ---------------- weight-replace phase ----------------------------
-        weight_load_ns = self.dram.bulk_transfer_latency_ns(single_copy_bytes, sequential=True)
-        max_core_crossbars = plan.core_mapping.max_core_crossbars
-        weight_write_ns = max_core_crossbars * xbar.write_latency_full_ns
-        weight_replace_ns = max(weight_load_ns, weight_write_ns)
-
-        # ---------------- energy ------------------------------------------
-        weight_bits = partition.decomposition.weight_bits
-        replicated_weights = (replicated_bytes * 8) // weight_bits
-        weight_write_pj = power.weight_write_energy_pj(replicated_weights)
-        weight_load_pj = (
-            self.dram.bulk_transfer_energy_pj(single_copy_bytes, is_write=False, sequential=True)
-            + power.interconnect_energy_pj(single_copy_bytes)
-        )
-
-        data_load_pj = (
-            self.dram.bulk_transfer_energy_pj(io_load_bytes, is_write=False, sequential=True)
-            + power.interconnect_energy_pj(io_load_bytes)
-        )
-        data_store_pj = (
-            self.dram.bulk_transfer_energy_pj(io_store_bytes, is_write=True, sequential=True)
-            + power.interconnect_energy_pj(io_store_bytes)
-        )
-
-        return SpanProfile(
-            plan=plan,
-            io=io,
-            stage_latency_ns=stages,
-            fill_ns=fill_ns,
-            bottleneck_ns=bottleneck_ns,
-            load_ns=load_ns,
-            store_ns=store_ns,
-            weight_load_ns=weight_load_ns,
-            weight_write_ns=weight_write_ns,
-            weight_replace_ns=weight_replace_ns,
-            cores_used=plan.core_mapping.cores_used,
-            weight_write_pj=weight_write_pj,
-            weight_load_pj=weight_load_pj,
-            mvm_pj_per_sample=mvm_pj,
-            vfu_pj_per_sample=vfu_pj,
-            local_memory_pj_per_sample=local_pj,
-            interconnect_pj_per_sample=intercore_pj,
-            data_load_pj_per_sample=data_load_pj,
-            data_store_pj_per_sample=data_store_pj,
-        )
-
-    def slim_profile(self, partition: Partition) -> "Tuple[float, float, float]":
-        """Latency-only profile: ``(weight_replace_ns, fill_ns, bottleneck_ns)``.
-
-        An exact replay of :meth:`profile` restricted to the three floats the
-        scalar latency record (and the dense span matrix) needs: the slice
-        aggregation, replication allocation and pipeline-stage arithmetic are
-        identical operation for operation, but no plan/slice/core-mapping
-        objects are built and every energy term is skipped.  The core mapping
-        reduces to :func:`~repro.mapping.core_mapping.max_core_crossbars_only`
-        (the only mapping quantity latency depends on).  Bit-identical to
-        ``profile(partition)`` and reading the same three fields — pinned by
-        the perf equivalence tests.
-        """
-        decomposition = partition.decomposition
-        index = decomposition.index
-        chip = self.chip
-        core = chip.core
-        xbar = core.crossbar
-        ranges = decomposition.layer_unit_ranges
-        geometries = decomposition.geometries
-        cols_prefix = index.cols_prefix
-        crossbar_prefix = index.crossbar_prefix
-        tile_ops_prefix = index.tile_ops_prefix
-        layer_total_cols = index.layer_total_cols
-        start = partition.start
-        end = partition.end
-
-        # slice aggregation (parallel lists instead of LayerSlice objects)
-        names = partition.layer_names()
-        windows_list: List[int] = []
-        copies: List[int] = []
-        cols_list: List[int] = []
-        fractions: List[float] = []
-        rows_list: List[int] = []
-        tile_ops_list: List[int] = []
-        for layer_name in names:
-            layer_start, layer_end = ranges[layer_name]
-            lo = layer_start if layer_start > start else start
-            hi = layer_end if layer_end < end else end
-            geom = geometries[layer_name]
-            cols = cols_prefix[hi] - cols_prefix[lo]
-            cols_list.append(cols)
-            fractions.append(cols / layer_total_cols[layer_name])
-            copies.append(crossbar_prefix[hi] - crossbar_prefix[lo])
-            tile_ops_list.append(tile_ops_prefix[hi] - tile_ops_prefix[lo])
-            windows_list.append(geom.windows)
-            rows_list.append(geom.rows)
-        # layers in a span are distinct, so the unique-names allocator
-        # applies; distinct spans sharing a geometry signature (same windows
-        # and per-copy crossbars, i.e. same interior layers and same edge
-        # clippings) share one allocation
-        memo_key = (tuple(windows_list), tuple(copies))
-        allocation = self._allocation_memo.get(memo_key)
-        if allocation is None:
-            factor_list = replication_factor_list(
-                names, windows_list, copies, crossbar_budget=chip.total_crossbars
-            )
-            max_core_crossbars = max_core_crossbars_only(names, copies, factor_list, chip)
-            self._allocation_memo[memo_key] = (factor_list, max_core_crossbars)
-        else:
-            factor_list, max_core_crossbars = allocation
-
-        io = partition.io()
-        owned = partition.owned_nodes()
-
-        mvm_latency_ns = xbar.mvm_latency_ns
-        weight_rows = xbar.weight_rows
-        vfu_throughput = core.vfu_count * core.vfu_elements_per_ns
-        bus = chip.interconnect
-        bus_latency_ns = bus.transfer_latency_ns
-        bus_bandwidth = bus.bandwidth_bytes_per_ns
-        sizes = index.node_size_bytes
-        node_inputs = index.node_inputs
-        attached_elements = index.layer_attached_elements
-        ceil = math.ceil
-
-        load_ns = self.dram.bulk_transfer_latency_ns(io.load_bytes, sequential=True)
-        load_ns += max(0, io.num_entries - 1) * bus_latency_ns
-        stage_values = [load_ns]
-        for i, layer_name in enumerate(names):
-            windows = windows_list[i]
-            windows_per_replica = ceil(windows / max(1, factor_list[i]))
-            serial_factor = ceil(tile_ops_list[i] / max(1, copies[i]))
-            stage_ns = windows_per_replica * serial_factor * mvm_latency_ns
-            row_tiles = ceil(rows_list[i] / weight_rows)
-            if row_tiles > 1:
-                vfu_elements = (row_tiles - 1) * cols_list[i] * windows
-                if vfu_elements > 0:
-                    stage_ns += vfu_elements / vfu_throughput
-            shared_elements = int(attached_elements[layer_name] * max(fractions[i], 0.0))
-            if shared_elements > 0:
-                stage_ns += shared_elements / vfu_throughput
             intercore_ns = 0.0
             for src in node_inputs[layer_name]:
                 num_bytes = sizes[src]
@@ -433,21 +369,71 @@ class PartitionEstimator:
                     intercore_ns += bus_latency_ns + num_bytes / bus_bandwidth
             stage_ns += intercore_ns
             stage_values.append(stage_ns)
-        store_ns = self.dram.bulk_transfer_latency_ns(io.store_bytes, sequential=True)
+        store_ns = dram.bulk_transfer_latency_ns(io.store_bytes, sequential=True)
         store_ns += max(0, io.num_exits - 1) * bus_latency_ns
         stage_values.append(store_ns)
 
-        fill_ns = sum(stage_values)
-        bottleneck_ns = max(stage_values)
-
-        # single-copy weight bytes: layer ranges tile the span, so the sum of
-        # per-slice weight bytes is one prefix-sum difference (exact ints)
-        weight_prefix = index.weight_prefix
-        single_copy_bytes = weight_prefix[end] - weight_prefix[start]
-        weight_load_ns = self.dram.bulk_transfer_latency_ns(single_copy_bytes, sequential=True)
+        # a single copy is streamed from DRAM and broadcast to every replica
+        weight_load_ns = dram.bulk_transfer_latency_ns(single_copy_bytes, sequential=True)
         weight_write_ns = max_core_crossbars * xbar.write_latency_full_ns
-        weight_replace_ns = max(weight_load_ns, weight_write_ns)
-        return (weight_replace_ns, fill_ns, bottleneck_ns)
+        return stage_values, weight_load_ns, weight_write_ns, max(weight_load_ns, weight_write_ns)
+
+    def _energy_terms(self, partition: Partition, slices: List[LayerSlice],
+                      factors: List[int], io: PartitionIO) -> Tuple[float, ...]:
+        """The eight energy terms, in :class:`EnergyRecord` field order."""
+        core = self.chip.core
+        xbar = core.crossbar
+        power = self.power
+        dram = self.dram
+        index = partition.decomposition.index
+        weight_rows = xbar.weight_rows
+        vfu_energy_per_element = core.vfu_energy_per_element_pj
+        local_energy_per_byte = core.local_memory_energy_per_byte_pj
+        bus_energy_per_byte = self.chip.interconnect.energy_per_byte_pj
+        sizes = index.node_size_bytes
+        node_inputs = index.node_inputs
+        attached_elements = index.layer_attached_elements
+
+        single_copy_bytes = 0
+        replicated_bytes = 0
+        mvm_pj = 0.0
+        vfu_pj = 0.0
+        local_pj = 0.0
+        intercore_pj = 0.0
+        for layer_slice, replication in zip(slices, factors):
+            layer_name = layer_slice.layer_name
+            fraction = layer_slice.fraction
+            single_copy_bytes += layer_slice.weight_bytes
+            replicated_bytes += layer_slice.weight_bytes * replication
+            in_bytes = 0
+            for src in node_inputs[layer_name]:
+                in_bytes += sizes[src]
+            tile_mvms = layer_slice.windows * layer_slice.tile_ops_per_window
+            active_rows = layer_slice.rows
+            if active_rows > weight_rows:
+                active_rows = weight_rows
+            mvm_pj += tile_mvms * xbar.mvm_energy_for_rows(active_rows)
+            vfu_pj += max(int(attached_elements[layer_name] * fraction), 0) * vfu_energy_per_element
+            out_bytes = int(sizes[layer_name] * fraction)
+            local_pj += max(in_bytes + out_bytes, 0) * local_energy_per_byte
+            intercore_pj += max(in_bytes, 0) * bus_energy_per_byte
+
+        replicated_weights = (replicated_bytes * 8) // partition.decomposition.weight_bits
+        load_bytes = io.load_bytes
+        store_bytes = io.store_bytes
+        return (
+            mvm_pj,
+            dram.bulk_transfer_energy_pj(load_bytes, is_write=False, sequential=True)
+            + power.interconnect_energy_pj(load_bytes),
+            dram.bulk_transfer_energy_pj(store_bytes, is_write=True, sequential=True)
+            + power.interconnect_energy_pj(store_bytes),
+            vfu_pj,
+            intercore_pj,
+            local_pj,
+            power.weight_write_energy_pj(replicated_weights),
+            dram.bulk_transfer_energy_pj(single_copy_bytes, is_write=False, sequential=True)
+            + power.interconnect_energy_pj(single_copy_bytes),
+        )
 
     def estimate_from_profile(self, profile: SpanProfile, batch_size: int) -> PartitionEstimate:
         """Finalise a batch-independent profile into an estimate — O(1)."""

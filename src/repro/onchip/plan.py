@@ -102,13 +102,11 @@ class PartitionPlan:
         raise KeyError(f"layer {layer_name!r} has no slice in this partition")
 
 
-def build_partition_plan(partition: Partition, chip: ChipConfig) -> PartitionPlan:
-    """Build the on-chip plan (slices, replication, core mapping) for a partition.
+def layer_slices(partition: Partition) -> List[LayerSlice]:
+    """The layer slices of a partition, in layer order.
 
-    Replication honours the paper's validity conditions: factors are per
-    layer (units from one kernel share a count) and the replicated total
-    cannot exceed the chip's crossbar budget; the allocator keeps a single
-    copy when the budget is tight.
+    Each layer's units in the span are aggregated via the prefix-sum index:
+    a layer's units are contiguous, so every per-layer sum is O(1).
     """
     decomposition = partition.decomposition
     index = decomposition.index
@@ -123,8 +121,6 @@ def build_partition_plan(partition: Partition, chip: ChipConfig) -> PartitionPla
     start = partition.start
     end = partition.end
 
-    # Aggregate each layer's units in the span via the prefix-sum index: a
-    # layer's units are contiguous, so every per-layer sum is O(1).
     slices: List[LayerSlice] = []
     for layer_name in partition.layer_names():
         layer_start, layer_end = ranges[layer_name]
@@ -146,7 +142,18 @@ def build_partition_plan(partition: Partition, chip: ChipConfig) -> PartitionPla
                 attached=tuple(attachments.get(layer_name, [])),
             )
         )
+    return slices
 
+
+def build_partition_plan(partition: Partition, chip: ChipConfig) -> PartitionPlan:
+    """Build the on-chip plan (slices, replication, core mapping) for a partition.
+
+    Replication honours the paper's validity conditions: factors are per
+    layer (units from one kernel share a count) and the replicated total
+    cannot exceed the chip's crossbar budget; the allocator keeps a single
+    copy when the budget is tight.
+    """
+    slices = layer_slices(partition)
     # The mapping allocators read only (name, windows, crossbars); feed them
     # directly instead of materialising WeightMatrixGeometry views.
     names = [s.layer_name for s in slices]

@@ -20,8 +20,10 @@ requested:
   batch size and invalidated by a version counter when new spans fill in;
   the elementwise expression matches the scalar association exactly;
 * **per-batch energy** (EDP mode) — the per-sample/per-batch-constant energy
-  terms of each span's full profile plus a static-power coefficient, combined
-  in the exact field order of ``EnergyBreakdown.total_pj``.
+  terms of each span's exact energy record
+  (:meth:`~repro.perf.spantable.SpanTable.energy_record`) plus a
+  static-power coefficient, combined in the exact field order of
+  ``EnergyBreakdown.total_pj``.
 
 **Delta re-scoring** falls out of the representation: a mutation changes at
 most a few cut points, so a child's spans are almost all already-filled
@@ -186,9 +188,10 @@ class SpanMatrix:
     def ensure_energy(self, starts: np.ndarray, ends: np.ndarray) -> None:
         """Materialise the energy component matrices for the given spans.
 
-        Energy fills need the span's *full* profile (cached in the shared
-        table, exactly as the scalar EDP path caches it); the slim latency
-        record is written as a side effect, so a follow-up
+        Energy fills read the span's energy record from the shared table —
+        the fields of a cached full profile, else the estimator's exact
+        energy-only replay, which builds no plan.  The record's slim latency
+        triple becomes the table's slim record, so a follow-up
         :meth:`ensure_spans` never re-profiles these spans.
         """
         if self._have_energy is None:
@@ -207,11 +210,11 @@ class SpanMatrix:
         static_coeff = self._static_coeff
         for code in np.unique(packed).tolist():
             s, e = divmod(code, stride)
-            profile = table.profile(s, e)
+            record = table.energy_record(s, e)
             for name in _PER_SAMPLE_PARTS + _CONSTANT_PARTS:
-                parts[name][s, e] = getattr(profile, name)
+                parts[name][s, e] = getattr(record, name)
             # same first product as PowerModel.static_energy_pj
-            active_cores = max(0, min(profile.cores_used, num_cores))
+            active_cores = max(0, min(record.cores_used, num_cores))
             static_coeff[s, e] = static_power_mw * active_cores
             have[s, e] = True
         self._energy_version += 1

@@ -31,7 +31,9 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.core.decomposition import ModelDecomposition
 from repro.core.partition import Partition, PartitionGroup
 from repro.hardware.dram import DRAMConfig, LPDDR3_8GB
-from repro.onchip.estimator import PartitionEstimate, PartitionEstimator, SpanProfile
+from repro.onchip.estimator import (
+    EnergyRecord, PartitionEstimate, PartitionEstimator, SpanProfile,
+)
 from repro.onchip.plan import PartitionPlan
 
 
@@ -58,6 +60,9 @@ class SpanTableStats:
     matrix_fills: int = 0
     #: span lookups served by dense-matrix gathers (sub-count of latency_hits)
     matrix_hits: int = 0
+    #: spans whose energy record was computed for a dense energy fill (spans
+    #: with a cached full profile reuse its fields and are not counted)
+    energy_records_computed: int = 0
 
     # ------------------------------------------------------------------
     @property
@@ -119,6 +124,7 @@ class SpanTableStats:
             "matrix_fills": self.matrix_fills,
             "matrix_hits": self.matrix_hits,
             "matrix_hit_rate": self.matrix_hit_rate,
+            "energy_records_computed": self.energy_records_computed,
         }
 
 
@@ -186,6 +192,7 @@ class SpanTable:
         self._latency_misses = 0
         self._matrix_fills = 0
         self._matrix_hits = 0
+        self._energy_records = 0
 
     # ------------------------------------------------------------------
     @property
@@ -200,6 +207,7 @@ class SpanTable:
             latency_hits=self._latency_hits,
             matrix_fills=self._matrix_fills,
             matrix_hits=self._matrix_hits,
+            energy_records_computed=self._energy_records,
         )
 
     def __len__(self) -> int:
@@ -272,6 +280,25 @@ class SpanTable:
         else:
             self._latency_hits += 1
         return slim
+
+    def energy_record(self, start: int, end: int) -> EnergyRecord:
+        """Energy terms, ``cores_used`` and slim triple of ``[start, end)``.
+
+        The fill primitive of the dense energy matrices.  A cached full
+        profile supplies the fields; otherwise the estimator's energy-only
+        replay (:meth:`~repro.onchip.estimator.PartitionEstimator.energy_record`)
+        computes them, its slim triple is kept as the span's slim record if
+        none exists, and nothing else is retained.
+        """
+        key = (start, end)
+        profile = self._profiles.get(key)
+        if profile is not None:
+            return EnergyRecord._make(getattr(profile, name) for name in EnergyRecord._fields)
+        record = self.estimator.energy_record(Partition(self.decomposition, start, end))
+        self._energy_records += 1
+        self._slim.setdefault(key, (record.weight_replace_ns, record.fill_ns,
+                                    record.bottleneck_ns))
+        return record
 
     def latency_ns(self, start: int, end: int, batch_size: int) -> float:
         """Total latency of ``[start, end)`` for a batch, as a scalar.

@@ -158,9 +158,11 @@ class DPOptimalSearch(PartitionSearch):
         history: List[SearchStep] = []
         for j in range(1, n + 1):
             candidates: List[Tuple[float, float, int, int, int]] = []
-            for i in np.nonzero(valid[:j, j])[0].tolist():
-                lat_ij = span_latency[i, j]
-                en_ij = span_energy[i, j]
+            rows = np.nonzero(valid[:j, j])[0]
+            # Python floats: the same IEEE sums as float64 scalars, cheaper
+            # to add and to compare in the sort below
+            for i, lat_ij, en_ij in zip(rows.tolist(), span_latency[rows, j].tolist(),
+                                        span_energy[rows, j].tolist()):
                 for idx, (lat, en, _, _, parts) in enumerate(states[i]):
                     candidates.append(
                         (lat + lat_ij, en + en_ij, i, idx, parts + 1)
@@ -168,7 +170,10 @@ class DPOptimalSearch(PartitionSearch):
             # Pareto prune: sort by (latency, energy); keep strictly
             # decreasing energy.  Dominated prefixes can never produce a
             # better final EDP because both coordinates only ever grow.
-            candidates.sort(key=lambda state: (state[0], state[1]))
+            # Candidates are built in (i, idx) order and (i, idx) is unique,
+            # so the plain tuple sort orders (latency, energy) ties exactly
+            # as a stable sort on (latency, energy) would.
+            candidates.sort()
             frontier: List[Tuple[float, float, int, int, int]] = []
             best_energy = float("inf")
             for state in candidates:

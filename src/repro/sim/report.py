@@ -94,8 +94,10 @@ def render_search_summary(result: "SearchResult") -> str:
                 f"({stats.get('matrix_hit_rate', 0.0):.1%} hit rate)"
             )
         profiles = int(stats.get("profiles_computed", 0))
-        if profiles:
-            lines.append(f"  span profiles         : {profiles} computed")
+        records = int(stats.get("energy_records_computed", 0))
+        if profiles or records:
+            lines.append(f"  span profiles         : {profiles} computed, "
+                         f"{records} energy records")
     return "\n".join(lines)
 
 

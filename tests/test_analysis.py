@@ -286,6 +286,24 @@ class TestSequentialSumRule:
             """, [SequentialSumRule])
         assert active == []
 
+    @pytest.mark.parametrize("module", ["repro/onchip/x.py", "repro/mapping/x.py"])
+    def test_bad_estimator_and_mapping_sums_flagged(self, tmp_path, module):
+        active, _ = lint_snippet(tmp_path, module, """\
+            import numpy as np
+            def stage_energy(parts):
+                return np.sum(parts)
+            """, [SequentialSumRule])
+        assert rule_ids(active) == ["sequential-sum"]
+
+    @pytest.mark.parametrize("module", ["repro/onchip/x.py", "repro/mapping/x.py"])
+    def test_good_estimator_and_mapping_sums_clean(self, tmp_path, module):
+        active, _ = lint_snippet(tmp_path, module, """\
+            def stage_energy(parts, mask):
+                used = int(mask.sum())
+                return sum(parts), used
+            """, [SequentialSumRule])
+        assert active == []
+
 
 # ----------------------------------------------------------------------
 # telemetry-purity

@@ -38,8 +38,8 @@ from repro.hardware.dram import LPDDR3_8GB
 from repro.mapping.core_mapping import map_tiles_to_cores, max_core_crossbars_only
 from repro.mapping.replication import ReplicationPlan, replication_factor_list
 from repro.models import build_model
-from repro.onchip.estimator import PartitionEstimator
-from repro.perf import span_matrix_for, span_table_for
+from repro.onchip.estimator import EnergyRecord, PartitionEstimator
+from repro.perf import SpanTable, span_matrix_for, span_table_for
 from repro.sim.simulator import ExecutionSimulator
 
 
@@ -173,7 +173,7 @@ class TestSlimProfileEquivalence:
             ), (start, end)
 
     def test_max_core_crossbars_only_matches_mapper(self, decomposed):
-        """The lean multiset packer equals the full mapper's occupancy."""
+        """The lean multiset packer equals the full mapper's occupancy and cores."""
         decomposition, validity = decomposed
         index = decomposition.index
         ranges = decomposition.layer_unit_ranges
@@ -190,8 +190,10 @@ class TestSlimProfileEquivalence:
                 windows.append(geometries[layer].windows)
             factors = replication_factor_list(names, windows, copies, chip.total_crossbars)
             plan = ReplicationPlan(factors=dict(zip(names, factors)))
-            reference = map_tiles_to_cores(names, copies, plan, chip).max_core_crossbars
-            assert max_core_crossbars_only(names, copies, factors, chip) == reference
+            mapping = map_tiles_to_cores(names, copies, plan, chip)
+            assert max_core_crossbars_only(names, copies, factors, chip) == (
+                mapping.max_core_crossbars, mapping.cores_used
+            )
 
     def test_max_core_crossbars_only_random_geometries(self):
         """Multiset replay fuzz against the full mapper on synthetic inputs."""
@@ -214,7 +216,8 @@ class TestSlimProfileEquivalence:
             chip.core.crossbars_per_core = int(rng.integers(1, 33))
             plan = ReplicationPlan(factors=dict(zip(names, factors)))
             try:
-                expected = map_tiles_to_cores(names, copies, plan, chip).max_core_crossbars
+                mapping = map_tiles_to_cores(names, copies, plan, chip)
+                expected = (mapping.max_core_crossbars, mapping.cores_used)
                 expected_error = None
             except ValueError:
                 expected, expected_error = None, ValueError
@@ -223,6 +226,72 @@ class TestSlimProfileEquivalence:
             else:
                 with pytest.raises(ValueError):
                     max_core_crossbars_only(names, copies, factors, chip)
+
+
+PAPER_PAIRS = [(m, c) for m in ("resnet18", "squeezenet") for c in ("S", "M", "L")]
+
+
+def all_valid_spans(validity):
+    return [(start, end) for start in range(validity.num_units)
+            for end in range(start + 1, validity.max_end(start) + 1)]
+
+
+def assert_record_matches_profile(record, profile, span):
+    """Every energy-record field equals the full profile's, by ``repr``."""
+    for name in EnergyRecord._fields:
+        assert repr(getattr(record, name)) == repr(getattr(profile, name)), (span, name)
+
+
+class TestEnergyRecordEquivalence:
+    """The energy-only replay reproduces the full profile's energy fields."""
+
+    @pytest.mark.parametrize("model,chip_name", PAPER_PAIRS,
+                             ids=[f"{m}-{c}" for m, c in PAPER_PAIRS])
+    def test_every_valid_span_matches_full_profile(self, model, chip_name):
+        decomposition = decompose_model(build_model(model), get_chip_config(chip_name))
+        validity = ValidityMap(decomposition)
+        estimator = PartitionEstimator(decomposition.chip)
+        for start, end in all_valid_spans(validity):
+            partition = Partition(decomposition, start, end)
+            assert_record_matches_profile(
+                estimator.energy_record(partition), estimator.profile(partition),
+                (start, end),
+            )
+
+    @pytest.mark.parametrize("chip_name", ["S", "M", "L"])
+    def test_sampled_vgg16_spans_match_full_profile(self, chip_name):
+        decomposition = decompose_model(build_model("vgg16"), get_chip_config(chip_name))
+        validity = ValidityMap(decomposition)
+        estimator = PartitionEstimator(decomposition.chip)
+        for start, end in random_spans(decomposition, validity, 300, seed=12):
+            partition = Partition(decomposition, start, end)
+            assert_record_matches_profile(
+                estimator.energy_record(partition), estimator.profile(partition),
+                (start, end),
+            )
+
+    def test_table_record_reuses_profile_and_keeps_slim(self, decomposed):
+        decomposition, validity = decomposed
+        table = SpanTable(decomposition)
+        spans = random_spans(decomposition, validity, 20, seed=13)
+        profiled, fresh = spans[:10], [s for s in spans[10:] if s not in spans[:10]]
+        for start, end in profiled:
+            table.profile(start, end)
+        before = table.stats
+        for start, end in profiled:
+            assert_record_matches_profile(
+                table.energy_record(start, end), table.profile(start, end), (start, end)
+            )
+        for start, end in fresh:
+            record = table.energy_record(start, end)
+            # the slim triple became the span's slim record
+            assert table.slim_record(start, end) == (
+                record.weight_replace_ns, record.fill_ns, record.bottleneck_ns
+            )
+        after = table.stats
+        assert after.energy_records_computed - before.energy_records_computed == len(set(fresh))
+        assert after.profiles_computed == before.profiles_computed
+        assert after.latencies_computed == before.latencies_computed
 
 
 class TestSpanMatrixEquivalence:

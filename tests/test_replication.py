@@ -1,11 +1,24 @@
-"""Tests for repro.mapping.replication: pipeline-balancing replication."""
+"""Tests for repro.mapping.replication: pipeline-balancing replication.
+
+The heap-ordered allocator is fuzzed against the linear-scan greedy it
+replaced (kept here as :func:`reference_replication_factor_list`) over every
+valid span geometry of the paper's nine (model, chip) pairs and over random
+synthetic geometries.
+"""
 
 import math
+import random
 
 import pytest
 
+from repro.evaluation.registry import shared_decomposition
 from repro.mapping.geometry import WeightMatrixGeometry
-from repro.mapping.replication import ReplicationPlan, allocate_replication
+from repro.mapping.replication import (
+    ReplicationPlan,
+    allocate_replication,
+    replication_factor_list,
+    replication_factors,
+)
 
 
 def make_geom(name, crossbars, windows, rows=256, cols=64):
@@ -90,3 +103,137 @@ class TestAllocation:
         small = allocate_replication(geoms, crossbar_budget=16)
         large = allocate_replication(geoms, crossbar_budget=64)
         assert large.bottleneck_slots <= small.bottleneck_slots
+
+
+def reference_replication_factor_list(names, windows, copies, crossbar_budget,
+                                      max_replication=64):
+    """Test oracle: the batched linear-scan greedy the heap allocator replaced.
+
+    Each selection scans every layer for the bottleneck (most slots, ties to
+    the lowest index, among layers below their limit whose next copy fits),
+    then scans again for the runner-up, and advances the bottleneck's factor
+    in one jump until its slots would drop below the runner-up's.
+    """
+    n = len(names)
+    factors = [1] * n
+    if n == 0:
+        return factors
+    used = sum(copies)
+    if used > crossbar_budget:
+        raise ValueError("single copies exceed the budget")
+    limits = [min(max_replication, max(w, 1)) for w in windows]
+    if n == 1:
+        if windows[0] > 0:
+            factors[0] = min(limits[0], crossbar_budget // copies[0])
+        return factors
+    slots_cache = [math.ceil(w / 1) if w else 0 for w in windows]
+    while True:
+        best_index = -1
+        best_slots = -1
+        for i in range(n):
+            if factors[i] >= limits[i]:
+                continue
+            if used + copies[i] > crossbar_budget:
+                continue
+            if slots_cache[i] > best_slots:
+                best_slots = slots_cache[i]
+                best_index = i
+        if best_index < 0 or best_slots <= 1:
+            break
+        copy = copies[best_index]
+        factor = factors[best_index]
+        runner_up = 1
+        for i in range(n):
+            if i == best_index:
+                continue
+            if factors[i] >= limits[i]:
+                continue
+            if used + copies[i] > crossbar_budget:
+                continue
+            required = slots_cache[i] + 1 if i < best_index else slots_cache[i]
+            if required > runner_up:
+                runner_up = required
+        threshold = runner_up if runner_up > 2 else 2
+        w = windows[best_index]
+        target_factor = -(-w // (threshold - 1))
+        budget_factor = factor + (crossbar_budget - used) // copy
+        new_factor = min(target_factor, limits[best_index], budget_factor)
+        used += (new_factor - factor) * copy
+        factors[best_index] = new_factor
+        if w:
+            slots_cache[best_index] = math.ceil(w / new_factor)
+    return factors
+
+
+def span_geometries(model, chip_name):
+    """``(windows, copies)`` of every valid span of a (model, chip) pair, deduplicated."""
+    decomposition, validity = shared_decomposition(model, chip_name)
+    index = decomposition.index
+    ranges = decomposition.layer_unit_ranges
+    geometries = decomposition.geometries
+    found = set()
+    for start in range(decomposition.num_units):
+        for end in range(start + 1, validity.max_end(start) + 1):
+            windows, copies = [], []
+            for layer in index.layers_in_span(start, end):
+                layer_start, layer_end = ranges[layer]
+                lo, hi = max(layer_start, start), min(layer_end, end)
+                copies.append(index.crossbar_prefix[hi] - index.crossbar_prefix[lo])
+                windows.append(geometries[layer].windows)
+            found.add((tuple(windows), tuple(copies)))
+    return decomposition.chip.total_crossbars, sorted(found)
+
+
+PAPER_PAIRS = [(m, c) for m in ("vgg16", "resnet18", "squeezenet") for c in ("S", "M", "L")]
+
+
+class TestHeapAllocatorMatchesOracle:
+    @pytest.mark.parametrize("model,chip_name", PAPER_PAIRS,
+                             ids=[f"{m}-{c}" for m, c in PAPER_PAIRS])
+    def test_every_valid_span_geometry(self, model, chip_name):
+        budget, signatures = span_geometries(model, chip_name)
+        for windows, copies in signatures:
+            names = [f"l{i}" for i in range(len(windows))]
+            assert replication_factor_list(names, windows, copies, budget) == (
+                reference_replication_factor_list(names, windows, copies, budget)
+            ), (windows, copies)
+
+    def test_random_geometries(self):
+        """Zero windows, tied slots, small replication caps and tight budgets."""
+        rng = random.Random(21)
+        cases = 0
+        while cases < 100_000:
+            n = rng.randint(2, 9)
+            names = [f"l{i}" for i in range(n)]
+            if rng.random() < 0.3:  # few distinct window counts -> tied slots
+                pool = [rng.choice((0, 1, 2, 3, 4, 8, 49, 196)) for _ in range(3)]
+                windows = [rng.choice(pool) for _ in range(n)]
+            else:
+                windows = [rng.choice((0, rng.randint(1, 12), rng.randint(1, 3136)))
+                           for _ in range(n)]
+            copies = [rng.randint(1, 12) for _ in range(n)]
+            # budgets from exactly the single copies up to ample headroom
+            budget = sum(copies) + rng.choice((0, 1, 2, rng.randint(0, 20),
+                                               rng.randint(0, 400)))
+            max_replication = rng.choice((1, 2, 7, 64))
+            assert replication_factor_list(
+                names, windows, copies, budget, max_replication
+            ) == reference_replication_factor_list(
+                names, windows, copies, budget, max_replication
+            ), (windows, copies, budget, max_replication)
+            cases += 1
+
+    def test_over_budget_raises_like_oracle(self):
+        with pytest.raises(ValueError):
+            replication_factor_list(["a", "b"], [4, 4], [3, 3], 5)
+        with pytest.raises(ValueError):
+            reference_replication_factor_list(["a", "b"], [4, 4], [3, 3], 5)
+
+
+class TestUniqueNames:
+    def test_repeated_layer_names_raise(self):
+        with pytest.raises(ValueError, match="unique"):
+            replication_factors(["conv", "conv"], [10, 10], [1, 1], crossbar_budget=8)
+        geoms = [make_geom("conv", 1, 10), make_geom("conv", 1, 10)]
+        with pytest.raises(ValueError, match="unique"):
+            allocate_replication(geoms, crossbar_budget=8)

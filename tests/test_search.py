@@ -16,10 +16,13 @@ import numpy as np
 import pytest
 
 from repro.core.fitness import FitnessEvaluator, FitnessMode
+from repro.core.decomposition import decompose_model
 from repro.core.ga import CompassGA, GAConfig
 from repro.core.partition import PartitionGroup
 from repro.evaluation.registry import shared_decomposition
-from repro.models import list_models
+from repro.hardware.config import get_chip_config
+from repro.models import build_model, list_models
+from repro.perf import span_matrix_for
 from repro.search import (
     BeamSearch,
     DPOptimalSearch,
@@ -28,6 +31,7 @@ from repro.search import (
     SimulatedAnnealing,
     make_search,
 )
+from repro.sim.report import render_search_summary
 from test_perf_equivalence import NaiveFitnessEvaluator
 
 FAST_GA = GAConfig(
@@ -189,6 +193,24 @@ class TestHeuristicEngines:
         # best-so-far trace is monotonically non-increasing
         trace = [step.best_fitness for step in first.history]
         assert all(b <= a for a, b in zip(trace, trace[1:]))
+
+    def test_edp_dp_fills_energy_from_records_not_profiles(self):
+        """A fresh table's EDP DP builds one energy record per energy cell.
+
+        Full profiles are built only for the final evaluation of the best
+        group, one per partition; the search itself builds none.
+        """
+        decomposition = decompose_model(build_model("squeezenet"), get_chip_config("M"))
+        evaluator = FitnessEvaluator(decomposition, batch_size=4, mode=FitnessMode.EDP)
+        result = DPOptimalSearch(decomposition, evaluator).run()
+        matrix = span_matrix_for(decomposition)
+        energy_cells = int(matrix._have_energy.sum())
+        assert energy_cells > 0
+        assert result.span_stats["energy_records_computed"] == energy_cells
+        profiles = result.best_group.num_partitions
+        assert result.span_stats["profiles_computed"] == profiles
+        assert (f"{profiles} computed, {energy_cells} energy records"
+                in render_search_summary(result))
 
     def test_search_results_report_span_stats(self):
         decomposition, validity = shared_decomposition("squeezenet", "M")
