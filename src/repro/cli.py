@@ -73,8 +73,22 @@ from repro.serialization import (
     dump_metrics_timeline,
     dump_serving_report,
 )
-from repro.serve import POLICIES, TRAFFIC_GENERATORS, ClosedLoopTraffic, save_trace
-from repro.serve.scenario import build_scenario, parse_spec
+from repro.serve import (
+    ClosedLoopTraffic,
+    ControlConfig,
+    FaultTolerance,
+    TelemetryConfig,
+    save_trace,
+)
+from repro.serve.knobs import knobs_of
+from repro.serve.scenario import (
+    MODELS,
+    SPEC_KNOBS,
+    TRAFFIC_KNOBS,
+    build_scenario,
+    parse_spec,
+    traffic_knobs,
+)
 from repro.sim.report import (
     format_table,
     render_execution_report,
@@ -193,13 +207,39 @@ def _parse_slos(entries: Optional[Sequence[str]]) -> dict:
     return slos
 
 
-#: serve flags whose dest is their key in the spec's config blocks
-_FAULT_TOLERANCE_KEYS = ("timeout_us", "max_retries", "retry_backoff_us",
-                         "shed_queue_depth", "shed_wait_us", "degrade_below",
-                         "retry_priority")
-_CONTROL_KEYS = ("quarantine_after", "straggler_ratio", "probation_us",
-                 "hedge_after_pct", "scale_up_below", "scale_down_util",
-                 "cooldown_us", "scale_chip")
+#: the spec's config blocks, each read through its dataclass's knobs
+_CONFIG_BLOCKS = {
+    "fault_tolerance": knobs_of(FaultTolerance),
+    "control": knobs_of(ControlConfig),
+    "telemetry": knobs_of(TelemetryConfig),
+}
+
+
+def _add_knob_options(parser: argparse.ArgumentParser, knobs) -> None:
+    """One option per knob that has a flag; a bool flag flips its default."""
+    for knob in knobs:
+        if knob.flag is None:
+            continue
+        if knob.kind is bool:
+            parser.add_argument(knob.flag, dest=knob.arg_dest,
+                                action="store_true", help=knob.help)
+            continue
+        choices = knob.bound if isinstance(knob.bound, tuple) else None
+        parser.add_argument(
+            knob.flag, dest=knob.arg_dest, default=knob.default,
+            type=None if knob.kind is str else knob.kind,
+            nargs="+" if knob.many else None, choices=choices,
+            metavar=(None if choices and not knob.many
+                     else knob.flag.lstrip("-").upper().replace("-", "_")),
+            help=knob.help + ("" if knob.default is None
+                              else " (default: %(default)s)"))
+
+
+def _knob_values(args: argparse.Namespace, knobs) -> dict:
+    """The spec block of the flagged knobs' parsed values."""
+    return {knob.name: (getattr(args, knob.arg_dest) != knob.default
+                        if knob.kind is bool else getattr(args, knob.arg_dest))
+            for knob in knobs if knob.flag is not None}
 
 
 def _serve_spec(args: argparse.Namespace) -> dict:
@@ -229,34 +269,19 @@ def _serve_spec(args: argparse.Namespace) -> dict:
         )
     if args.traffic == "trace" and not args.trace:
         raise ValueError("--traffic trace requires --trace <file>")
-    traffic = ({"kind": "trace", "path": args.trace} if args.traffic == "trace"
-               else {"kind": args.traffic, "requests": args.requests,
-                     "rate_rps": args.rate, "utilization": args.utilization})
-    if args.traffic == "closed":
-        traffic.update(clients=args.clients, concurrency=args.concurrency,
-                       think_us=args.think_us)
-    spec = {key: getattr(args, key) for key in (
-        "policy", "batches", "max_wait_us", "optimizer", "mode",
-        "cache_capacity", "seed")}
+    spec = _knob_values(args, (MODELS,) + SPEC_KNOBS)
+    spec.update({key: _knob_values(args, knobs)
+                 for key, knobs in _CONFIG_BLOCKS.items()})
     spec.update(
-        models=args.model,
         fleet=args.fleet or f"{args.chip}:{args.num_chips}",
-        traffic=traffic,
+        traffic=_knob_values(args, traffic_knobs(args.traffic)),
         slo=_parse_slos(args.slo),
         inject=args.inject or [],
-        fault_tolerance={key: getattr(args, key)
-                         for key in _FAULT_TOLERANCE_KEYS},
-        telemetry={"timeline_us": args.timeline_us,
-                   "trace_every": args.trace_requests,
-                   "streaming_percentiles": args.streaming_percentiles},
     )
-    if control_on:
-        control = {key: getattr(args, key) for key in _CONTROL_KEYS}
-        control.update(interval_us=args.control_interval_us,
-                       replace_plans=not args.no_replace_plans)
-        if args.autoscale is not None:
-            control["autoscale"] = args.autoscale
-        spec["control"] = control
+    if not control_on:
+        del spec["control"]
+    elif args.autoscale is not None:
+        spec["control"]["autoscale"] = args.autoscale
     return spec
 
 
@@ -486,12 +511,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_ga_options(p: argparse.ArgumentParser, default_optimizer: str = "ga") -> None:
+    def add_ga_options(p: argparse.ArgumentParser,
+                       default_optimizer: Optional[str] = None) -> None:
         p.add_argument("--population", type=_positive_int, default=30,
                        help="GA population size")
         p.add_argument("--generations", type=_positive_int, default=10,
                        help="GA generations")
-        p.add_argument("--seed", type=int, default=0, help="random seed (GA and traffic)")
+        if default_optimizer is None:
+            return  # serve declares --seed and --optimizer as knobs
+        p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument(
             "--optimizer", default=default_optimizer, metavar="ENGINE",
             help="partition-search engine for the compass scheme: "
@@ -509,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     compile_parser.add_argument("--no-instructions", action="store_true",
                                 help="skip instruction generation (faster)")
     compile_parser.add_argument("--output", help="write the full result to this JSON file")
-    add_ga_options(compile_parser)
+    add_ga_options(compile_parser, default_optimizer="ga")
     compile_parser.set_defaults(func=_cmd_compile)
 
     sweep_parser = subparsers.add_parser("sweep", help="run a Fig. 6 style sweep")
@@ -529,117 +557,32 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser = subparsers.add_parser(
         "serve", help="simulate serving a request stream on a chip fleet"
     )
-    serve_parser.add_argument("--model", nargs="+", default=["resnet18"],
-                              choices=list_models(), metavar="MODEL",
-                              help="model(s) the traffic requests (default: resnet18)")
-    serve_parser.add_argument("--chip", default="M",
-                              help="chip configuration for a homogeneous fleet: S, M or L")
-    serve_parser.add_argument("--num-chips", type=int, default=1,
-                              help="fleet size when using --chip (default: 1)")
+    for knobs in ((MODELS,) + SPEC_KNOBS, TRAFFIC_KNOBS, *_CONFIG_BLOCKS.values()):
+        _add_knob_options(serve_parser, knobs)
+    # --chip/--num-chips default to the spec's default fleet, CHIP:COUNT
+    fleet = next(knob for knob in SPEC_KNOBS if knob.name == "fleet")
+    chip, _, num_chips = fleet.default.partition(":")
+    serve_parser.add_argument("--chip", default=chip,
+                              help="chip configuration for a homogeneous fleet: "
+                                   "S, M or L (default: %(default)s)")
+    serve_parser.add_argument("--num-chips", type=int, default=int(num_chips),
+                              help="fleet size when using --chip "
+                                   "(default: %(default)s)")
     serve_parser.add_argument("--fleet", default=None, metavar="SPEC",
                               help="heterogeneous fleet spec, e.g. S:2,M:1,L:1 "
                                    "(overrides --chip/--num-chips)")
-    serve_parser.add_argument("--traffic", default="poisson",
-                              choices=sorted(TRAFFIC_GENERATORS),
-                              help="traffic generator (default: poisson)")
-    serve_parser.add_argument("--rate", type=float, default=None,
-                              help="offered request rate in req/s "
-                                   "(default: auto from fleet capacity)")
-    serve_parser.add_argument("--utilization", type=float, default=0.7,
-                              help="target utilisation for the auto rate (default: 0.7)")
-    serve_parser.add_argument("--clients", type=int, default=4,
-                              help="closed-loop clients (--traffic closed; default: 4)")
-    serve_parser.add_argument("--concurrency", type=int, default=1,
-                              help="outstanding requests per closed-loop client "
-                                   "(default: 1)")
-    serve_parser.add_argument("--think-us", type=float, default=200.0,
-                              help="mean closed-loop think time in microseconds "
-                                   "(default: 200)")
     serve_parser.add_argument("--slo", action="append", metavar="MODEL=MS",
                               help="per-model latency SLO target in ms (repeatable); "
                                    "adds a per-model attainment block to the report")
-    serve_parser.add_argument("--requests", type=int, default=200,
-                              help="number of requests to simulate (default: 200)")
-    serve_parser.add_argument("--policy", default="latency", choices=sorted(POLICIES),
-                              help="chip scheduling policy (default: latency)")
-    serve_parser.add_argument("--batches", nargs="+", type=int, default=[1, 2, 4, 8, 16],
-                              help="allowed dynamic batch sizes (default: 1 2 4 8 16)")
-    serve_parser.add_argument("--max-wait-us", type=float, default=200.0,
-                              help="batching-delay budget in microseconds; "
-                                   "0 disables holding (default: 200)")
-    serve_parser.add_argument("--cache-capacity", type=int, default=64,
-                              help="plan-cache capacity in plans (default: 64)")
-    serve_parser.add_argument("--mode", default="latency", choices=["latency", "edp"],
-                              help="plan-compilation fitness mode (default: latency)")
     serve_parser.add_argument("--inject", action="append", metavar="SPEC",
                               help="inject a fault event (repeatable): "
                                    "KIND@AT_US[:key=value,...], e.g. "
                                    "chip_fail@500:chip=0,until=1500 or "
                                    "chaos@0:seed=7,count=3,mtbf_us=3000,mttr_us=500")
-    serve_parser.add_argument("--timeout-us", type=float, default=0.0,
-                              help="per-request queueing timeout in microseconds; "
-                                   "0 disables (default: 0)")
-    serve_parser.add_argument("--retries", dest="max_retries", metavar="RETRIES",
-                              type=int, default=0,
-                              help="max retry attempts for requests lost to chip "
-                                   "failures or timeouts (default: 0)")
-    serve_parser.add_argument("--retry-backoff-us", type=float, default=50.0,
-                              help="base of the deterministic exponential retry "
-                                   "backoff in microseconds (default: 50)")
-    serve_parser.add_argument("--shed-queue-depth", type=int, default=0,
-                              help="shed arrivals once this many requests are "
-                                   "queued; 0 disables (default: 0)")
-    serve_parser.add_argument("--shed-wait-us", type=float, default=0.0,
-                              help="shed arrivals whose estimated queueing wait "
-                                   "exceeds this budget in microseconds; "
-                                   "0 disables (default: 0)")
-    serve_parser.add_argument("--degrade-below", type=float, default=0.0,
-                              help="fall back to latency-optimal dispatches when a "
-                                   "model's running SLO attainment drops below this "
-                                   "fraction; 0 disables (default: 0)")
-    serve_parser.add_argument("--retry-priority", action="store_true",
-                              help="serve a retry on its final attempt ahead of "
-                                   "fresh arrivals instead of plain FIFO")
-    serve_parser.add_argument("--control-interval-us", type=float, default=0.0,
-                              help="self-healing control-plane tick interval in "
-                                   "microseconds; 0 disables the controller "
-                                   "(default: 0)")
-    serve_parser.add_argument("--quarantine-after", type=int, default=2,
-                              help="consecutive suspect control ticks before a "
-                                   "straggling chip is quarantined (default: 2)")
-    serve_parser.add_argument("--straggler-ratio", type=float, default=1.6,
-                              help="service-ratio EMA vs fleet median above which "
-                                   "a chip is suspected (default: 1.6)")
-    serve_parser.add_argument("--probation-us", type=float, default=2000.0,
-                              help="quarantine duration before re-admission, "
-                                   "doubling per flap (default: 2000)")
-    serve_parser.add_argument("--hedge-after-pct", type=float, default=0.0,
-                              help="hedge requests stuck past this percentile of "
-                                   "the observed latency window; 0 disables "
-                                   "(default: 0)")
     serve_parser.add_argument("--autoscale", default=None, metavar="MIN:MAX",
                               help="enable the SLO-driven autoscaler between "
                                    "MIN and MAX chips (needs "
                                    "--control-interval-us)")
-    serve_parser.add_argument("--scale-up-below", type=float, default=0.9,
-                              help="windowed SLO attainment below which the "
-                                   "fleet grows (default: 0.9)")
-    serve_parser.add_argument("--scale-down-util", type=float, default=0.3,
-                              help="utilisation EMA below which the fleet "
-                                   "shrinks (default: 0.3)")
-    serve_parser.add_argument("--cooldown-us", type=float, default=2000.0,
-                              help="minimum simulated time between scale events "
-                                   "(default: 2000)")
-    serve_parser.add_argument("--scale-chip", default=None,
-                              help="chip class the autoscaler adds (default: "
-                                   "the fleet's first class)")
-    serve_parser.add_argument("--no-replace-plans", action="store_true",
-                              help="disable plan re-placement after "
-                                   "quarantine/scale events")
-    serve_parser.add_argument("--timeline-us", type=float, default=0.0,
-                              help="emit a metrics timeline with this window "
-                                   "interval in microseconds; 0 disables "
-                                   "(default: 0)")
     serve_parser.add_argument("--timeline-rows",
                               type=_non_negative_int, default=60,
                               help="cap the printed timeline table at this "
@@ -649,23 +592,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--metrics-out", default=None, metavar="PATH",
                               help="write the metrics timeline to this file "
                                    "(.json or .csv; needs --timeline-us)")
-    serve_parser.add_argument("--streaming-percentiles", action="store_true",
-                              help="log-linear histogram percentiles (within "
-                                   "0.4%% of exact) for the terminal report "
-                                   "instead of storing every latency sample")
-    serve_parser.add_argument("--trace-requests", type=int, default=0,
-                              metavar="K",
-                              help="trace the lifecycle of every K-th request; "
-                                   "0 disables (default: 0)")
     serve_parser.add_argument("--trace-out", default=None, metavar="PATH",
                               help="write sampled request traces as Chrome "
                                    "trace-event JSON (needs --trace-requests)")
-    serve_parser.add_argument("--trace", default=None,
-                              help="trace file to replay (with --traffic trace)")
     serve_parser.add_argument("--record-trace", default=None, metavar="PATH",
                               help="record the generated request stream to a trace file")
     serve_parser.add_argument("--output", help="write the full serving report to this JSON file")
-    add_ga_options(serve_parser, default_optimizer="dp")
+    add_ga_options(serve_parser)
     serve_parser.set_defaults(func=_cmd_serve)
 
     observe_parser = subparsers.add_parser(

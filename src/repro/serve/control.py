@@ -56,10 +56,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.hardware.config import get_chip_config
 from repro.serve.fleet import ChipWorker
+from repro.serve.knobs import check_knobs, knob
 from repro.serve.plans import PlanKey
 from repro.sim.metrics import nearest_rank_percentile
 
@@ -92,83 +94,59 @@ class ControlConfig:
     ``replace_plans=False``).
     """
 
-    #: control tick interval; 0 disables the controller
-    interval_us: float = 0.0
+    interval_us: float = knob(
+        0.0, ">= 0", "--control-interval-us", "self-healing control-plane "
+        "tick interval in us; 0 disables the controller")
     # --- failure detection / quarantine --------------------------------
-    #: consecutive suspect ticks before a straggling chip is quarantined
-    quarantine_after: int = 2
-    #: service-ratio EMA threshold vs the fleet median (suspicion trigger)
-    straggler_ratio: float = 1.6
-    #: quarantine duration before re-admission; doubles per flap
-    probation_us: float = 2000.0
+    quarantine_after: int = knob(
+        2, ">= 1", "--quarantine-after", "consecutive suspect control ticks "
+        "before a straggling chip is quarantined")
+    straggler_ratio: float = knob(
+        1.6, "> 1", "--straggler-ratio",
+        "service-ratio EMA vs fleet median above which a chip is suspected")
+    probation_us: float = knob(
+        2000.0, "> 0", "--probation-us",
+        "quarantine duration before re-admission, doubling per flap")
     # --- hedged requests -----------------------------------------------
-    #: latency percentile of the observed window a queued request must
-    #: outwait before it is hedged; 0 disables hedging
-    hedge_after_pct: float = 0.0
-    #: completed-latency samples required before hedging arms
-    hedge_min_samples: int = 8
+    hedge_after_pct: float = knob(
+        0.0, "[0, 100)", "--hedge-after-pct", "hedge requests stuck past this "
+        "percentile of the observed latency window; 0 disables")
+    hedge_min_samples: int = knob(
+        8, ">= 1", help="completed-latency samples required before hedging arms")
     # --- SLO-driven autoscaler -----------------------------------------
-    #: whether the autoscaler may grow/shrink the fleet
-    autoscale: bool = False
-    min_chips: int = 1
-    max_chips: int = 8
-    #: windowed SLO attainment below which the fleet grows
-    scale_up_below: float = 0.9
-    #: queued requests per available chip above which the fleet grows
-    scale_up_depth: float = 4.0
-    #: fleet-utilisation EMA below which the fleet shrinks
-    scale_down_util: float = 0.3
-    #: minimum simulated time between scale events
-    cooldown_us: float = 2000.0
-    #: chip class the autoscaler adds (default: the fleet's first class)
-    scale_chip: Optional[str] = None
+    autoscale: bool = knob(
+        False, help="whether the autoscaler may grow/shrink the fleet")
+    min_chips: int = knob(1, ">= 1", help="fewest chips the autoscaler keeps")
+    max_chips: int = knob(8, ">= 1", help="most chips the autoscaler adds up to")
+    scale_up_below: float = knob(
+        0.9, "(0, 1]", "--scale-up-below",
+        "windowed SLO attainment below which the fleet grows")
+    scale_up_depth: float = knob(
+        4.0, "> 0", help="queued requests per available chip above which the "
+        "fleet grows")
+    scale_down_util: float = knob(
+        0.3, "[0, 1)", "--scale-down-util",
+        "utilisation EMA below which the fleet shrinks")
+    cooldown_us: float = knob(
+        2000.0, ">= 0", "--cooldown-us",
+        "minimum simulated time between scale events in us")
+    scale_chip: Optional[str] = knob(
+        None, get_chip_config, "--scale-chip", "chip class the autoscaler "
+        "adds (default: the fleet's first class)", kind=str)
     # --- plan re-placement ---------------------------------------------
-    #: re-pin resident plans across survivors on quarantine/scale events
-    replace_plans: bool = True
-    #: sliding-window length of the latency / attainment / mix windows
-    window: int = 64
+    replace_plans: bool = knob(
+        True, None, "--no-replace-plans",
+        "disable plan re-placement after quarantine/scale events")
+    window: int = knob(
+        64, ">= 1", help="sliding-window length of the latency, attainment "
+        "and model-mix windows")
 
     def __post_init__(self) -> None:
-        if not self.interval_us >= 0:
-            raise ValueError(
-                f"control interval must be non-negative, got {self.interval_us}")
-        if not self.quarantine_after >= 1:
-            raise ValueError(
-                f"quarantine_after must be at least 1, got {self.quarantine_after}")
-        if not self.straggler_ratio > 1.0:
-            raise ValueError(
-                f"straggler_ratio must exceed 1, got {self.straggler_ratio}")
-        if not self.probation_us > 0:
-            raise ValueError(
-                f"probation_us must be positive, got {self.probation_us}")
-        if not 0.0 <= self.hedge_after_pct < 100.0:
-            raise ValueError(
-                f"hedge_after_pct must be in [0, 100), got {self.hedge_after_pct}")
-        if not self.hedge_min_samples >= 1:
-            raise ValueError(
-                f"hedge_min_samples must be at least 1, got {self.hedge_min_samples}")
-        if not self.min_chips >= 1:
-            raise ValueError(f"min_chips must be at least 1, got {self.min_chips}")
+        check_knobs(self)
         if not self.max_chips >= self.min_chips:
             raise ValueError(
                 f"max_chips ({self.max_chips}) must be >= min_chips "
                 f"({self.min_chips})")
-        if not 0.0 < self.scale_up_below <= 1.0:
-            raise ValueError(
-                f"scale_up_below must be a fraction in (0, 1], got "
-                f"{self.scale_up_below}")
-        if not self.scale_up_depth > 0:
-            raise ValueError(
-                f"scale_up_depth must be positive, got {self.scale_up_depth}")
-        if not 0.0 <= self.scale_down_util < 1.0:
-            raise ValueError(
-                f"scale_down_util must be a fraction in [0, 1), got "
-                f"{self.scale_down_util}")
-        if not self.cooldown_us >= 0:
-            raise ValueError(
-                f"cooldown_us must be non-negative, got {self.cooldown_us}")
-        if not self.window >= 1:
-            raise ValueError(f"window must be at least 1, got {self.window}")
 
     @property
     def active(self) -> bool:

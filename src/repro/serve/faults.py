@@ -33,12 +33,14 @@ twin without editing the spec.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import envflags
+from repro.serve.knobs import check_knobs, knob
 
 #: recognised ``--inject`` event kinds
 FAULT_KINDS = ("chip_fail", "chip_recover", "straggler", "dram_degrade", "chaos")
@@ -62,7 +64,7 @@ def faults_enabled() -> bool:
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One declarative fault event (times in µs after the first arrival).
+    """One declarative fault event (times in us after the first arrival).
 
     ``chip`` is a worker index into the fleet (``-1`` means "drawn
     uniformly" and is only meaningful for ``chaos``).  ``until_us`` closes
@@ -96,8 +98,10 @@ class FaultEvent:
             raise ValueError(
                 f"fault window must end after it starts ({self.at_us} .. {self.until_us})"
             )
-        if self.kind in ("straggler", "dram_degrade") and not self.factor > 0:
-            raise ValueError(f"fault factor must be positive, got {self.factor}")
+        if (self.kind in ("straggler", "dram_degrade")
+                and not 0 < self.factor < math.inf):
+            raise ValueError(
+                f"fault factor must be positive and finite, got {self.factor}")
         if self.kind == "chaos":
             if self.count <= 0:
                 raise ValueError("chaos needs count > 0 failures to draw")
@@ -225,63 +229,39 @@ def materialize(
 
 @dataclass(frozen=True)
 class FaultTolerance:
-    """Fault-tolerance knobs of one serving run (all off by default).
+    """Fault-tolerance knobs of one serving run (all off by default; each
+    knob's help says what it does, :mod:`repro.serve.knobs`)."""
 
-    * ``timeout_us`` — a queued request that has waited this long is
-      abandoned (and retried if attempts remain); 0 disables timeouts.
-      The timeout clock restarts at every retry attempt; dispatch cancels
-      it (the chip finishes what it starts — in-flight loss comes from
-      chip failures, not timeouts).
-    * ``max_retries`` — additional attempts a request lost to a chip
-      failure or timeout may make; 0 means failures are final.
-    * ``retry_backoff_us`` — base of the deterministic exponential backoff:
-      attempt ``k`` re-arrives ``retry_backoff_us * 2**k`` µs after its
-      failure (no jitter — determinism is the contract here).
-    * ``shed_queue_depth`` — admission control: an arrival finding this
-      many requests already queued is shed (rejected); 0 disables.
-    * ``shed_wait_us`` — an arrival whose estimated queueing wait exceeds
-      this budget is shed; 0 disables.
-    * ``degrade_below`` — graceful degradation: when a model's running SLO
-      attainment falls below this fraction, its dispatches bypass the
-      batching hold and use the latency-optimal cached plan (the smallest /
-      fastest batch) until attainment recovers; 0 disables.  Only
-      meaningful for models with an SLO target.
-    * ``retry_priority`` — retry-aware queue ordering: a retry on its
-      **final** attempt re-enters its queue ahead of fresh arrivals (and
-      its queue is preferred by the policy's ``order_queues``), so the
-      request is served before its last timeout budget burns down instead
-      of aging behind new offered load.  Off by default — plain FIFO retry
-      ordering, exactly the pre-control behaviour.  Only meaningful with
-      ``max_retries > 0``.
-    """
-
-    timeout_us: float = 0.0
-    max_retries: int = 0
-    retry_backoff_us: float = 50.0
-    shed_queue_depth: int = 0
-    shed_wait_us: float = 0.0
-    degrade_below: float = 0.0
-    retry_priority: bool = False
+    timeout_us: float = knob(
+        0.0, ">= 0", "--timeout-us",
+        "per-request queueing timeout in us: a request queued this long is "
+        "abandoned, and retried if attempts remain; the clock restarts at "
+        "every attempt and dispatch cancels it; 0 disables")
+    max_retries: int = knob(
+        0, ">= 0", "--retries", "max retry attempts for requests lost to chip "
+        "failures or timeouts; 0 makes failures final", dest="max_retries")
+    retry_backoff_us: float = knob(
+        50.0, ">= 0", "--retry-backoff-us", "base of the deterministic "
+        "exponential retry backoff in us: attempt k re-arrives base * 2**k "
+        "after its failure, with no jitter")
+    shed_queue_depth: int = knob(
+        0, ">= 0", "--shed-queue-depth",
+        "shed arrivals once this many requests are queued; 0 disables")
+    shed_wait_us: float = knob(
+        0.0, ">= 0", "--shed-wait-us", "shed arrivals whose estimated "
+        "queueing wait exceeds this budget in us; 0 disables")
+    degrade_below: float = knob(
+        0.0, "[0, 1]", "--degrade-below", "when a model's running SLO "
+        "attainment drops below this fraction, dispatch it without the "
+        "batching hold on its latency-optimal plan until attainment "
+        "recovers (models with an SLO only); 0 disables")
+    retry_priority: bool = knob(
+        False, None, "--retry-priority", "serve a retry on its final attempt "
+        "ahead of fresh arrivals (its queue first in the policy's order) "
+        "instead of plain FIFO")
 
     def __post_init__(self) -> None:
-        if not self.timeout_us >= 0:
-            raise ValueError(f"timeout_us must be non-negative, got {self.timeout_us}")
-        if not self.max_retries >= 0:
-            raise ValueError(f"max_retries must be non-negative, got {self.max_retries}")
-        if not self.retry_backoff_us >= 0:
-            raise ValueError(
-                f"retry_backoff_us must be non-negative, got {self.retry_backoff_us}"
-            )
-        if not self.shed_queue_depth >= 0:
-            raise ValueError(
-                f"shed_queue_depth must be non-negative, got {self.shed_queue_depth}"
-            )
-        if not self.shed_wait_us >= 0:
-            raise ValueError(f"shed_wait_us must be non-negative, got {self.shed_wait_us}")
-        if not 0.0 <= self.degrade_below <= 1.0:
-            raise ValueError(
-                f"degrade_below must be a fraction in [0, 1], got {self.degrade_below}"
-            )
+        check_knobs(self)
 
     @property
     def active(self) -> bool:

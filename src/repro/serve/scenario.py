@@ -7,11 +7,10 @@ live observatory (:mod:`repro.serve.service`) accepts one per submission.
 Both go through the same two steps:
 
 * :func:`parse_spec` — validation into a :class:`ScenarioSpec` (model
-  names, fleet spec, fault targets, traffic/policy names, config blocks,
-  typed and range-checked scalars), raising ``ValueError`` with a
-  presentable message before any plan is compiled.  It
-  is cheap, except that ``trace`` traffic reads its file (once: the
-  build step replays what was read);
+  names, fleet spec, fault targets, config blocks, strictly typed and
+  bounded knobs), raising ``ValueError`` with a message naming the bad
+  key before any plan is compiled.  It is cheap, except that ``trace``
+  traffic reads its file (once: the build step replays what was read);
 * :func:`build_scenario` — the expensive part: plan-cache warmup, rate
   auto-derivation and stream generation.
 
@@ -36,19 +35,33 @@ Example spec::
 
 ``{"kind": "trace", "path": FILE}`` replays a recorded trace instead; the
 trace then sets the models.
+
+Knobs.  Each typed scalar of a spec is a :class:`~repro.serve.knobs.Knob`
+described once (key, type, default, bound, ``repro serve`` flag, help):
+the ``fault_tolerance``, ``control`` and ``telemetry`` knobs are the
+fields of :class:`FaultTolerance`, :class:`ControlConfig` and
+:class:`TelemetryConfig`, declared with :func:`~repro.serve.knobs.knob`;
+the top-level and ``traffic`` knobs are :data:`SPEC_KNOBS` and
+:data:`TRAFFIC_KNOBS` below.  The spec walk, the config bound checks and
+the ``repro serve`` options are generated from them, so adding a knob is
+one field (or one table row) plus the code that uses its value.  Named
+code remains for ``models``, the fleet flags, ``slo``, ``inject``,
+``autoscale`` given as ``"MIN:MAX"`` and the flag couplings in
+:mod:`repro.cli`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.fitness import FitnessMode
 from repro.core.ga import GAConfig
 from repro.models import list_models
-from repro.search import validate_optimizer
+from repro.search import OPTIMIZERS, validate_optimizer
 from repro.serve import (
+    POLICIES,
     TRAFFIC_GENERATORS,
     ClosedLoopTraffic,
     ControlConfig,
@@ -62,19 +75,61 @@ from repro.serve import (
     fleet_capacity_rps,
     parse_inject,
     validate_fault_targets,
-    validate_policy,
 )
-from repro.serve.traffic import Request, validate_traffic
+from repro.serve.knobs import Knob, knobs_of, read_block
+from repro.serve.traffic import Request
+
+#: the spec's top-level knobs
+SPEC_KNOBS: Tuple[Knob, ...] = (
+    Knob("fleet", str, "M:1", help="fleet spec, e.g. S:2,M:1,L:1"),
+    Knob("policy", str, "latency", tuple(sorted(POLICIES)), "--policy",
+         "chip scheduling policy"),
+    Knob("batches", int, [1, 2, 4, 8, 16], "> 0", "--batches",
+         "allowed dynamic batch sizes", many=True),
+    Knob("max_wait_us", float, 200.0, ">= 0", "--max-wait-us",
+         "batching-delay budget in us; 0 disables holding"),
+    Knob("optimizer", str, "dp", validate_optimizer, "--optimizer",
+         "plan search engine: " + ", ".join(sorted(OPTIMIZERS))),
+    Knob("mode", str, "latency", tuple(mode.value for mode in FitnessMode),
+         "--mode", "plan-compilation fitness mode"),
+    Knob("cache_capacity", int, 64, ">= 1", "--cache-capacity",
+         "plan-cache capacity in plans"),
+    Knob("seed", int, 0, ">= 0", "--seed", "random seed (GA and traffic)"),
+)
+#: the served models, read by name: a replayed trace replaces them
+MODELS = Knob("models", str, ["resnet18"], tuple(list_models()), "--model",
+              "model(s) the traffic requests", many=True)
+#: the ``traffic`` block's knobs; :func:`traffic_knobs` picks one kind's
+TRAFFIC_KNOBS: Tuple[Knob, ...] = (
+    Knob("kind", str, "poisson", tuple(sorted(TRAFFIC_GENERATORS)),
+         "--traffic", "traffic generator"),
+    Knob("requests", int, 200, "> 0", "--requests", "requests to simulate"),
+    Knob("rate_rps", float, None, "> 0", "--rate",
+         "offered rate in req/s (default: auto from fleet capacity)"),
+    Knob("utilization", float, 0.7, "> 0", "--utilization",
+         "target utilisation for the auto rate"),
+    Knob("clients", int, 4, "> 0", "--clients", "closed-loop clients"),
+    Knob("concurrency", int, 1, "> 0", "--concurrency",
+         "outstanding requests per closed-loop client"),
+    Knob("think_us", float, 200.0, ">= 0", "--think-us",
+         "mean closed-loop think time in us"),
+    Knob("path", str, None, None, "--trace", "trace file to replay"),
+)
+_OPEN_LOOP_KEYS = ("requests", "rate_rps", "utilization")
+#: the traffic keys each kind reads besides ``kind``
+_TRAFFIC_KEYS = {"trace": ("path",), "closed": _OPEN_LOOP_KEYS + (
+    "clients", "concurrency", "think_us")}
+#: top-level keys read by name in :func:`parse_spec`
+_NAMED_KEYS = ("models", "traffic", "slo", "inject", "fault_tolerance",
+               "control", "telemetry")
+#: an SLO target's type (its bound has its own message)
+_SLO_TARGET = Knob("slo", float, 0.0)
 
 
-def _coerce(value: object, kind: type, key: str):
-    """``kind(value)``, or a ``ValueError`` naming ``key`` (never a
-    ``TypeError`` for a null, list or object)."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        expected = "an integer" if kind is int else "a number"
-        raise ValueError(f"{key} must be {expected}, got {value!r}") from None
+def traffic_knobs(kind: str) -> Tuple[Knob, ...]:
+    """The ``traffic`` knobs traffic ``kind`` reads, ``kind`` first."""
+    names = _TRAFFIC_KEYS.get(kind, _OPEN_LOOP_KEYS)
+    return TRAFFIC_KNOBS[:1] + tuple(k for k in TRAFFIC_KNOBS if k.name in names)
 
 
 def _check_models(models: Sequence[object]) -> None:
@@ -86,42 +141,25 @@ def _check_models(models: Sequence[object]) -> None:
                 + ", ".join(sorted(available)))
 
 
-def _config_from(cls, block: Dict[str, object], label: str):
-    """Instantiate a config dataclass from a JSON block, strictly.
-
-    Unknown keys are an error (a typo'd knob must not silently no-op);
-    the dataclass's own ``__post_init__`` validation supplies the value
-    checks.
-    """
-    if not isinstance(block, dict):
-        raise ValueError(f"{label} must be an object")
-    known = {field.name for field in dataclasses.fields(cls)}
-    unknown = sorted(set(block) - known)
-    if unknown:
-        raise ValueError(
-            f"unknown {label} key(s): {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(known))}")
-    try:
-        return cls(**block)
-    except TypeError as exc:
-        raise ValueError(f"bad {label} block: {exc}") from None
+def _config_from(cls, block: object, label: str):
+    """A config dataclass read from a spec block through its knobs."""
+    return cls(**read_block(block, knobs_of(cls), label))
 
 
 def _control_from(block: Dict[str, object]) -> ControlConfig:
     """Control block; ``autoscale`` accepts the CLI's ``"MIN:MAX"`` form."""
     autoscale = block.get("autoscale") if isinstance(block, dict) else None
     if isinstance(autoscale, str):
-        block = dict(block)
         lo, sep, hi = autoscale.partition(":")
         try:
             if not sep:
                 raise ValueError(autoscale)
-            block["min_chips"], block["max_chips"] = int(lo), int(hi)
+            block = dict(block, autoscale=True, min_chips=int(lo),
+                         max_chips=int(hi))
         except ValueError:
             raise ValueError(
                 f"bad control.autoscale {autoscale!r}; expected MIN:MAX "
                 "chip counts") from None
-        block["autoscale"] = True
     return _config_from(ControlConfig, block, "control")
 
 
@@ -183,98 +221,34 @@ def parse_spec(raw: Dict[str, object]) -> ScenarioSpec:
     presentable message, ``OSError`` for an unreadable trace file)."""
     if not isinstance(raw, dict):
         raise ValueError("scenario spec must be a JSON object")
-    known_keys = {
-        "models", "fleet", "policy", "batches", "max_wait_us", "optimizer",
-        "mode", "cache_capacity", "seed", "traffic", "slo", "inject",
-        "fault_tolerance", "control", "telemetry",
-    }
-    unknown = sorted(set(raw) - known_keys)
-    if unknown:
-        raise ValueError(
-            f"unknown spec key(s): {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(known_keys))}")
-
-    models = raw.get("models") or ["resnet18"]
+    top = read_block(raw, SPEC_KNOBS, "spec", also_known=_NAMED_KEYS)
+    models = raw.get("models") or MODELS.default
     if not isinstance(models, list) or not models:
         raise ValueError("models must be a non-empty list of model names")
     _check_models(models)
-
-    fleet_spec = str(raw.get("fleet", "M:1"))
-    fleet = Fleet.from_spec(fleet_spec)  # raises ValueError on a bad spec
-
-    policy = str(raw.get("policy", "latency"))
-    validate_policy(policy)
-
-    optimizer = str(raw.get("optimizer", "dp"))
-    validate_optimizer(optimizer)
-
-    mode_name = str(raw.get("mode", "latency"))
-    if mode_name not in ("latency", "edp"):
-        raise ValueError(f"mode must be 'latency' or 'edp', got {mode_name!r}")
-    mode = FitnessMode.EDP if mode_name == "edp" else FitnessMode.LATENCY
-
-    batches = raw.get("batches") or [1, 2, 4, 8, 16]
-    if (not isinstance(batches, list)
-            or not all(isinstance(b, int) and b > 0 for b in batches)):
-        raise ValueError("batches must be a list of positive integers")
-    batch_sizes = sorted(set(batches))
-
-    cache_capacity = _coerce(raw.get("cache_capacity", 64), int,
-                             "cache_capacity")
-    seed = _coerce(raw.get("seed", 0), int, "seed")
-    max_wait_us = _coerce(raw.get("max_wait_us", 200.0), float, "max_wait_us")
-    if not max_wait_us >= 0:
-        raise ValueError("max_wait_us must be non-negative")
+    fleet = Fleet.from_spec(top["fleet"])  # raises ValueError on a bad spec
 
     traffic = raw.get("traffic") or {}
     if not isinstance(traffic, dict):
         raise ValueError("traffic must be an object")
-    traffic = dict(traffic)
-    kind = str(traffic.pop("kind", "poisson"))
-    validate_traffic(kind)
-    rate_rps: Optional[float] = None
-    utilization = 0.7
+    kind = TRAFFIC_KNOBS[0].read(traffic.get("kind", TRAFFIC_KNOBS[0].default),
+                                 "traffic.kind")
+    values = {k.name: k.default for k in TRAFFIC_KNOBS}
+    values.update(read_block(traffic, traffic_knobs(kind), "traffic"))
     kwargs: Dict[str, object] = {}
     trace: Optional[TraceTraffic] = None
     if kind == "trace":
-        path = traffic.pop("path", None)
-        if not isinstance(path, str) or not path:
+        if not values["path"]:
             raise ValueError("trace traffic needs a \"path\" to a trace file")
-        trace = TraceTraffic(path)
+        trace = TraceTraffic(values["path"])
         models = list(trace.models)
         _check_models(models)
     else:
-        num_requests = _coerce(traffic.pop("requests", 200), int,
-                               "traffic.requests")
-        if num_requests <= 0:
-            raise ValueError("traffic.requests must be positive")
-        rate = traffic.pop("rate_rps", None)
-        if rate is not None:
-            rate_rps = _coerce(rate, float, "traffic.rate_rps")
-            if not rate_rps > 0:
-                raise ValueError("rate_rps must be positive")
-        utilization = _coerce(traffic.pop("utilization", utilization), float,
-                              "traffic.utilization")
-        if not utilization > 0:
-            raise ValueError("utilization must be positive")
-        kwargs = {"num_requests": num_requests, "seed": seed}
+        kwargs = {"num_requests": values["requests"], "seed": top["seed"]}
         if kind == "closed":
-            kwargs["clients"] = _coerce(traffic.pop("clients", 4), int,
-                                        "traffic.clients")
-            if kwargs["clients"] <= 0:
-                raise ValueError("clients must be positive")
-            kwargs["concurrency"] = _coerce(traffic.pop("concurrency", 1),
-                                            int, "traffic.concurrency")
-            if kwargs["concurrency"] <= 0:
-                raise ValueError("concurrency must be positive")
-            kwargs["mean_think_s"] = _coerce(
-                traffic.pop("think_us", 200.0), float,
-                "traffic.think_us") * 1e-6
-            if not kwargs["mean_think_s"] >= 0:
-                raise ValueError("mean_think_s must be non-negative")
-    if traffic:
-        raise ValueError(
-            "unknown traffic key(s): " + ", ".join(sorted(traffic)))
+            kwargs.update(clients=values["clients"],
+                          concurrency=values["concurrency"],
+                          mean_think_s=values["think_us"] * 1e-6)
 
     slo_block = raw.get("slo") or {}
     if not isinstance(slo_block, dict):
@@ -285,7 +259,7 @@ def parse_spec(raw: Dict[str, object]) -> ScenarioSpec:
             raise ValueError(
                 f"slo names unknown model {model!r}; served models: "
                 + ", ".join(sorted(models)))
-        slos[model] = _coerce(target, float, f"slo.{model}")
+        slos[model] = _SLO_TARGET.read(target, f"slo.{model}")
         if not slos[model] > 0:
             raise ValueError(
                 f"SLO target must be positive, got {model}={slos[model]}")
@@ -296,30 +270,28 @@ def parse_spec(raw: Dict[str, object]) -> ScenarioSpec:
     faults = [parse_inject(str(spec)) for spec in inject]
     validate_fault_targets(faults, len(fleet.workers))
 
-    fault_tolerance = _config_from(
-        FaultTolerance, raw.get("fault_tolerance") or {}, "fault_tolerance")
     control_block = raw.get("control")
-    control = _control_from(control_block) if control_block else None
-
     return ScenarioSpec(
-        models=[str(m) for m in models],
-        fleet_spec=fleet_spec,
-        policy=policy,
-        batch_sizes=batch_sizes,
-        max_wait_us=max_wait_us,
-        optimizer=optimizer,
-        mode=mode,
-        cache_capacity=cache_capacity,
-        seed=seed,
+        models=list(models),
+        fleet_spec=top["fleet"],
+        policy=top["policy"],
+        batch_sizes=sorted(set(top["batches"])),
+        max_wait_us=top["max_wait_us"],
+        optimizer=top["optimizer"],
+        mode=FitnessMode(top["mode"]),
+        cache_capacity=top["cache_capacity"],
+        seed=top["seed"],
         traffic_kind=kind,
         traffic_kwargs=kwargs,
         slos=slos,
         faults=faults,
-        fault_tolerance=fault_tolerance,
-        control=control,
+        fault_tolerance=_config_from(
+            FaultTolerance, raw.get("fault_tolerance") or {},
+            "fault_tolerance"),
+        control=_control_from(control_block) if control_block else None,
         telemetry=_telemetry_from(raw.get("telemetry") or {}),
-        utilization=utilization,
-        rate_rps=rate_rps,
+        utilization=values["utilization"],
+        rate_rps=values["rate_rps"],
         trace=trace,
     )
 

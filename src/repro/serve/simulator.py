@@ -84,7 +84,6 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from repro.hardware.config import get_chip_config
 from repro.serve.control import COLD_PLAN, ControlConfig, Controller, place_plans
 from repro.serve.faults import (
     ACTION_DRAM,
@@ -496,8 +495,6 @@ class ServingSimulator:
         #: (the default) keeps the pure batch path: telemetry renders the
         #: whole timeline once at the end of the run.
         self.stream_sink = None
-        if self.control.active and self.control.scale_chip is not None:
-            get_chip_config(self.control.scale_chip)  # fail fast on bad names
         #: fleet size at construction — chips the autoscaler appended are
         #: dropped at the start of every run, so a simulator re-runs cleanly
         self._base_workers = len(fleet.workers)

@@ -53,13 +53,14 @@ import functools
 import math
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro import envflags
+from repro.serve.knobs import check_knobs, knob
 
 
 def telemetry_enabled() -> bool:
@@ -77,29 +78,22 @@ class TelemetryConfig:
     """Knobs of the passive telemetry layer (all observers, no actuators).
 
     The default config is fully off and the simulator takes the exact
-    pre-telemetry code path.  Each part arms independently:
-    ``timeline_interval_us > 0`` buckets metrics into fixed windows,
-    ``trace_every > 0`` traces every K-th request's lifecycle, and
-    ``streaming_percentiles`` swaps the terminal report's sample-storing
-    percentiles for :class:`LogLinearHistogram` sketches (within 2^-8 of
-    exact; memory grows with distinct buckets, not requests).
+    pre-telemetry code path; each part arms independently.
     """
 
-    #: metrics-timeline window in µs; 0 disables the timeline
-    timeline_interval_us: float = 0.0
-    #: trace every K-th request id; 0 disables lifecycle tracing
-    trace_every: int = 0
-    #: terminal-report percentiles from sketches, not stored samples
-    streaming_percentiles: bool = False
+    timeline_interval_us: float = knob(
+        0.0, ">= 0", "--timeline-us", "emit a metrics timeline with this "
+        "window interval in us; 0 disables")
+    trace_every: int = knob(
+        0, ">= 0", "--trace-requests",
+        "trace the lifecycle of every K-th request; 0 disables")
+    streaming_percentiles: bool = knob(
+        False, None, "--streaming-percentiles", "terminal-report percentiles "
+        "from log-linear histogram sketches (within 2^-8 = 0.4%% of exact; "
+        "memory grows with distinct buckets) instead of every latency sample")
 
     def __post_init__(self) -> None:
-        if not self.timeline_interval_us >= 0:
-            raise ValueError(
-                f"timeline interval must be non-negative, got "
-                f"{self.timeline_interval_us}")
-        if not self.trace_every >= 0:
-            raise ValueError(
-                f"trace_every must be non-negative, got {self.trace_every}")
+        check_knobs(self)
 
     @property
     def active(self) -> bool:
@@ -1082,13 +1076,6 @@ class TelemetrySession:
             ("recoveries", self._n_recoveries),
         )
 
-    def _config_echo(self) -> Dict[str, object]:
-        return {
-            "timeline_interval_us": self.config.timeline_interval_us,
-            "trace_every": self.config.trace_every,
-            "streaming_percentiles": self.config.streaming_percentiles,
-        }
-
     def snapshot(self) -> Dict[str, object]:
         """The report's ``telemetry`` block: hub snapshot + config echo."""
         # drain the attribute-backed event counters into the hub so the
@@ -1104,7 +1091,7 @@ class TelemetrySession:
             self._n_shed = self._n_retries = self._n_timeouts = 0
             self._n_lost = self._n_failures = self._n_recoveries = 0
             snap = self.hub.snapshot()
-        snap["config"] = self._config_echo()
+        snap["config"] = asdict(self.config)
         return snap
 
     def peek(self) -> Dict[str, object]:
@@ -1124,5 +1111,5 @@ class TelemetrySession:
         # hub's deterministic-snapshot contract
         snap["counters"] = {name: counters[name]
                             for name in sorted(counters)}
-        snap["config"] = self._config_echo()
+        snap["config"] = asdict(self.config)
         return snap

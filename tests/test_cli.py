@@ -114,6 +114,22 @@ class TestNoTraceback:
         ["serve", "--model", "squeezenet", "--rate", "-1"],
         ["serve", "--model", "squeezenet", "--utilization", "0"],
         ["serve", "--timeline-rows", "-3"],
+        # inf passes ``x >= 0``-style guards too; every float knob must
+        # be finite
+        *[["serve", "--model", "squeezenet", "--chip", "S", "--requests", "20",
+           flag, "inf"]
+          for flag in ("--timeline-us", "--rate", "--utilization",
+                       "--max-wait-us", "--control-interval-us",
+                       "--retry-backoff-us")],
+        ["serve", "--model", "squeezenet", "--traffic", "closed",
+         "--think-us", "inf"],
+        ["serve", "--model", "squeezenet", "--fleet", "S:2",
+         "--inject", "straggler@0:chip=1,factor=inf"],
+        ["serve", "--model", "squeezenet", "--fleet", "S:2",
+         "--inject", "dram_degrade@0:chip=0,factor=inf"],
+        # the autoscaler's chip class is checked before any plan compiles
+        ["serve", "--model", "squeezenet", "--control-interval-us", "200",
+         "--autoscale", "1:2", "--scale-chip", "Z"],
         ["observe", "--submit", "missing.json", "--timeline-rows", "-3"],
         ["observe", "--port", "99999"],
         ["observe", "--port", "-1"],

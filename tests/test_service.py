@@ -249,9 +249,49 @@ class TestScenarioSpec:
         ({"traffic": {"kind": "closed", "concurrency": 0}},
          "concurrency must be positive"),
         ({"traffic": {"kind": "closed", "think_us": -1}},
-         "mean_think_s must be non-negative"),
+         "traffic.think_us must be non-negative"),
         ({"traffic": {"rate_rps": -1}}, "rate_rps must be positive"),
         ({"traffic": {"utilization": 0}}, "utilization must be positive"),
+        # type-strict values: a bool takes only a boolean, an int only an
+        # integer (never a float or a bool), a string only a string
+        ({"telemetry": {"streaming_percentiles": "off"}},
+         "telemetry.streaming_percentiles must be a boolean"),
+        ({"control": {"interval_us": 200, "replace_plans": "false"}},
+         "control.replace_plans must be a boolean"),
+        ({"control": {"interval_us": 200, "window": 3.7}},
+         "control.window must be an integer"),
+        ({"fault_tolerance": {"max_retries": 1.5}},
+         "fault_tolerance.max_retries must be an integer"),
+        ({"control": {"quarantine_after": 2.5}},
+         "control.quarantine_after must be an integer"),
+        ({"telemetry": {"trace_every": 2.5}},
+         "telemetry.trace_every must be an integer"),
+        ({"seed": 1.9}, "seed must be an integer, got 1.9"),
+        ({"cache_capacity": 2.7}, "cache_capacity must be an integer"),
+        ({"traffic": {"requests": 10.9}}, "traffic.requests must be an integer"),
+        ({"traffic": {"requests": True}},
+         "traffic.requests must be an integer, got True"),
+        ({"batches": [True, 2]}, "batches must be a non-empty list"),
+        ({"control": {"interval_us": 200, "scale_chip": 5}},
+         "control.scale_chip must be a string"),
+        ({"control": {"interval_us": 200, "scale_chip": "Q"}},
+         "control.scale_chip: unknown chip configuration 'Q'"),
+        ({"fault_tolerance": {"timeout_us": "5"}},
+         "fault_tolerance.timeout_us must be a number"),
+        # non-finite floats pass ``x >= 0``-style bounds; every float
+        # knob must be finite
+        ({"max_wait_us": float("inf")}, "max_wait_us must be finite"),
+        ({"traffic": {"rate_rps": float("inf")}},
+         "traffic.rate_rps must be finite"),
+        ({"telemetry": {"timeline_us": float("inf")}},
+         "telemetry.timeline_interval_us must be finite"),
+        ({"fault_tolerance": {"retry_backoff_us": float("inf")}},
+         "fault_tolerance.retry_backoff_us must be finite"),
+        ({"control": {"interval_us": float("inf")}},
+         "control.interval_us must be finite"),
+        ({"slo": {"resnet18": float("inf")}}, "slo.resnet18 must be finite"),
+        ({"fleet": "M:2", "inject": ["straggler@0:chip=1,factor=inf"]},
+         "fault factor must be positive and finite"),
     ])
     def test_bad_specs_raise_presentable_errors(self, raw, fragment):
         with pytest.raises(ValueError, match=fragment):
