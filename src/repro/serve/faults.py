@@ -64,7 +64,7 @@ def faults_enabled() -> bool:
 
 @dataclass(frozen=True)
 class FaultEvent:
-    """One declarative fault event (times in us after the first arrival).
+    """One declarative fault event (times in µs after the first arrival).
 
     ``chip`` is a worker index into the fleet (``-1`` means "drawn
     uniformly" and is only meaningful for ``chaos``).  ``until_us`` closes
@@ -229,8 +229,17 @@ def materialize(
 
 @dataclass(frozen=True)
 class FaultTolerance:
-    """Fault-tolerance knobs of one serving run (all off by default; each
-    knob's help says what it does, :mod:`repro.serve.knobs`)."""
+    """Fault-tolerance knobs of one serving run (all off by default).
+
+    Each knob's help says what it does.  A timeout never interrupts a
+    dispatched batch: the chip finishes what it starts, and in-flight loss
+    comes from chip failures only.  The retry backoff has no jitter
+    because determinism is the contract here.  ``degrade_below`` matters
+    only for models with an SLO target, and ``retry_priority`` only with
+    ``max_retries > 0``: a final-attempt retry goes first so it is served
+    before its last timeout budget burns down, instead of aging behind
+    new offered load.
+    """
 
     timeout_us: float = knob(
         0.0, ">= 0", "--timeout-us",

@@ -103,17 +103,20 @@ MODELS = Knob("models", str, ["resnet18"], tuple(list_models()), "--model",
 TRAFFIC_KNOBS: Tuple[Knob, ...] = (
     Knob("kind", str, "poisson", tuple(sorted(TRAFFIC_GENERATORS)),
          "--traffic", "traffic generator"),
-    Knob("requests", int, 200, "> 0", "--requests", "requests to simulate"),
+    Knob("requests", int, 200, "> 0", "--requests",
+         "number of requests to simulate"),
     Knob("rate_rps", float, None, "> 0", "--rate",
-         "offered rate in req/s (default: auto from fleet capacity)"),
+         "offered request rate in req/s (default: auto from fleet capacity)"),
     Knob("utilization", float, 0.7, "> 0", "--utilization",
          "target utilisation for the auto rate"),
-    Knob("clients", int, 4, "> 0", "--clients", "closed-loop clients"),
+    Knob("clients", int, 4, "> 0", "--clients",
+         "closed-loop clients (--traffic closed)"),
     Knob("concurrency", int, 1, "> 0", "--concurrency",
          "outstanding requests per closed-loop client"),
     Knob("think_us", float, 200.0, ">= 0", "--think-us",
          "mean closed-loop think time in us"),
-    Knob("path", str, None, None, "--trace", "trace file to replay"),
+    Knob("path", str, None, None, "--trace",
+         "trace file to replay (with --traffic trace)"),
 )
 _OPEN_LOOP_KEYS = ("requests", "rate_rps", "utilization")
 #: the traffic keys each kind reads besides ``kind``
@@ -178,9 +181,11 @@ class ScenarioSpec:
     """A validated (but not yet built) scenario."""
 
     models: List[str]
-    fleet_spec: str
+    # the SPEC_KNOBS values, under their spec keys
+    fleet: str
     policy: str
-    batch_sizes: List[int]
+    #: sorted and deduplicated
+    batches: List[int]
     max_wait_us: float
     optimizer: str
     mode: FitnessMode
@@ -271,16 +276,11 @@ def parse_spec(raw: Dict[str, object]) -> ScenarioSpec:
     validate_fault_targets(faults, len(fleet.workers))
 
     control_block = raw.get("control")
+    top.update(batches=sorted(set(top["batches"])),
+               mode=FitnessMode(top["mode"]))
     return ScenarioSpec(
         models=list(models),
-        fleet_spec=top["fleet"],
-        policy=top["policy"],
-        batch_sizes=sorted(set(top["batches"])),
-        max_wait_us=top["max_wait_us"],
-        optimizer=top["optimizer"],
-        mode=FitnessMode(top["mode"]),
-        cache_capacity=top["cache_capacity"],
-        seed=top["seed"],
+        **top,
         traffic_kind=kind,
         traffic_kwargs=kwargs,
         slos=slos,
@@ -298,10 +298,10 @@ def parse_spec(raw: Dict[str, object]) -> ScenarioSpec:
 
 def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
     """Build the simulator + workload (expensive: plan-cache warmup)."""
-    fleet = Fleet.from_spec(spec.fleet_spec)
+    fleet = Fleet.from_spec(spec.fleet)
     cache = PlanCache(capacity=spec.cache_capacity, optimizer=spec.optimizer,
                       mode=spec.mode, ga_config=spec.ga_config)
-    cache.warmup(spec.models, fleet.chip_names, spec.batch_sizes)
+    cache.warmup(spec.models, fleet.chip_names, spec.batches)
     if spec.trace is not None:
         generator = spec.trace
     else:
@@ -309,7 +309,7 @@ def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
         if spec.traffic_kind != "closed":
             rate = (spec.rate_rps if spec.rate_rps is not None
                     else spec.utilization * fleet_capacity_rps(
-                        cache, fleet, spec.models, spec.batch_sizes))
+                        cache, fleet, spec.models, spec.batches))
             kwargs["base_rate_rps" if spec.traffic_kind == "diurnal"
                    else "rate_rps"] = rate
         generator = TRAFFIC_GENERATORS[spec.traffic_kind](**kwargs)
@@ -317,7 +317,7 @@ def build_scenario(spec: ScenarioSpec) -> BuiltScenario:
         fleet,
         cache,
         policy=spec.policy,
-        batch_sizes=spec.batch_sizes,
+        batch_sizes=spec.batches,
         max_wait_us=spec.max_wait_us,
         slos=spec.slos,
         faults=spec.faults,

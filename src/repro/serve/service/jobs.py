@@ -92,7 +92,7 @@ class ScenarioJob:
             "windows": len(self.windows),
             "events": len(self.events),
             "models": list(self.spec.models),
-            "fleet": self.spec.fleet_spec,
+            "fleet": self.spec.fleet,
             "traffic": self.spec.traffic_kind,
         }
         if self.error is not None:
