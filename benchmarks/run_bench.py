@@ -10,8 +10,10 @@ of its workloads, seed 1, for ``run_seconds`` each: ``--trace 0`` gives the
 end-to-end metrics and the host-speed probe's quartiles, ``--trace 1`` the
 per-layer split and its wrapper-versus-program checks, read back from
 ``.perfbench/<workload>.layers.json``.  Writes ``BENCH_<YYYYMMDD>.json``
-into the repository root and exits 1 unless every workload reads
-``correct: true``.  ``benchmarks/compare_bench.py`` diffs two records.
+into the repository root, or ``BENCH_<YYYYMMDD>_<n>.json`` with the next
+free ``n`` when a record of that date exists (a record is never
+overwritten), and exits 1 unless every workload reads ``correct: true``.
+``benchmarks/compare_bench.py`` diffs two records.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ import json
 import re
 import subprocess
 import sys
+from pathlib import Path
+from typing import Optional
 
 from compare_bench import HARNESS, ROOT, load_spec
 
@@ -68,14 +72,26 @@ def record(path) -> dict:
         print(f"{name}: correct {workloads[name]['correct']}", flush=True)
     data = {"harness": HARNESS, "seed": SEED, "run_seconds": spec["run_seconds"],
             "workloads": workloads}
-    with open(path, "w") as handle:
+    with open(path, "x") as handle:
         json.dump(data, handle, indent=1, sort_keys=True)
         handle.write("\n")
     return data
 
 
+def record_path(root: Path = ROOT,
+                day: Optional[datetime.date] = None) -> Path:
+    """The first free record name of ``day`` (default today) in ``root``."""
+    stamp = f"{day or datetime.date.today():%Y%m%d}"
+    path = root / f"BENCH_{stamp}.json"
+    n = 2
+    while path.exists():
+        path = root / f"BENCH_{stamp}_{n}.json"
+        n += 1
+    return path
+
+
 def main() -> int:
-    path = ROOT / f"BENCH_{datetime.date.today():%Y%m%d}.json"
+    path = record_path()
     data = record(path)
     print(f"benchmark record written to {path}")
     return 0 if all(entry["correct"] for entry in data["workloads"].values()) else 1

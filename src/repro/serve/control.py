@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
@@ -262,6 +263,8 @@ class Controller:
         self.health: Dict[int, _ChipHealth] = {}
         #: end-to-end latencies (ns) of recent completions — hedge budget
         self.lat_window: Deque[float] = deque(maxlen=config.window)
+        #: ``lat_window`` kept ascending, so a tick reads the budget unsorted
+        self.lat_sorted: List[float] = []
         #: 0/1 SLO outcomes of recent completions — autoscale signal
         self.slo_window: Deque[int] = deque(maxlen=config.window)
         #: models of recent dispatches — re-placement traffic weights
@@ -317,7 +320,13 @@ class Controller:
     def note_request(self, latency_ns: float,
                      slo_ok: Optional[bool]) -> None:
         """One request completed end to end (hedge winners count once)."""
-        self.lat_window.append(latency_ns)
+        window = self.lat_window
+        lat_sorted = self.lat_sorted
+        if len(window) == window.maxlen:
+            # the append below evicts the oldest sample: drop one equal value
+            del lat_sorted[bisect_left(lat_sorted, window[0])]
+        window.append(latency_ns)
+        insort(lat_sorted, latency_ns)
         if slo_ok is not None:
             self.slo_window.append(1 if slo_ok else 0)
 
@@ -413,7 +422,7 @@ class Controller:
         if (self.config.hedge_after_pct <= 0
                 or len(self.lat_window) < self.config.hedge_min_samples):
             return None
-        return nearest_rank_percentile(sorted(self.lat_window),
+        return nearest_rank_percentile(self.lat_sorted,
                                        self.config.hedge_after_pct)
 
     def attainment(self) -> Optional[float]:

@@ -105,8 +105,10 @@ class FaultEvent:
         if self.kind == "chaos":
             if self.count <= 0:
                 raise ValueError("chaos needs count > 0 failures to draw")
-            if not (self.mtbf_us > 0 and self.mttr_us > 0):
-                raise ValueError("chaos needs positive mtbf_us and mttr_us")
+            if not (0 < self.mtbf_us < math.inf and 0 < self.mttr_us < math.inf):
+                raise ValueError(
+                    "chaos needs positive, finite mtbf_us and mttr_us, got "
+                    f"{self.mtbf_us} and {self.mttr_us}")
         elif self.chip < 0:
             raise ValueError(f"{self.kind} needs an explicit chip=<index>")
 

@@ -34,7 +34,10 @@ is offered one representative per class — the member with the least
 chip a ranking of every idle chip would.  ``fifo`` and ``least_loaded``
 see every idle chip.  Plans are priced through the run's
 :class:`~repro.serve.plans.PriceTable`, which consults the plan cache
-once per plan.
+once per plan.  The simulator keeps the candidate chips and each
+``(model, batch)`` route in a dispatch view that it rebuilds only after a
+chip's dispatch state changes, so a dispatch attempt at an event that
+changed no chip costs one length check and dictionary lookups.
 
 A policy may also order the model queues competing for an idle chip
 (:meth:`SchedulingPolicy.order_queues`).  The default is FIFO across

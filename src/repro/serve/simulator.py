@@ -699,6 +699,13 @@ class _RunState:
         self.depth_integral = 0.0
         self.depth_max = 0
 
+        #: the dispatch view (see :meth:`chips_changed`): the candidate
+        #: chips the policy chooses among, None until next needed, and the
+        #: policy's (worker, plan, service_ns) route per (model, batch)
+        self.view: Optional[List[ChipWorker]] = None
+        self.routes: Dict[Tuple[str, int],
+                          Tuple[ChipWorker, CompiledPlan, float]] = {}
+
         self.ctl_snapshot_key: Optional[Tuple[int, ...]] = None
         self.ctl_snapshot: Dict[str, object] = {}
         if tele is not None:
@@ -737,15 +744,41 @@ class _RunState:
                 if w.busy_until_ns <= now and w.up and w.index not in inflight
                 and (ctrl is None or ctrl.available(w))]
 
+    # --- dispatch view --------------------------------------------------
+    def chips_changed(self) -> None:
+        """Drop the dispatch view: a chip's dispatch state has changed.
+
+        Called wherever what :meth:`idle_chips`, ``pricing_classes`` or the
+        policy's ``choose_worker`` read may change: a batch starts, a chip
+        frees (also a pre-warm's free with nothing in flight), a fault
+        fires, the controller quarantines, re-admits, adds or retires a
+        chip or re-pins plans, and a command swaps the policy.
+
+        Between two calls the view is exact at any later ``now``.  A chip
+        turns idle only at an event: every ``busy_until_ns`` assignment
+        either queues a chip-free event at that time (kind 0, so it pops
+        first at its instant and calls this) or sets it to the current
+        ``now``.  So the idle set, and with it the pricing classes, cannot
+        depend on ``now`` between calls.  No policy reads
+        ``choose_worker``'s ``now_ns``, so neither can a route.
+        """
+        self.view = None
+        self.routes.clear()
+
     def candidates(self, now: float) -> List[ChipWorker]:
         """The idle chips the policy chooses among at ``now``.
 
         A price-ranking policy sees one chip per pricing class
         (:func:`~repro.serve.scheduler.pricing_classes`), which picks the
         same chip as ranking every idle chip; other policies see them all.
+        Cached until :meth:`chips_changed`.
         """
-        idle = self.idle_chips(now)
-        return pricing_classes(idle) if self.policy.ranks_by_price else idle
+        view = self.view
+        if view is None:
+            idle = self.idle_chips(now)
+            view = self.view = (pricing_classes(idle)
+                                if self.policy.ranks_by_price else idle)
+        return view
 
     def fault_gauges(self) -> Dict[str, object]:
         return {name: getattr(self, name)
@@ -825,6 +858,7 @@ class _RunState:
 
     # --- event handlers -------------------------------------------------
     def on_free(self, now: float, index: int) -> None:
+        self.chips_changed()
         record = self.inflight.get(index)
         if record is None:
             return  # a plan pre-warm finished: nothing to finalise
@@ -838,6 +872,7 @@ class _RunState:
         action, chip, factor = payload
         worker = self.workers[chip]
         tele = self.tele
+        self.chips_changed()
         if action == ACTION_FAIL:
             if not worker.up:
                 return
@@ -986,6 +1021,8 @@ class _RunState:
         ctrl.ticks += 1
         ctrl.update_utilisation(now, workers)
         changed = ctrl.assess(now, workers)
+        if changed:
+            self.chips_changed()  # a quarantine or a re-admission
         budget_ns = ctrl.hedge_budget_ns()
         if budget_ns is not None:
             self.try_hedge(now, budget_ns)
@@ -1094,8 +1131,7 @@ class _RunState:
         ctrl = self.ctrl
         # depth is the total queued count, so an empty system is one compare
         while self.depth:
-            idle = self.candidates(now)
-            if not idle:
+            if not self.candidates(now):
                 return
             progressed = False
             for model in policy.order_queues(queues):
@@ -1105,7 +1141,7 @@ class _RunState:
                 # the next larger batch may route to a different chip class,
                 # and with switch cost on a cold chip's switch charge counts
                 def cost_of(b: int) -> float:
-                    return self.route(idle, model, b, now)[2]
+                    return self.route(model, b, now)[2]
 
                 if forced.get(model):
                     batch = batcher.dispatch_size(len(queue))
@@ -1131,7 +1167,7 @@ class _RunState:
                             pending_deadline[model] = deadline
                             self.push(deadline, _EVENT_DEADLINE, 0, model)
                         continue
-                worker, plan, service_ns = self.route(idle, model, batch, now)
+                worker, plan, service_ns = self.route(model, batch, now)
                 served = min(batch, len(queue))
                 batch_requests = [queue.popleft() for _ in range(served)]
                 forced.pop(model, None)
@@ -1150,13 +1186,24 @@ class _RunState:
             if not progressed:
                 return
 
-    def route(self, idle: List[ChipWorker], model: str, batch: int,
+    def route(self, model: str, batch: int,
               now: float) -> Tuple[ChipWorker, CompiledPlan, float]:
-        """The chip the policy picks for ``batch``, its plan and latency."""
-        worker = self.policy.choose_worker(
-            idle, model, batch, self.prices, now, self.switch_cost)
-        plan = plan_for(self.prices, worker, model, batch)
-        return worker, plan, service_latency_ns(plan, worker, self.switch_cost)
+        """The chip the policy picks for ``batch``, its plan and latency.
+
+        Picks among :meth:`candidates` (which must not be empty) and is
+        cached with them until :meth:`chips_changed`.
+        """
+        key = (model, batch)
+        routed = self.routes.get(key)
+        if routed is None:
+            worker = self.policy.choose_worker(
+                self.candidates(now), model, batch, self.prices, now,
+                self.switch_cost)
+            plan = plan_for(self.prices, worker, model, batch)
+            routed = self.routes[key] = (
+                worker, plan, service_latency_ns(plan, worker,
+                                                 self.switch_cost))
+        return routed
 
     def start_batch(self, now: float, worker: ChipWorker, model: str,
                     batch: int, requests: List[Request], plan: CompiledPlan,
@@ -1174,6 +1221,7 @@ class _RunState:
         worker.loaded_plan = plan.key
         completion = now + service_ns
         worker.busy_until_ns = completion
+        self.chips_changed()
         self.push(completion, _EVENT_FREE, worker.index, worker.index)
         if self.tele is not None:
             self.tele.dispatch(now, requests, worker, model, batch,
@@ -1339,11 +1387,10 @@ class _RunState:
     def launch_hedge(self, now: float, request: Request, model: str,
                      beat_ns: Optional[float]) -> bool:
         """Fly one hedge copy; False when no chip is idle."""
-        idle = self.candidates(now)
-        if not idle:
+        if not self.candidates(now):
             return False
         batch = self.smallest_batch
-        worker, plan, service_ns = self.route(idle, model, batch, now)
+        worker, plan, service_ns = self.route(model, batch, now)
         if beat_ns is not None and now + service_ns >= beat_ns:
             return True  # the hedge cannot win: not worth chip time
         completion = self.start_batch(now, worker, model, batch, [request],
@@ -1373,6 +1420,7 @@ class _RunState:
         worker.loaded_plan = COLD_PLAN
         worker.busy_until_ns = now
         self.workers.append(worker)
+        self.chips_changed()
         self.ctrl.last_scale_ns = now
         self.ctrl.scale_ups += 1
 
@@ -1383,6 +1431,7 @@ class _RunState:
             return False
         ctrl = self.ctrl
         ctrl.retired.add(candidates[-1].index)
+        self.chips_changed()
         ctrl.last_scale_ns = now
         ctrl.scale_downs += 1
         return True
@@ -1447,6 +1496,7 @@ class _RunState:
             worker.loaded_plan = plan.key
             applied = True
         if applied:
+            self.chips_changed()
             ctrl.replacements += 1
 
     def apply_command(self, command: Dict[str, object], now: float) -> None:
@@ -1479,6 +1529,7 @@ class _RunState:
                 new_policy = make_policy(name)
                 new_policy.reset()
                 self.policy = new_policy
+                self.chips_changed()
                 entry["policy"] = name
             elif op == "autoscale_bounds":
                 if self.ctrl is None:

@@ -664,9 +664,6 @@ class RequestTracer:
         """Whether this request id is in the deterministic K-sample."""
         return request_id % self.every == 0
 
-    def _ts_us(self, ts_ns: float) -> float:
-        return (ts_ns - self.origin_ns) * 1e-3
-
     def _span(self, name: str, request_id: int, start_ns: float,
               stop_ns: float, args: Dict[str, object]) -> None:
         self._events.append((

@@ -127,6 +127,10 @@ class TestNoTraceback:
          "--inject", "straggler@0:chip=1,factor=inf"],
         ["serve", "--model", "squeezenet", "--fleet", "S:2",
          "--inject", "dram_degrade@0:chip=0,factor=inf"],
+        ["serve", "--model", "squeezenet", "--chip", "S", "--requests", "20",
+         "--inject", "chaos@0:seed=7,count=2,mtbf_us=inf,mttr_us=800"],
+        ["serve", "--model", "squeezenet", "--chip", "S", "--requests", "20",
+         "--inject", "chaos@0:seed=7,count=2,mtbf_us=5000,mttr_us=inf"],
         # the autoscaler's chip class is checked before any plan compiles
         ["serve", "--model", "squeezenet", "--control-interval-us", "200",
          "--autoscale", "1:2", "--scale-chip", "Z"],

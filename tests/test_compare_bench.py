@@ -3,9 +3,11 @@
 ``run_bench.workload_entry`` is fed canned perfbench output, so no
 perfbench run happens here.  ``compare_bench.compare`` is checked against
 a two-metric spec in the shape of ``BENCHMARK.json``, and
-``check_bench_regression.latest_baseline`` against a directory of records.
+``check_bench_regression.latest_baseline`` and ``run_bench.record_path``
+against a directory of records.
 """
 
+import datetime
 import json
 import os
 import sys
@@ -18,7 +20,7 @@ sys.path.insert(0, os.path.join(HERE, "..", "scripts"))
 
 from check_bench_regression import latest_baseline  # noqa: E402
 from compare_bench import HARNESS, compare, load_record  # noqa: E402
-from run_bench import workload_entry  # noqa: E402
+from run_bench import record_path, workload_entry  # noqa: E402
 
 SPEC = {
     "end_to_end": [
@@ -144,10 +146,39 @@ class TestBaseline:
         write_record(tmp_path / "BENCH_20261201-draft.json", {"a": entry()})
         assert latest_baseline(tmp_path).name == "BENCH_20261001.json"
 
+    def test_same_day_suffix_is_newest(self, tmp_path):
+        write_record(tmp_path / "BENCH_20261018.json", {"a": entry()})
+        assert latest_baseline(tmp_path).name == "BENCH_20261018.json"
+        # suffixes order numerically, after the day's unsuffixed record
+        for n in (2, 10, 9):
+            write_record(tmp_path / f"BENCH_20261018_{n}.json", {"a": entry()})
+        write_record(tmp_path / "BENCH_20261017_5.json", {"a": entry()})
+        assert latest_baseline(tmp_path).name == "BENCH_20261018_10.json"
+        write_pytest_benchmark(tmp_path / "BENCH_20261018_11.json")
+        assert latest_baseline(tmp_path).name == "BENCH_20261018_10.json"
+
     def test_no_perfbench_record_exits(self, tmp_path):
         write_pytest_benchmark(tmp_path / "BENCH_20260807.json")
         with pytest.raises(SystemExit, match="no perfbench"):
             latest_baseline(tmp_path)
+
+
+class TestRecordPath:
+    DAY = datetime.date(2026, 10, 18)
+
+    def test_free_day_takes_the_plain_name(self, tmp_path):
+        write_record(tmp_path / "BENCH_20261017.json", {"a": entry()})
+        assert record_path(tmp_path, self.DAY).name == "BENCH_20261018.json"
+
+    def test_existing_records_are_never_overwritten(self, tmp_path):
+        names = []
+        for _ in range(3):
+            path = record_path(tmp_path, self.DAY)
+            names.append(path.name)
+            write_record(path, {"a": entry()})
+        assert names == ["BENCH_20261018.json", "BENCH_20261018_2.json",
+                         "BENCH_20261018_3.json"]
+        assert latest_baseline(tmp_path).name == "BENCH_20261018_3.json"
 
 
 PLAIN_STDOUT = """\

@@ -11,6 +11,7 @@ bit-identity against the pre-control simulator is pinned separately in
 """
 
 import dataclasses
+import random
 
 import pytest
 
@@ -177,6 +178,25 @@ def _workers(n, **overrides):
 
 
 class TestControllerDecisions:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_hedge_budget_matches_sorting_the_window(self, seed):
+        # few distinct values force ties; 5x the window forces many wraps
+        rng = random.Random(seed)
+        window = rng.choice((1, 3, 8, 17))
+        pct = rng.choice((50.0, 90.0, 99.0))
+        ctrl = Controller(ControlConfig(interval_us=100.0, window=window,
+                                        hedge_after_pct=pct,
+                                        hedge_min_samples=1))
+        assert ctrl.hedge_budget_ns() is None
+        values = [rng.choice((0.0, 1.5, 2.0, 2.0, 7.25)) * 1e6
+                  + rng.choice((0.0, 0.0, rng.random()))
+                  for _ in range(5 * window + 3)]
+        for value in values:
+            ctrl.note_request(value, None)
+            assert ctrl.lat_sorted == sorted(ctrl.lat_window)
+            assert ctrl.hedge_budget_ns() == nearest_rank_percentile(
+                sorted(ctrl.lat_window), pct)
+
     def test_stalled_completion_quarantines(self):
         ctrl = Controller(ControlConfig(interval_us=100.0))
         workers = _workers(2)

@@ -130,6 +130,8 @@ class TestParseInject:
         "straggler@500:chip=0,factor=0",      # non-positive factor
         "chaos@0:seed=7",                     # chaos without count/mtbf/mttr
         "chaos@0:count=3,mtbf_us=0,mttr_us=5",
+        "chaos@0:count=3,mtbf_us=inf,mttr_us=5",   # infinite means
+        "chaos@0:count=3,mtbf_us=5,mttr_us=inf",
     ])
     def test_malformed_specs_rejected(self, spec):
         with pytest.raises(ValueError):
