@@ -80,7 +80,7 @@ def test_serving_throughput(benchmark):
     assert report.completed == NUM_REQUESTS
     assert report.throughput_rps > 0
     assert report.latency_ms["p50"] <= report.latency_ms["p99"]
-    print(f"\nServing {MODEL} on {report.fleet_spec} "
+    print(f"\nServing {MODEL} on {report.fleet} "
           f"({report.traffic['rate_rps']:.0f} req/s offered, seed {SEED}):")
     print(format_table([report.summary_row()]))
     print(f"batch histogram: {dict(sorted(report.batch_histogram.items()))}; "
@@ -113,7 +113,7 @@ def test_serving_switch_cost(benchmark):
     assert report.completed == NUM_REQUESTS
     assert report.plan_switches > 0
     assert set(report.slo) == set(slos)
-    print(f"\nServing {'+'.join(report.models)} on {report.fleet_spec} "
+    print(f"\nServing {'+'.join(report.models)} on {report.fleet} "
           f"(switch cost on, fair policy, seed {SEED}):")
     print(format_table([report.summary_row()]))
     print(f"plan switches: {report.plan_switches} "
@@ -149,7 +149,7 @@ def test_serving_faults(benchmark):
     assert report.completed + report.shed + report.timeouts + report.lost \
         == NUM_REQUESTS
     assert report.availability < 1.0
-    print(f"\nServing {MODEL} on {report.fleet_spec} under faults "
+    print(f"\nServing {MODEL} on {report.fleet} under faults "
           f"(chip failure + straggler, retries + shedding, seed {SEED}):")
     print(format_table([report.summary_row()]))
     print(f"failures: {report.failures}, retries: {report.retries}, "
@@ -190,7 +190,7 @@ def test_serving_control(benchmark):
     assert control_block["ticks"] > 0
     assert report.completed + report.shed + report.timeouts + report.lost \
         == NUM_REQUESTS
-    print(f"\nServing {MODEL} on {report.fleet_spec} self-healing "
+    print(f"\nServing {MODEL} on {report.fleet} self-healing "
           f"(control tick 200 us, hedging + autoscale, seed {SEED}):")
     print(format_table([report.summary_row()]))
     print(f"ticks: {control_block['ticks']}, detections: "
@@ -253,7 +253,7 @@ def test_serving_telemetry(benchmark):
         if pair >= 4 and overhead <= 0.10:
             break
     assert overhead <= 0.10, f"telemetry overhead {overhead:.1%}"
-    print(f"\nServing {MODEL} on {report.fleet_spec} with telemetry "
+    print(f"\nServing {MODEL} on {report.fleet} with telemetry "
           f"(timeline 2 ms, trace every 10th, seed {SEED}):")
     print(format_table([report.summary_row()]))
     print(f"windows: {len(report.timeline)}, completions counted: "

@@ -125,7 +125,7 @@ def test_serving_service(benchmark):
             # (min-of-N only ever lowers both sides)
             break
     assert overhead <= 0.10, f"incremental-flush overhead {overhead:.1%}"
-    print(f"\nStreaming {MODEL} on {report.fleet_spec} through the "
+    print(f"\nStreaming {MODEL} on {report.fleet} through the "
           f"observatory sink (500 us windows, seed {SEED}):")
     print(format_table([report.summary_row()]))
     print(f"windows: {len(batch_report.timeline)} "

@@ -291,7 +291,10 @@ class Controller:
 
     # --- observation hooks (called by the simulator) -------------------
     def health_for(self, index: int) -> _ChipHealth:
-        return self.health.setdefault(index, _ChipHealth())
+        health = self.health.get(index)
+        if health is None:
+            health = self.health[index] = _ChipHealth()
+        return health
 
     def available(self, worker: ChipWorker) -> bool:
         """Whether the controller lets this chip take dispatches."""

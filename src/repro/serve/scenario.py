@@ -227,7 +227,7 @@ def parse_spec(raw: Dict[str, object]) -> ScenarioSpec:
     if not isinstance(raw, dict):
         raise ValueError("scenario spec must be a JSON object")
     top = read_block(raw, SPEC_KNOBS, "spec", also_known=_NAMED_KEYS)
-    models = raw.get("models") or MODELS.default
+    models = raw.get("models", MODELS.default)
     if not isinstance(models, list) or not models:
         raise ValueError("models must be a non-empty list of model names")
     _check_models(models)

@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import abc
 import math
+from bisect import bisect_right
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.serve.fleet import ChipWorker, plan_for, service_latency_ns
@@ -263,8 +264,8 @@ class DynamicBatcher:
         a padded batch (the plan executes at its compiled batch size, the
         spare slots ride along empty).
         """
-        fitting = [b for b in self.batch_sizes if b <= queue_len]
-        return fitting[-1] if fitting else self.batch_sizes[0]
+        sizes = self.batch_sizes
+        return sizes[max(bisect_right(sizes, queue_len) - 1, 0)]
 
     def choose(
         self,
@@ -285,14 +286,15 @@ class DynamicBatcher:
         """
         if queue_len <= 0:
             raise ValueError("choose() needs a non-empty queue")
-        b_now = self.dispatch_size(queue_len)
-        larger = [b for b in self.batch_sizes if b > queue_len]
-        if not larger or not more_arrivals or self.max_wait_ns <= 0:
+        sizes = self.batch_sizes
+        above = bisect_right(sizes, queue_len)  # the first size past the queue
+        b_now = sizes[max(above - 1, 0)]
+        if above == len(sizes) or not more_arrivals or self.max_wait_ns <= 0:
             return b_now, None
         deadline = oldest_arrival_ns + self.max_wait_ns
         if now_ns >= deadline:
             return b_now, None
-        b_next = larger[0]
+        b_next = sizes[above]
         if not math.isfinite(ema_interarrival_ns):
             return b_now, None  # no rate estimate yet: stay work-conserving
         wait_ns = (b_next - queue_len) * ema_interarrival_ns

@@ -64,14 +64,10 @@ batch instead (its riders retry or are lost).  A chip whose batch completes
 at the current instant takes a new batch only after its own chip-free
 event.  With faults injected or any
 :class:`~repro.serve.faults.FaultTolerance` knob active, requests lost to
-failures/timeouts re-enter as retries and the report grows a ``faults``
-block (failures, retries, timeouts, shed/lost counts, lost work,
-availability) plus per-chip downtime columns; an active control plane
-also adds a ``control`` block.  Nothing consumes
-randomness at simulation time — chaos fault schedules are pre-drawn from
-their own seed — so a fixed-seed scenario, faulty or not, replays to a
-bit-identical report (plan-cache statistics are reported, but deliberately
-excluded from the deterministic core, see ``determinism_dict``).
+failures/timeouts re-enter as retries.  Nothing consumes randomness at
+simulation time — chaos fault schedules are pre-drawn from their own
+seed — so a fixed-seed scenario, faulty or not, replays to a bit-identical
+``ServingReport.determinism_dict``.
 """
 
 from __future__ import annotations
@@ -81,7 +77,7 @@ import itertools
 import math
 import threading
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.serve.control import COLD_PLAN, ControlConfig, Controller, place_plans
@@ -218,6 +214,36 @@ class CommandQueue:
         return items
 
 
+@dataclass(frozen=True)
+class _Slot:
+    """Where :meth:`ServingReport.as_dict` writes one field."""
+
+    #: the nested block holding the field (``None``: the top level)
+    block: Optional[str] = None
+    #: the boolean field that turns ``block`` on; the gate is not written
+    gate: Optional[str] = None
+    #: left out when empty
+    optional: bool = False
+    #: in ``determinism_dict`` (``False``: may differ between runs of a seed)
+    core: bool = True
+    #: a mapping written sorted by key, each key as a string
+    sort_keys: bool = False
+
+
+def _slot(slot: _Slot, **default: object) -> object:
+    """A :class:`ServingReport` field laid out by ``slot``."""
+    return field(metadata={"slot": slot}, **default)
+
+
+_TOP = _Slot()
+_SORTED = _Slot(sort_keys=True)
+_SWITCH = _Slot("switch", "switch_cost")
+_FAULTS = _Slot("faults", "fault_tolerance")
+_OPTIONAL = _Slot(optional=True)
+#: optional and outside the determinism core
+_VOLATILE = _Slot(optional=True, core=False)
+
+
 @dataclass
 class ServingReport:
     """Outcome of one serving run (all quantities deterministic per seed).
@@ -235,9 +261,12 @@ class ServingReport:
     offered stream unless the run ended with requests still queued — plus
     lost work, retry counts and fleet availability (chip-uptime fraction
     over the makespan).
+
+    Each field's :class:`_Slot` says where :meth:`as_dict` writes it, so a
+    run with every feature off serializes with no optional block.
     """
 
-    fleet_spec: str
+    fleet: str
     policy: str
     traffic: Dict[str, object]
     models: Tuple[str, ...]
@@ -255,149 +284,95 @@ class ServingReport:
     queue_depth: Dict[str, float]
     batches: int
     mean_batch: float
-    batch_histogram: Dict[int, int]
-    served_histogram: Dict[int, int]
+    batch_histogram: Dict[int, int] = _slot(_SORTED)
+    served_histogram: Dict[int, int] = _slot(_SORTED)
     padded_batches: int
     per_chip: List[Dict[str, object]]
     total_energy_mj: float
     energy_per_request_mj: float
     #: whether plan-switch weight-replacement cost was modelled
-    switch_cost: bool = False
-    #: total plan switches across the fleet (0 when switch cost is off)
-    plan_switches: int = 0
+    switch_cost: bool = _slot(_SWITCH, default=False)
+    #: total plan switches across the fleet
+    plan_switches: int = _slot(_SWITCH, default=0)
     #: total weight-replacement time charged to switches (ms)
-    switch_ms: float = 0.0
+    switch_ms: float = _slot(_SWITCH, default=0.0)
     #: per-model SLO blocks (only for models given a target): target,
     #: p50/p95/p99 latency and the attained fraction
-    slo: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    slo: Dict[str, Dict[str, float]] = _slot(
+        _Slot(optional=True, sort_keys=True), default_factory=dict)
     #: whether faults were injected or fault-tolerance machinery was active
-    fault_tolerance: bool = False
+    fault_tolerance: bool = _slot(_FAULTS, default=False)
     #: chip failures applied
-    failures: int = 0
+    failures: int = _slot(_FAULTS, default=0)
     #: retry attempts injected (after chip failures and timeouts)
-    retries: int = 0
+    retries: int = _slot(_FAULTS, default=0)
     #: requests abandoned by timeout with no attempts left
-    timeouts: int = 0
+    timeouts: int = _slot(_FAULTS, default=0)
     #: arrivals rejected by admission control
-    shed: int = 0
+    shed: int = _slot(_FAULTS, default=0)
     #: requests lost to chip failures with no attempts left
-    lost: int = 0
+    lost: int = _slot(_FAULTS, default=0)
     #: chip time wasted on batches killed mid-flight (ms)
-    lost_work_ms: float = 0.0
+    lost_work_ms: float = _slot(_FAULTS, default=0.0)
     #: dispatches that bypassed batching because a model was behind SLO
-    degraded_dispatches: int = 0
+    degraded_dispatches: int = _slot(_FAULTS, default=0)
     #: chip-uptime fraction over the makespan (1.0 = no downtime)
-    availability: float = 1.0
+    availability: float = _slot(_FAULTS, default=1.0)
     #: control-plane block (detections vs injected truth, hedge outcomes,
     #: scale events, re-placements) — empty when no controller ran
-    control: Dict[str, object] = field(default_factory=dict)
+    control: Dict[str, object] = _slot(_OPTIONAL, default_factory=dict)
     #: mid-run commands applied (or rejected) by a live observatory run,
     #: in application order with the simulation instant each one landed
-    #: at — empty for ordinary runs.  Command arrival instants depend on
-    #: wall-clock timing, so this block is excluded from the
-    #: determinism core.
-    commands: List[Dict[str, object]] = field(default_factory=list)
+    #: at; their arrival instants depend on wall-clock timing
+    commands: List[Dict[str, object]] = _slot(_VOLATILE,
+                                              default_factory=list)
     #: per-window metrics timeline rows (empty unless a timeline interval
-    #: was configured) — deterministic per seed
-    timeline: List[Dict[str, object]] = field(default_factory=list)
-    #: telemetry hub snapshot (counters/gauges/histograms + config echo)
-    #: — empty when no telemetry ran
-    telemetry: Dict[str, object] = field(default_factory=dict)
-    #: plan-cache counters after the run, warm-up included.  A run prices
-    #: every dispatch from its :class:`~repro.serve.plans.PriceTable`,
-    #: which consults the cache only on a table miss (once per distinct
-    #: plan), so a run adds those consultations to hits and misses, not
-    #: one lookup per dispatch
-    plan_cache: Dict[str, float] = field(default_factory=dict)
+    #: was configured)
+    timeline: List[Dict[str, object]] = _slot(_OPTIONAL,
+                                              default_factory=list)
+    #: telemetry hub snapshot (counters/gauges/histograms + config echo);
+    #: its gauges embed the plan-cache counters
+    telemetry: Dict[str, object] = _slot(_VOLATILE, default_factory=dict)
+    #: plan-cache counters after the run, warm-up included; they differ
+    #: between cold- and warm-cache runs of one seed.  A run prices every
+    #: dispatch from its :class:`~repro.serve.plans.PriceTable`, which
+    #: consults the cache only on a table miss (once per distinct plan),
+    #: so a run adds those consultations to hits and misses, not one
+    #: lookup per dispatch
+    plan_cache: Dict[str, float] = _slot(_Slot(core=False),
+                                         default_factory=dict)
 
     # ------------------------------------------------------------------
     def determinism_dict(self) -> Dict[str, object]:
-        """The seed-deterministic core of the report.
-
-        Everything except the plan-cache counters and the telemetry hub
-        snapshot (whose gauges embed those same counters), which
-        legitimately differ between cold-cache and warm-cache runs of the
-        same seed; the fixed-seed replay tests compare exactly this
-        dictionary.  The ``timeline`` block *is* deterministic and stays.
-        """
-        data = self.as_dict()
-        data.pop("plan_cache", None)
-        data.pop("telemetry", None)
-        # command arrival points depend on wall-clock service timing
-        data.pop("commands", None)
-        return data
+        """:meth:`as_dict` minus the fields outside the determinism core:
+        what the fixed-seed replay tests compare."""
+        return self._walk(core_only=True)
 
     def as_dict(self) -> Dict[str, object]:
-        """Flat JSON-compatible dictionary (for serialization).
+        """Flat JSON-compatible dictionary (for serialization)."""
+        return self._walk(core_only=False)
 
-        The ``switch`` block appears only when plan-switch cost was
-        modelled, the ``slo`` block only when SLO targets were set, the
-        ``faults`` block only when faults were injected or fault-tolerance
-        machinery was active, the ``control`` block only when the
-        self-healing control plane ran, and the ``timeline``/``telemetry``
-        blocks only when the telemetry layer ran — so a run with every
-        feature off serializes exactly like the pre-fault model did.
-        """
-        data: Dict[str, object] = {
-            "fleet": self.fleet_spec,
-            "policy": self.policy,
-            "traffic": dict(self.traffic),
-            "models": list(self.models),
-            "optimizer": self.optimizer,
-            "mode": self.mode,
-            "batch_sizes": list(self.batch_sizes),
-            "max_wait_us": self.max_wait_us,
-            "num_requests": self.num_requests,
-            "completed": self.completed,
-            "makespan_ms": self.makespan_ms,
-            "throughput_rps": self.throughput_rps,
-            "offered_rps": self.offered_rps,
-            "latency_ms": dict(self.latency_ms),
-            "wait_ms": dict(self.wait_ms),
-            "queue_depth": dict(self.queue_depth),
-            "batches": self.batches,
-            "mean_batch": self.mean_batch,
-            "batch_histogram": {str(k): v for k, v in sorted(self.batch_histogram.items())},
-            "served_histogram": {str(k): v for k, v in sorted(self.served_histogram.items())},
-            "padded_batches": self.padded_batches,
-            "per_chip": [dict(row) for row in self.per_chip],
-            "total_energy_mj": self.total_energy_mj,
-            "energy_per_request_mj": self.energy_per_request_mj,
-        }
-        if self.switch_cost:
-            data["switch"] = {
-                "plan_switches": self.plan_switches,
-                "switch_ms": self.switch_ms,
-            }
-        if self.slo:
-            data["slo"] = {model: dict(block)
-                           for model, block in sorted(self.slo.items())}
-        if self.fault_tolerance:
-            data["faults"] = {
-                "failures": self.failures,
-                "retries": self.retries,
-                "timeouts": self.timeouts,
-                "shed": self.shed,
-                "lost": self.lost,
-                "lost_work_ms": self.lost_work_ms,
-                "degraded_dispatches": self.degraded_dispatches,
-                "availability": self.availability,
-            }
-        if self.control:
-            data["control"] = dict(self.control)
-        if self.commands:
-            data["commands"] = [dict(entry) for entry in self.commands]
-        if self.timeline:
-            data["timeline"] = [dict(row) for row in self.timeline]
-        if self.telemetry:
-            data["telemetry"] = dict(self.telemetry)
-        data["plan_cache"] = dict(self.plan_cache)
+    def _walk(self, core_only: bool) -> Dict[str, object]:
+        data: Dict[str, object] = {}
+        for f in fields(self):
+            name, slot = f.name, f.metadata.get("slot", _TOP)
+            value = getattr(self, name)
+            if (name == slot.gate or (core_only and not slot.core)
+                    or (slot.gate and not getattr(self, slot.gate))
+                    or (slot.optional and not value)):
+                continue
+            if slot.sort_keys:
+                value = {str(key): _plain(item)
+                         for key, item in sorted(value.items())}
+            else:
+                value = _plain(value)
+            (data.setdefault(slot.block, {}) if slot.block else data)[name] = value
         return data
 
     def summary_row(self) -> Dict[str, object]:
         """One flat headline row (for tables and benchmarks)."""
         return {
-            "fleet": self.fleet_spec,
+            "fleet": self.fleet,
             "policy": self.policy,
             "traffic": str(self.traffic.get("traffic", "")),
             "requests": self.completed,
@@ -413,6 +388,16 @@ class ServingReport:
             ),
             "energy_per_request_mj": self.energy_per_request_mj,
         }
+
+
+def _plain(value: object) -> object:
+    """A JSON-ready copy: a tuple becomes a list, dicts and dict rows are
+    copied."""
+    if isinstance(value, dict):
+        return dict(value)
+    if isinstance(value, (list, tuple)):
+        return [dict(item) if isinstance(item, dict) else item for item in value]
+    return value
 
 
 class ServingSimulator:
@@ -433,17 +418,15 @@ class ServingSimulator:
     control plane (:class:`~repro.serve.control.ControlConfig`):
     quarantine-based failure detection, hedged requests, SLO-driven
     autoscaling and plan re-placement, all driven from a fixed control
-    tick.  With none of the three in play the report carries no
-    ``faults`` block; the accounting path is the same either way.
+    tick.
 
     ``telemetry`` configures the passive observability layer
     (:class:`~repro.serve.telemetry.TelemetryConfig`): a per-window
     metrics timeline, streaming percentile sketches and every-K-th
     request lifecycle tracing.  Telemetry is a **pure observer** — it
     reads simulation state and consumes no randomness, so a telemetry-on
-    run replays the telemetry-off event order exactly and its report is
-    bit-identical minus the new ``timeline``/``telemetry`` blocks
-    (dropped wholesale when ``REPRO_SERVE_TELEMETRY=0``).  The last run's
+    run replays the telemetry-off event order exactly (telemetry is
+    dropped wholesale when ``REPRO_SERVE_TELEMETRY=0``).  The last run's
     :class:`~repro.serve.telemetry.TelemetrySession` is kept on
     ``telemetry_session`` so callers can export the Chrome trace.
     """
@@ -595,9 +578,9 @@ class _RunState:
         self.remaining = remaining
         ctrl = Controller(sim.control) if sim.control.active else None
         self.ctrl = ctrl
-        #: report shape only: runs with faults scheduled or any
-        #: fault-tolerance/control knob set report a ``faults`` block and
-        #: per-chip fault columns, and only they accept injected faults
+        #: the report's ``fault_tolerance``: runs with faults scheduled or
+        #: any fault-tolerance/control knob set report per-chip fault
+        #: columns, and only they accept injected faults
         self.use_ft = bool(sim._fault_schedule) or self.ft.active or ctrl is not None
         #: the passive telemetry session (None when every knob is off, so
         #: the hot path pays a single `is not None` check per hook site)
@@ -1648,7 +1631,7 @@ class _RunState:
             telemetry_block = tele.snapshot()
         plan_cache = self.plan_cache
         return ServingReport(
-            fleet_spec=self.fleet.spec,
+            fleet=self.fleet.spec,
             policy=sim.policy.name,
             traffic=dict(self.traffic_info or {}),
             models=tuple(sorted(self.last_arrival)),

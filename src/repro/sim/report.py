@@ -104,15 +104,10 @@ def render_search_summary(result: "SearchResult") -> str:
 def render_serving_report(report: "ServingReport") -> str:
     """Multi-line human-readable summary of one serving run.
 
-    Printed by ``repro serve``: the traffic/fleet configuration, the
-    throughput and tail-latency headline, the batching mix (nominal batch
-    histogram, plus the served histogram when padded batches make the two
-    differ), plan-switch counts when switch cost is modelled, per-model
-    SLO attainment when targets are set, a fault/availability section when
-    faults were injected or fault-tolerance machinery was active, a
-    control-plane section (detections vs injected truth, hedge outcomes,
-    scale events, re-placements) when the self-healing controller ran, the
-    per-chip utilisation table and the plan-cache counters.
+    Printed by ``repro serve``: the headline lines, a section for each of
+    the ``switch``, ``slo``, ``faults`` and ``control`` blocks the report
+    writes, the per-chip utilisation table, the plan-cache counters and a
+    telemetry summary.
     """
     traffic = report.traffic
     batches_line = (
@@ -127,7 +122,7 @@ def render_serving_report(report: "ServingReport") -> str:
         batches_line += ("; served " + ", ".join(
             f"{b}x{n}" for b, n in sorted(report.served_histogram.items())))
     lines = [
-        f"Serving {', '.join(report.models)} on fleet {report.fleet_spec} "
+        f"Serving {', '.join(report.models)} on fleet {report.fleet} "
         f"({traffic.get('traffic', 'unspecified')} traffic, policy {report.policy}, "
         f"optimizer {report.optimizer})",
         f"  requests              : {report.completed}/{report.num_requests} served"

@@ -232,6 +232,42 @@ class TestDynamicBatcher:
         assert batcher.dispatch_size(3) == 4
         assert batcher.dispatch_size(9) == 8
 
+    @staticmethod
+    def _choose_oracle(sizes, max_wait_ns, queue_len, now_ns, oldest_ns,
+                       ema_ns, latency_of):
+        """``choose`` written with the fitting/larger list scans."""
+        fitting = [b for b in sizes if b <= queue_len]
+        b_now = fitting[-1] if fitting else sizes[0]
+        larger = [b for b in sizes if b > queue_len]
+        deadline = oldest_ns + max_wait_ns
+        if not larger or now_ns >= deadline or not math.isfinite(ema_ns):
+            return b_now, None
+        wait_ns = (larger[0] - queue_len) * ema_ns
+        if now_ns + wait_ns > deadline:
+            return b_now, None
+        occupancy_now = latency_of(b_now) / min(b_now, queue_len)
+        if (latency_of(larger[0]) + wait_ns) / larger[0] < occupancy_now:
+            return 0, deadline
+        return b_now, None
+
+    @pytest.mark.parametrize("sizes", [
+        (1,), (4,), (1, 2, 4, 8, 16), (3, 5, 32), (2, 3, 4, 5, 6, 7), (8, 40)])
+    def test_bisect_matches_list_scans(self, sizes):
+        batcher = DynamicBatcher(batch_sizes=sizes, max_wait_us=0.05)
+        holds = 0
+        for queue_len in range(1, 41):
+            fitting = [b for b in sizes if b <= queue_len]
+            assert batcher.dispatch_size(queue_len) == (
+                fitting[-1] if fitting else sizes[0])
+            for ema_ns in (0.5, 2.0, 9.0, math.inf):
+                args = (queue_len, 1000.0, 990.0, ema_ns, self._latency)
+                decision = batcher.choose(*args, more_arrivals=True)
+                assert decision == self._choose_oracle(
+                    sizes, batcher.max_wait_ns, *args), (queue_len, ema_ns)
+                holds += decision[0] == 0
+        # both outcomes are exercised wherever a larger size exists
+        assert holds > 0 or sizes == (1,)
+
     def test_holds_when_amortisation_wins(self):
         batcher = DynamicBatcher(batch_sizes=BATCHES, max_wait_us=100.0)
         # cheap wait (tight arrivals) + huge amortisation: hold for 8
@@ -411,7 +447,7 @@ class TestServingSimulator:
 
     def test_heterogeneous_fleet(self):
         report = _run_once(seed=0, fleet_spec="S:1,M:1")
-        assert report.fleet_spec == "S:1,M:1"
+        assert report.fleet == "S:1,M:1"
         assert report.completed == 80
         assert {row["class"] for row in report.per_chip} == {"S", "M"}
 

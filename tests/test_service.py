@@ -292,6 +292,8 @@ class TestScenarioSpec:
         ({"slo": {"resnet18": float("inf")}}, "slo.resnet18 must be finite"),
         ({"fleet": "M:2", "inject": ["straggler@0:chip=1,factor=inf"]},
          "fault factor must be positive and finite"),
+        ({"models": []}, "models must be a non-empty list"),
+        ({"models": None}, "models must be a non-empty list"),
     ])
     def test_bad_specs_raise_presentable_errors(self, raw, fragment):
         with pytest.raises(ValueError, match=fragment):
