@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.decomposition import ModelDecomposition
-from repro.core.partition import PartitionGroup
+from repro.core.partition import PartitionGroup, PartitionGroups, flat_spans
 from repro.hardware.chip import ChipConfig
 from repro.hardware.dram import DRAMConfig, LPDDR3_8GB
 from repro.onchip.estimator import PartitionEstimate
@@ -93,15 +93,10 @@ class GroupEvaluation:
     @property
     def span_bounds(self) -> Tuple[np.ndarray, np.ndarray]:
         """(starts, ends) index arrays of the group's partition spans (cached)."""
-        bounds = self._span_bounds
-        if bounds is None:
-            ends = np.asarray(self.group.boundaries, dtype=np.int64)
-            starts = np.empty_like(ends)
-            starts[0] = 0
-            starts[1:] = ends[:-1]
-            bounds = (starts, ends)
-            self._span_bounds = bounds
-        return bounds
+        if self._span_bounds is None:
+            group = self.group
+            self._span_bounds = flat_spans([group.boundaries], [group.num_partitions])
+        return self._span_bounds
 
     @property
     def total_latency_ns(self) -> float:
@@ -137,18 +132,8 @@ class FitnessEvaluator:
         self.mode = mode
         self.span_table: SpanTable = span_table_for(decomposition, dram_config)
         self.span_matrix: SpanMatrix = span_matrix_for(decomposition, dram_config)
-        #: spans this evaluator has requested, packed as start*stride+end ints
-        #: (the span table is shared, so its size cannot serve as this
-        #: evaluator's cache footprint; ints keep the set GC-light)
-        self._span_stride = decomposition.num_units + 1
-        self._seen_spans: Set[int] = set()
 
     # ------------------------------------------------------------------
-    @property
-    def cache_size(self) -> int:
-        """Number of distinct partition spans evaluated so far."""
-        return len(self._seen_spans)
-
     @property
     def span_stats(self) -> Dict[str, float]:
         """Cache statistics of the span-table engine backing this evaluator."""
@@ -156,7 +141,6 @@ class FitnessEvaluator:
 
     def estimate_span(self, start: int, end: int) -> PartitionEstimate:
         """Estimate (with caching) the partition covering units [start, end)."""
-        self._seen_spans.add(start * self._span_stride + end)
         return self.span_table.estimate(start, end, self.batch_size)
 
     def partition_fitness(self, estimate: PartitionEstimate) -> float:
@@ -185,10 +169,7 @@ class FitnessEvaluator:
         if self.mode is FitnessMode.LATENCY:
             table = self.span_table
             batch = self.batch_size
-            spans = group.spans()
-            fitness = [table.latency_ns(s, e, batch) for s, e in spans]
-            stride = self._span_stride
-            self._seen_spans.update(s * stride + e for s, e in spans)
+            fitness = [table.latency_ns(s, e, batch) for s, e in group.spans()]
             return GroupEvaluation(
                 group=group, partition_fitness=fitness,
                 _span_table=table, _batch_size=batch,
@@ -210,74 +191,65 @@ class FitnessEvaluator:
     def evaluate_many(self, groups: Sequence[PartitionGroup]) -> List[GroupEvaluation]:
         """Evaluate a whole population of partition groups at once.
 
-        The population's cut vectors are flattened into parallel (start, end)
-        index arrays, missing spans are profiled once into the dense span
-        matrix (the delta), and every per-partition fitness comes from one
+        The population's cut tuples become parallel (start, end) index
+        arrays (:func:`~repro.core.partition.flat_spans`, which a
+        :class:`~repro.core.partition.PartitionGroups` batch already holds),
+        missing spans are profiled once into the dense span matrix (the
+        delta), and every per-partition fitness comes from one
         fancy-indexed gather plus elementwise math — no per-span Python.
-        The per-group fitness sums stay sequential so results are
-        bit-identical to calling :meth:`evaluate` per group (NumPy's pairwise
-        reductions are not).
+        Each evaluation's ``span_bounds`` and (unless EDP rescaled it)
+        ``fitness_array`` are slices of those flat arrays.  The per-group
+        fitness sums stay sequential so results are bit-identical to
+        calling :meth:`evaluate` per group (NumPy's pairwise reductions
+        are not).
         """
         if not groups:
             return []
         matrix = self.span_matrix
 
         counts = [group.num_partitions for group in groups]
-        total = sum(counts)
-        ends = np.fromiter(
-            (end for group in groups for end in group.boundaries),
-            dtype=np.int64, count=total,
-        )
-        starts = np.empty(total, dtype=np.int64)
-        starts[0] = 0
-        starts[1:] = ends[:-1]
-        first = np.zeros(len(groups), dtype=np.int64)
-        np.cumsum(counts[:-1], out=first[1:])
-        starts[first] = 0
+        if isinstance(groups, PartitionGroups):
+            starts, ends = groups.spans
+        else:
+            starts, ends = flat_spans([group.boundaries for group in groups], counts)
 
-        stride = self._span_stride
-        self._seen_spans.update((starts * stride + ends).tolist())
         table = self.span_table
         batch = self.batch_size
+        edp = self.mode is FitnessMode.EDP
+        if edp:
+            energy, latency = matrix.gather_energy_latency(starts, ends, batch)
+            # same elementwise association as estimate.edp * 1e-12 per span
+            span_fitness = (energy * latency) * 1e-12
+            energy_list = energy.tolist()
+            latency_list = latency.tolist()
+        else:
+            span_fitness = matrix.gather_latency(starts, ends, batch)
+        span_fitness.setflags(write=False)  # evaluations share slices of it
+        values = span_fitness.tolist()
 
-        if self.mode is FitnessMode.LATENCY:
-            values = matrix.gather_latency(starts, ends, batch).tolist()
-            evaluations: List[GroupEvaluation] = []
-            position = 0
-            for group, count in zip(groups, counts):
-                fitness = values[position:position + count]
-                position += count
-                evaluations.append(
-                    GroupEvaluation(
-                        group=group, partition_fitness=fitness,
-                        _span_table=table, _batch_size=batch,
-                    )
-                )
-            return evaluations
-
-        energy, latency = matrix.gather_energy_latency(starts, ends, batch)
-        # same elementwise association as estimate.edp * 1e-12 per span
-        span_fitness = ((energy * latency) * 1e-12).tolist()
-        energy_list = energy.tolist()
-        latency_list = latency.tolist()
-        evaluations = []
+        evaluations: List[GroupEvaluation] = []
         position = 0
         for group, count in zip(groups, counts):
             stop = position + count
-            fitness = span_fitness[position:stop]
-            group_edp = (
-                sum(energy_list[position:stop])
-                * sum(latency_list[position:stop])
-                * 1e-12
-            )
-            share_total = sum(fitness)
-            if share_total > 0 and group_edp > 0:
-                fitness = [f / share_total * group_edp for f in fitness]
-            position = stop
+            fitness = values[position:stop]
+            array: Optional[np.ndarray] = span_fitness[position:stop]
+            if edp:
+                group_edp = (
+                    sum(energy_list[position:stop])
+                    * sum(latency_list[position:stop])
+                    * 1e-12
+                )
+                share_total = sum(fitness)
+                if share_total > 0 and group_edp > 0:
+                    fitness = [f / share_total * group_edp for f in fitness]
+                    array = None
             evaluations.append(
                 GroupEvaluation(
                     group=group, partition_fitness=fitness,
                     _span_table=table, _batch_size=batch,
+                    _fitness_array=array,
+                    _span_bounds=(starts[position:stop], ends[position:stop]),
                 )
             )
+            position = stop
         return evaluations

@@ -161,21 +161,20 @@ class CompassGA:
         """Evaluate a population with chromosome-level deduplication.
 
         ``dict.fromkeys`` keeps each distinct cut vector once, in first-seen
-        order; only those not seen in any earlier generation reach the
-        evaluator, in one :meth:`FitnessEvaluator.evaluate_many` batch (a
-        dense-matrix gather).  Per-group fitness does not depend on the
-        batch order.  Evaluations are immutable downstream, so sharing one
-        object between population slots is safe.  Every occurrence beyond a
-        chromosome's first-ever evaluation counts as a dedup hit.
+        order; only those not seen in any earlier generation are built, by
+        one :meth:`PartitionGroup.from_boundaries_many` array pass, and
+        reach the evaluator in one :meth:`FitnessEvaluator.evaluate_many`
+        batch (a dense-matrix gather from the same flat cut array).
+        Per-group fitness does not depend on the batch order.  Evaluations
+        are immutable downstream, so sharing one object between population
+        slots is safe.  Every occurrence beyond a chromosome's first-ever
+        evaluation counts as a dedup hit.
         """
         cache = self._eval_cache
         new_bounds = [bounds for bounds in dict.fromkeys(population) if bounds not in cache]
         self._dedup_hits += len(population) - len(new_bounds)
         if new_bounds:
-            groups = [
-                PartitionGroup.from_boundaries(self.decomposition, bounds)
-                for bounds in new_bounds
-            ]
+            groups = PartitionGroup.from_boundaries_many(self.decomposition, new_bounds)
             for bounds, evaluation in zip(new_bounds, self.evaluator.evaluate_many(groups)):
                 cache[bounds] = evaluation
         return [cache[bounds] for bounds in population]

@@ -129,7 +129,7 @@ def mutate_fixed_random(
 
     num_units = validity.num_units
     limit = fixed_start + (num_units - fixed_end)
-    uniform = rng.random(limit).tolist() if limit > 0 else []
+    uniform = rng.random(limit) if limit > 0 else np.empty(0)
     # random prefix covering [0, fixed_start), the fixed partition, then a
     # random suffix covering [fixed_end, num_units)
     prefix, draw = validity.sample_ends(0, fixed_start, uniform)

@@ -15,8 +15,11 @@ and energy estimation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Dict, List, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.core.decomposition import ModelDecomposition, PartitionUnit
 from repro.graph.layers import LayerKind
@@ -272,6 +275,31 @@ class PartitionGroup:
         return cls(decomposition=decomposition, boundaries=tuple(boundaries))
 
     @classmethod
+    def from_boundaries_many(cls, decomposition: ModelDecomposition,
+                             boundaries: Sequence[Sequence[int]]) -> Sequence["PartitionGroup"]:
+        """Build many groups from cut tuples, checked in one array pass.
+
+        The constructor's checks (non-empty, strictly increasing, last cut
+        ``== num_units``) run over the :func:`flat_spans` of all the tuples,
+        which the returned :class:`PartitionGroups` keeps.  If any tuple
+        fails, the constructor builds them one by one and raises its error.
+        """
+        bounds = [tuple(cuts) for cuts in boundaries]
+        counts = list(map(len, bounds))
+        if bounds and all(counts):
+            starts, ends = flat_spans(bounds, counts)
+            last = ends[np.cumsum(counts) - 1]
+            if (ends > starts).all() and (last == decomposition.num_units).all():
+                groups = PartitionGroups(cls.__new__(cls) for _ in bounds)
+                for group, cuts in zip(groups, bounds):
+                    group.__dict__.update(decomposition=decomposition, boundaries=cuts)
+                starts.setflags(write=False)
+                ends.setflags(write=False)
+                groups.spans = (starts, ends)
+                return groups
+        return [cls(decomposition, cuts) for cuts in bounds]
+
+    @classmethod
     def single_partition(cls, decomposition: ModelDecomposition) -> "PartitionGroup":
         """A group with everything in one partition (only valid if it fits)."""
         return cls(decomposition=decomposition, boundaries=(decomposition.num_units,))
@@ -326,3 +354,22 @@ class PartitionGroup:
 
     def __str__(self) -> str:
         return f"PartitionGroup({self.num_partitions} partitions, boundaries={list(self.boundaries)})"
+
+
+class PartitionGroups(tuple):
+    """Groups from :meth:`PartitionGroup.from_boundaries_many`, with their
+    read-only :func:`flat_spans` as ``spans`` for the population scorer
+    (:meth:`~repro.core.fitness.FitnessEvaluator.evaluate_many`)."""
+
+    spans: Tuple[np.ndarray, np.ndarray]
+
+
+def flat_spans(boundaries: Sequence[Tuple[int, ...]],
+               counts: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """(starts, ends) int64 arrays of every partition of many cut tuples;
+    ``counts`` holds each tuple's length."""
+    ends = np.fromiter(chain.from_iterable(boundaries), dtype=np.int64, count=sum(counts))
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1]
+    starts[np.cumsum(counts[:-1], dtype=np.int64)] = 0
+    return starts, ends

@@ -30,43 +30,23 @@ import numpy as np
 from repro.core.fitness import GroupEvaluation
 
 
-def unit_fitness_profile(evaluation: GroupEvaluation, num_units: int) -> np.ndarray:
-    """Per-unit fitness m(x_i) for every unit index of one partition group."""
-    spans = evaluation.group.spans()
-    if spans and spans[0][0] == 0 and spans[-1][1] == num_units:
-        # partitions tile [0, num_units) exactly — one vectorised repeat
-        starts, ends = evaluation.span_bounds
-        sizes = ends - starts
-        return np.repeat(evaluation.fitness_array / sizes, sizes)
-    profile = np.zeros(num_units, dtype=float)
-    for (start, end), fitness in zip(spans, evaluation.partition_fitness):
-        size = end - start
-        if size > 0:
-            profile[start:end] = fitness / size
-    return profile
-
-
 def population_unit_expectation(
     evaluations: Sequence[GroupEvaluation], num_units: int
 ) -> np.ndarray:
     """Population mean of m(x_i) for every unit index (the E[...] of the paper).
 
-    When every group tiles ``[0, num_units)`` (always true for GA
-    populations) the whole population's profiles are built with one
-    concatenated repeat and reshaped to ``(population, num_units)`` — no
-    per-group Python loop.  Values and the axis-0 mean are bit-identical to
-    stacking :func:`unit_fitness_profile` rows.
+    Every group tiles ``[0, num_units)``, so the whole population's
+    profiles are one repeat of the concatenated ``f / |P|`` values,
+    reshaped to ``(population, num_units)`` — no per-group Python beyond
+    collecting each group's span and fitness arrays.
     """
     if not evaluations:
         raise ValueError("population is empty")
-    if all(ev.group.boundaries[-1] == num_units for ev in evaluations):
-        sizes = np.concatenate(
-            [ev.span_bounds[1] - ev.span_bounds[0] for ev in evaluations]
-        )
-        values = np.concatenate([ev.fitness_array for ev in evaluations]) / sizes
-        profiles = np.repeat(values, sizes).reshape(len(evaluations), num_units)
-        return profiles.mean(axis=0)
-    profiles = np.stack([unit_fitness_profile(ev, num_units) for ev in evaluations])
+    starts = np.concatenate([ev.span_bounds[0] for ev in evaluations])
+    ends = np.concatenate([ev.span_bounds[1] for ev in evaluations])
+    sizes = ends - starts
+    values = np.concatenate([ev.fitness_array for ev in evaluations]) / sizes
+    profiles = np.repeat(values, sizes).reshape(len(evaluations), num_units)
     return profiles.mean(axis=0)
 
 

@@ -21,6 +21,9 @@ import numpy as np
 
 from repro.core.decomposition import ModelDecomposition
 
+#: uniform doubles :meth:`ValidityMap.sample_ends` converts per block read
+_SAMPLE_CHUNK = 32
+
 
 class ValidityMap:
     """Pre-computed valid partition spans for a decomposed model.
@@ -86,25 +89,6 @@ class ValidityMap:
             return False
         return end <= self._max_end[start]
 
-    def group_valid(self, boundaries) -> bool:
-        """Whether every span of a boundary list forms a valid partition.
-
-        Equivalent to ``all(is_valid(s, e))`` over the implied spans, as one
-        chained sweep over the boundary list.  The mutation operators check
-        only the spans they change (see :mod:`repro.core.mutation`); this
-        whole-group check is what their tests hold them to.
-        """
-        max_end = self._max_end
-        num_units = len(max_end)
-        start = 0
-        for end in boundaries:
-            # end > num_units also fails here before max_end is indexed:
-            # max_end[start] <= num_units for every start
-            if end <= start or end > num_units or end > max_end[start]:
-                return False
-            start = end
-        return True
-
     def valid_fraction(self) -> float:
         """Fraction of (start < end) position pairs that are valid.
 
@@ -134,36 +118,38 @@ class ValidityMap:
             self._matrix = matrix
         return matrix
 
-    def random_valid_end(self, start: int, rng: np.random.Generator) -> int:
-        """Sample a uniformly random valid end position for ``start``."""
-        hi = self.max_end(start)
-        return int(rng.integers(start + 1, hi + 1))
-
-    def sample_ends(self, start: int, stop: int, uniform: List[float],
+    def sample_ends(self, start: int, stop: int, uniform: np.ndarray,
                     draw: int = 0) -> Tuple[List[int], int]:
         """Random valid partition ends covering ``[start, stop)``.
 
         The one segment-sampling kernel of the repository, shared by
         :meth:`random_partition_boundaries` and the fixed-random mutation
-        operator.  Callers draw uniform doubles in one block (a
-        ``Generator.random(k).tolist()`` instead of ``k`` ``integers``
-        calls, whose per-call overhead dominates the GA's samplers);
-        segment ``k`` consumes ``uniform[draw + k]`` and its end is uniform
-        over ``[s + 1, max_end(s)]``, clipped to ``stop``.  Returns the ends
-        and the next unused draw index.
+        operator.  Callers draw uniform doubles in one block (one
+        ``Generator.random(k)`` call instead of ``k`` ``integers`` calls,
+        whose per-call overhead dominates the GA's samplers); segment ``k``
+        consumes ``uniform[draw + k]`` and its end is uniform over
+        ``[s + 1, max_end(s)]``, clipped to ``stop``.  A block is sized for
+        the worst case of one segment per unit, but a draw reads far fewer,
+        so the doubles are converted ``_SAMPLE_CHUNK`` at a time as they
+        are consumed.  Returns the ends and the next unused draw index.
         """
         max_end = self._max_end
         ends: List[int] = []
         while start < stop:
-            size = max_end[start] - start
-            offset = int(uniform[draw] * size)
-            if offset >= size:  # guard the u -> 1.0 rounding edge
-                offset = size - 1
-            draw += 1
-            start += 1 + offset
-            if start > stop:
-                start = stop
-            ends.append(start)
+            chunk = uniform[draw:draw + _SAMPLE_CHUNK].tolist()
+            if not chunk:
+                raise IndexError(f"uniform block exhausted at draw {draw}")
+            for u in chunk:
+                size = max_end[start] - start
+                offset = int(u * size)
+                if offset >= size:  # guard the u -> 1.0 rounding edge
+                    offset = size - 1
+                draw += 1
+                start += 1 + offset
+                if start >= stop:
+                    ends.append(stop)
+                    return ends, draw
+                ends.append(start)
         return ends, draw
 
     def random_partition_boundaries(self, rng: np.random.Generator) -> List[int]:
@@ -176,4 +162,4 @@ class ValidityMap:
         converted through :meth:`sample_ends`.
         """
         num_units = self._num_units
-        return self.sample_ends(0, num_units, rng.random(num_units).tolist())[0]
+        return self.sample_ends(0, num_units, rng.random(num_units))[0]

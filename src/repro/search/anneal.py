@@ -101,10 +101,7 @@ class SimulatedAnnealing(PartitionSearch):
             for _ in range(self.reference_size)
         ]
         reference = evaluator.evaluate_many(
-            [
-                PartitionGroup.from_boundaries(decomposition, bounds)
-                for bounds in reference_bounds
-            ]
+            PartitionGroup.from_boundaries_many(decomposition, reference_bounds)
         )
         evaluations += len(reference)
         expectation = population_unit_expectation(

@@ -221,6 +221,16 @@ class BuiltScenario:
     traffic_info: Dict[str, object]
 
 
+def _block(raw: Dict[str, object], key: str, default: object) -> object:
+    """Spec block ``key``, or ``default`` when absent; ``null`` is an error
+    (as it is for every knob), not a spelling of the default."""
+    if key not in raw:
+        return default
+    if raw[key] is None:
+        raise ValueError(f"{key} must not be null; omit it for the default")
+    return raw[key]
+
+
 def parse_spec(raw: Dict[str, object]) -> ScenarioSpec:
     """Validate a scenario spec (raises ``ValueError`` with a
     presentable message, ``OSError`` for an unreadable trace file)."""
@@ -233,7 +243,7 @@ def parse_spec(raw: Dict[str, object]) -> ScenarioSpec:
     _check_models(models)
     fleet = Fleet.from_spec(top["fleet"])  # raises ValueError on a bad spec
 
-    traffic = raw.get("traffic") or {}
+    traffic = _block(raw, "traffic", {})
     if not isinstance(traffic, dict):
         raise ValueError("traffic must be an object")
     kind = TRAFFIC_KNOBS[0].read(traffic.get("kind", TRAFFIC_KNOBS[0].default),
@@ -255,7 +265,7 @@ def parse_spec(raw: Dict[str, object]) -> ScenarioSpec:
                           concurrency=values["concurrency"],
                           mean_think_s=values["think_us"] * 1e-6)
 
-    slo_block = raw.get("slo") or {}
+    slo_block = _block(raw, "slo", {})
     if not isinstance(slo_block, dict):
         raise ValueError("slo must be an object of MODEL: target_ms")
     slos: Dict[str, float] = {}
@@ -269,13 +279,13 @@ def parse_spec(raw: Dict[str, object]) -> ScenarioSpec:
             raise ValueError(
                 f"SLO target must be positive, got {model}={slos[model]}")
 
-    inject = raw.get("inject") or []
+    inject = _block(raw, "inject", [])
     if not isinstance(inject, list):
         raise ValueError("inject must be a list of fault spec strings")
     faults = [parse_inject(str(spec)) for spec in inject]
     validate_fault_targets(faults, len(fleet.workers))
 
-    control_block = raw.get("control")
+    control_block = _block(raw, "control", None)
     top.update(batches=sorted(set(top["batches"])),
                mode=FitnessMode(top["mode"]))
     return ScenarioSpec(
@@ -286,10 +296,10 @@ def parse_spec(raw: Dict[str, object]) -> ScenarioSpec:
         slos=slos,
         faults=faults,
         fault_tolerance=_config_from(
-            FaultTolerance, raw.get("fault_tolerance") or {},
+            FaultTolerance, _block(raw, "fault_tolerance", {}),
             "fault_tolerance"),
         control=_control_from(control_block) if control_block else None,
-        telemetry=_telemetry_from(raw.get("telemetry") or {}),
+        telemetry=_telemetry_from(_block(raw, "telemetry", {})),
         utilization=values["utilization"],
         rate_rps=values["rate_rps"],
         trace=trace,

@@ -103,11 +103,11 @@ class SchedulingPolicy(abc.ABC):
         generator-issued requests carry priority 0, so without the
         retry-priority knob this is exactly the historical FIFO order.
         """
-        return sorted(
-            (model for model, queue in queues.items() if queue),
-            key=lambda m: (-queues[m][0].priority,
-                           queues[m][0].arrival_ns, queues[m][0].request_id),
-        )
+        names = [model for model, queue in queues.items() if queue]
+        if len(names) > 1:
+            names.sort(key=lambda m: (-queues[m][0].priority,
+                                      queues[m][0].arrival_ns, queues[m][0].request_id))
+        return names
 
     def note_dispatch(self, model: str, served: int) -> None:
         """Record that ``served`` requests of ``model`` were dispatched."""
@@ -185,11 +185,11 @@ class FairPolicy(LatencyAwarePolicy):
     def order_queues(self, queues):
         # a raised head priority (final-attempt retry) still pre-empts the
         # deficit order: a request out of attempts beats fairness bookkeeping
-        return sorted(
-            (model for model, queue in queues.items() if queue),
-            key=lambda m: (-queues[m][0].priority, self._served.get(m, 0),
-                           queues[m][0].arrival_ns, queues[m][0].request_id),
-        )
+        names = [model for model, queue in queues.items() if queue]
+        if len(names) > 1:
+            names.sort(key=lambda m: (-queues[m][0].priority, self._served.get(m, 0),
+                                      queues[m][0].arrival_ns, queues[m][0].request_id))
+        return names
 
     def note_dispatch(self, model, served):
         self._served[model] = self._served.get(model, 0) + served

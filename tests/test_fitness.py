@@ -5,6 +5,7 @@ import pytest
 from repro.core.baselines import greedy_partition, layerwise_partition
 from repro.core.fitness import FitnessEvaluator, FitnessMode
 from repro.core.partition import PartitionGroup
+from repro.perf.spantable import stats_delta
 
 
 class TestEvaluator:
@@ -34,10 +35,11 @@ class TestEvaluator:
         evaluator = FitnessEvaluator(d, batch_size=2)
         group = greedy_partition(d)
         evaluator.evaluate(group)
-        first_size = evaluator.cache_size
+        before = evaluator.span_stats
         evaluator.evaluate(group)
-        assert evaluator.cache_size == first_size
-        assert first_size == group.num_partitions
+        delta = stats_delta(evaluator.span_stats, before)
+        assert delta["matrix_fills"] == delta["latencies_computed"] == 0
+        assert delta["latency_hits"] == group.num_partitions
 
     def test_estimates_positive(self, resnet18_decomposition_m):
         d = resnet18_decomposition_m

@@ -1,5 +1,6 @@
 """Tests for repro.core.partition: Partition, PartitionGroup and IO analysis."""
 
+import numpy as np
 import pytest
 
 from repro.core.partition import Partition, PartitionGroup
@@ -198,3 +199,42 @@ class TestPartitionGroup:
     def test_str(self, small_cnn_decomposition):
         d = small_cnn_decomposition
         assert "partitions" in str(PartitionGroup.from_boundaries(d, [d.num_units]))
+
+
+#: one cut tuple per constructor check, for a model of ``n`` units
+MALFORMED_CUTS = {
+    "empty": lambda n: (),
+    "repeated": lambda n: (1, 1, n),
+    "decreasing": lambda n: (2, 1, n),
+    "short": lambda n: (1, n - 1),
+    "long": lambda n: (1, n + 1),
+}
+
+
+class TestFromBoundariesMany:
+    def test_matches_scalar_constructor(self, resnet18_decomposition_m):
+        d = resnet18_decomposition_m
+        vm = ValidityMap(d)
+        rng = np.random.default_rng(3)
+        cuts = [tuple(vm.random_partition_boundaries(rng)) for _ in range(12)]
+        groups = PartitionGroup.from_boundaries_many(d, cuts + [[d.num_units]])
+        assert list(groups) == [PartitionGroup.from_boundaries(d, c)
+                                for c in cuts + [[d.num_units]]]
+        assert all(type(g.boundaries) is tuple for g in groups)
+        starts, ends = groups.spans
+        assert ends.tolist() == [b for g in groups for b in g.boundaries]
+        assert starts.tolist() == [s for g in groups for s, _ in g.spans()]
+        assert not (starts.flags.writeable or ends.flags.writeable)
+        assert list(PartitionGroup.from_boundaries_many(d, [])) == []
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CUTS))
+    def test_malformed_cuts_raise_scalar_message(self, small_cnn_decomposition, case):
+        d = small_cnn_decomposition
+        bad = MALFORMED_CUTS[case](d.num_units)
+        with pytest.raises(ValueError) as scalar:
+            PartitionGroup.from_boundaries(d, bad)
+        # a valid tuple on either side: the malformed one is still named
+        batch = [(d.num_units,), bad, (1, d.num_units)]
+        with pytest.raises(ValueError) as batched:
+            PartitionGroup.from_boundaries_many(d, batch)
+        assert str(batched.value) == str(scalar.value)

@@ -3,13 +3,25 @@
 import numpy as np
 import pytest
 
+import repro.core.ga as ga_module
+import repro.search.anneal as anneal_module
 from repro.core.baselines import greedy_partition, layerwise_partition
 from repro.core.fitness import FitnessEvaluator
-from repro.core.score import (
-    partition_scores,
-    population_unit_expectation,
-    unit_fitness_profile,
-)
+from repro.core.score import partition_scores, population_unit_expectation
+from test_ga_pins import RUNS, _load_pins, summarize
+
+
+def unit_fitness_profile(evaluation, num_units):
+    """Oracle: per-unit fitness m(x_i) of one group, one partition at a time."""
+    profile = np.zeros(num_units, dtype=float)
+    for (start, end), fitness in zip(evaluation.group.spans(), evaluation.partition_fitness):
+        profile[start:end] = fitness / (end - start)
+    return profile
+
+
+def naive_expectation(evaluations, num_units):
+    """Oracle: the axis-0 mean of a stack of per-group profiles."""
+    return np.stack([unit_fitness_profile(ev, num_units) for ev in evaluations]).mean(axis=0)
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +57,7 @@ class TestExpectation:
     def test_expectation_is_mean_of_profiles(self, evaluated_population):
         d, evals = evaluated_population
         expectation = population_unit_expectation(evals, d.num_units)
-        manual = np.mean(
-            [unit_fitness_profile(ev, d.num_units) for ev in evals], axis=0
-        )
-        assert np.allclose(expectation, manual)
+        assert np.array_equal(expectation, naive_expectation(evals, d.num_units))
 
     def test_empty_population_rejected(self, evaluated_population):
         d, _ = evaluated_population
@@ -80,3 +89,26 @@ class TestScores:
         all_scores = [s for ev in evals for s in partition_scores(ev, expectation)]
         assert max(all_scores) > 1.0
         assert min(all_scores) < 1.0 + 1e-9
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_pinned_runs_match_naive_expectation(name, monkeypatch):
+    """Every expectation of every pinned GA generation (and the annealer's
+    one) equals the naive profile stack bit for bit, on the pinned
+    trajectory."""
+    checked = []
+
+    def checking(evaluations, num_units):
+        expectation = population_unit_expectation(evaluations, num_units)
+        assert np.array_equal(expectation, naive_expectation(evaluations, num_units))
+        checked.append(len(evaluations))
+        return expectation
+
+    monkeypatch.setattr(ga_module, "population_unit_expectation", checking)
+    monkeypatch.setattr(anneal_module, "population_unit_expectation", checking)
+    result = RUNS[name]()
+    assert summarize(result) == _load_pins()[name]
+    # the GA scores every generation but an early-stopped last one
+    assert checked
+    if result.ga_result is not None:
+        assert len(checked) >= len(result.ga_result.history) - 1

@@ -32,6 +32,7 @@ from repro.search import (
     make_search,
 )
 from repro.sim.report import render_search_summary
+from test_mutation import group_valid
 from test_perf_equivalence import NaiveFitnessEvaluator
 
 FAST_GA = GAConfig(
@@ -137,7 +138,7 @@ class TestOptimumIsFloor:
             )
             # every engine returns a full, valid partitioning
             assert result.best_group.boundaries[-1] == decomposition.num_units
-            assert validity.group_valid(result.best_group.boundaries)
+            assert group_valid(validity, result.best_group.boundaries)
 
 
 class TestGASearchAdapter:

@@ -294,6 +294,13 @@ class TestScenarioSpec:
          "fault factor must be positive and finite"),
         ({"models": []}, "models must be a non-empty list"),
         ({"models": None}, "models must be a non-empty list"),
+        # a present-but-null block is an error, as every null knob is
+        ({"slo": None}, "slo must not be null"),
+        ({"inject": None}, "inject must not be null"),
+        ({"traffic": None}, "traffic must not be null"),
+        ({"fault_tolerance": None}, "fault_tolerance must not be null"),
+        ({"telemetry": None}, "telemetry must not be null"),
+        ({"control": None}, "control must not be null"),
     ])
     def test_bad_specs_raise_presentable_errors(self, raw, fragment):
         with pytest.raises(ValueError, match=fragment):

@@ -7,6 +7,7 @@ from repro.core.fitness import FitnessEvaluator
 from repro.core.ga import CompassGA, GAConfig
 from repro.hardware.dram import DRAMConfig, LPDDR3_8GB
 from repro.perf import SpanTable, SpanTableStats, span_table_for
+from repro.perf.spantable import stats_delta
 
 
 @pytest.fixture
@@ -98,8 +99,11 @@ class TestRegistry:
         assert evaluator.span_table is span_table_for(small_cnn_decomposition)
         group = greedy_partition(small_cnn_decomposition)
         evaluator.evaluate(group)
-        assert evaluator.cache_size == group.num_partitions
-        assert evaluator.span_stats  # engine engaged
+        before = evaluator.span_stats
+        evaluator.evaluate(group)
+        delta = stats_delta(evaluator.span_stats, before)
+        assert delta["matrix_fills"] == delta["latencies_computed"] == 0
+        assert delta["latency_hits"] == group.num_partitions
 
 
 class TestGAStats:

@@ -136,6 +136,24 @@ class TestGroupEvaluationCaches:
         assert starts.tolist() == [0] + list(bounds)[:-1]
         assert evaluation.fitness_array.tolist() == evaluation.partition_fitness
 
+    @pytest.mark.parametrize("mode", [FitnessMode.LATENCY, FitnessMode.EDP])
+    def test_batch_slices_match_scalar_evaluation(self, fresh_decomposition, mode):
+        """``evaluate_many`` hands out slices of its flat arrays, from a
+        plain list or from a built batch's cuts; each equals what
+        :meth:`evaluate` derives for the group on its own."""
+        decomposition, validity = fresh_decomposition
+        rng = np.random.default_rng(2)
+        bounds = [tuple(validity.random_partition_boundaries(rng)) for _ in range(6)]
+        batch = PartitionGroup.from_boundaries_many(decomposition, bounds)
+        evaluator = FitnessEvaluator(decomposition, batch_size=4, mode=mode)
+        for groups in (batch, list(batch)):
+            for many, group in zip(evaluator.evaluate_many(groups), batch):
+                single = evaluator.evaluate(group)
+                assert many.partition_fitness == single.partition_fitness
+                assert many.fitness_array.tolist() == single.fitness_array.tolist()
+                for got, want in zip(many.span_bounds, single.span_bounds):
+                    assert got.tolist() == want.tolist()
+
 
 class TestBaselineEvaluations:
     def test_matches_per_group_evaluation(self, fresh_decomposition):

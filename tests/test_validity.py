@@ -110,13 +110,6 @@ class TestMatrix:
 
 
 class TestRandomPartitioning:
-    def test_random_valid_end_in_range(self, resnet18_decomposition_m):
-        vm = ValidityMap(resnet18_decomposition_m)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            end = vm.random_valid_end(0, rng)
-            assert 0 < end <= vm.max_end(0)
-
     def test_random_boundaries_cover_model(self, resnet18_decomposition_m):
         vm = ValidityMap(resnet18_decomposition_m)
         rng = np.random.default_rng(1)
