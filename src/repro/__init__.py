@@ -8,8 +8,8 @@ Public API highlights
 * :data:`repro.hardware.CHIP_S` / ``CHIP_M`` / ``CHIP_L`` — the Table I chips.
 * :func:`repro.core.compile_model` — one-call compilation of a model for a
   chip with the COMPASS GA or a baseline partitioning scheme.
-* :class:`repro.evaluation.ExperimentSuite` — reproduce the paper's tables
-  and figures.
+* :mod:`repro.evaluation` — one function per table and figure of the
+  paper (``table1_hardware_configuration`` ... ``fig10_ga_convergence``).
 """
 
 from repro.core import (

@@ -130,6 +130,18 @@ def _int_in(low: int, high: int, expected: str):
     return parse
 
 
+def _output_path(value: str) -> str:
+    """argparse type: a file path whose directory exists.
+
+    Checked at parse time so a typo in an export path fails before the
+    run rather than after it; other write errors are caught at the write.
+    """
+    directory = os.path.dirname(value) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"no such directory: {directory!r}")
+    return value
+
+
 #: batch sizes and GA sizes
 _positive_int = _int_in(1, sys.maxsize, "a positive integer")
 #: row caps where 0 means "no cap"
@@ -170,7 +182,11 @@ def _cmd_compile(args: argparse.Namespace) -> int:
         print()
         print(render_search_summary(result.search_result))
     if args.output:
-        dump_compilation_result(result, args.output)
+        try:
+            dump_compilation_result(result, args.output)
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
         print(f"\nfull result written to {args.output}")
     return 0
 
@@ -311,28 +327,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if report.timeline:
         print("\nMetrics timeline:")
         print(render_timeline(report.timeline, max_rows=args.timeline_rows))
-    if args.output:
-        dump_serving_report(report, args.output)
-        print(f"\nfull serving report written to {args.output}")
-    # the export guards re-check the report, not just the flags: under
-    # REPRO_SERVE_TELEMETRY=0 the producers never ran and the artifacts
-    # would be empty shells, so the exports are skipped with a notice
-    if args.metrics_out:
-        if report.timeline:
-            dump_metrics_timeline(report.timeline, args.metrics_out)
-            print(f"metrics timeline written to {args.metrics_out}")
-        else:
-            print("telemetry disabled by REPRO_SERVE_TELEMETRY=0; "
-                  "no metrics written", file=sys.stderr)
-    if args.trace_out:
-        session = built.simulator.telemetry_session
-        if session is not None and session.tracer is not None:
-            dump_chrome_trace(session.tracer.chrome_trace(), args.trace_out)
-            print(f"request trace written to {args.trace_out} "
-                  f"(load in Perfetto / chrome://tracing)")
-        else:
-            print("telemetry disabled by REPRO_SERVE_TELEMETRY=0; "
-                  "no trace written", file=sys.stderr)
+    try:
+        if args.output:
+            dump_serving_report(report, args.output)
+            print(f"\nfull serving report written to {args.output}")
+        # the export guards re-check the report, not just the flags: under
+        # REPRO_SERVE_TELEMETRY=0 the producers never ran and the artifacts
+        # would be empty shells, so the exports are skipped with a notice
+        if args.metrics_out:
+            if report.timeline:
+                dump_metrics_timeline(report.timeline, args.metrics_out)
+                print(f"metrics timeline written to {args.metrics_out}")
+            else:
+                print("telemetry disabled by REPRO_SERVE_TELEMETRY=0; "
+                      "no metrics written", file=sys.stderr)
+        if args.trace_out:
+            session = built.simulator.telemetry_session
+            if session is not None and session.tracer is not None:
+                dump_chrome_trace(session.tracer.chrome_trace(), args.trace_out)
+                print(f"request trace written to {args.trace_out} "
+                      f"(load in Perfetto / chrome://tracing)")
+            else:
+                print("telemetry disabled by REPRO_SERVE_TELEMETRY=0; "
+                      "no trace written", file=sys.stderr)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -536,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     compile_parser.add_argument("--batch", type=_positive_int, default=1, help="batch size")
     compile_parser.add_argument("--no-instructions", action="store_true",
                                 help="skip instruction generation (faster)")
-    compile_parser.add_argument("--output", help="write the full result to this JSON file")
+    compile_parser.add_argument("--output", type=_output_path,
+                                help="write the full result to this JSON file")
     add_ga_options(compile_parser, default_optimizer="ga")
     compile_parser.set_defaults(func=_cmd_compile)
 
@@ -589,15 +610,16 @@ def build_parser() -> argparse.ArgumentParser:
                                    "many rows, eliding the middle (exports "
                                    "keep every window); 0 prints everything "
                                    "(default: 60)")
-    serve_parser.add_argument("--metrics-out", default=None, metavar="PATH",
+    serve_parser.add_argument("--metrics-out", type=_output_path, metavar="PATH",
                               help="write the metrics timeline to this file "
                                    "(.json or .csv; needs --timeline-us)")
-    serve_parser.add_argument("--trace-out", default=None, metavar="PATH",
+    serve_parser.add_argument("--trace-out", type=_output_path, metavar="PATH",
                               help="write sampled request traces as Chrome "
                                    "trace-event JSON (needs --trace-requests)")
-    serve_parser.add_argument("--record-trace", default=None, metavar="PATH",
+    serve_parser.add_argument("--record-trace", type=_output_path, metavar="PATH",
                               help="record the generated request stream to a trace file")
-    serve_parser.add_argument("--output", help="write the full serving report to this JSON file")
+    serve_parser.add_argument("--output", type=_output_path,
+                              help="write the full serving report to this JSON file")
     add_ga_options(serve_parser)
     serve_parser.set_defaults(func=_cmd_serve)
 

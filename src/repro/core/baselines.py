@@ -13,14 +13,11 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List
+from typing import List
 
 from repro.core.decomposition import ModelDecomposition
 from repro.core.partition import PartitionGroup
 from repro.core.validity import ValidityMap
-
-if TYPE_CHECKING:
-    from repro.core.fitness import FitnessEvaluator, GroupEvaluation
 
 
 def greedy_partition(decomposition: ModelDecomposition,
@@ -55,24 +52,3 @@ def layerwise_partition(decomposition: ModelDecomposition,
             start = end
     return PartitionGroup.from_boundaries(decomposition, boundaries)
 
-
-def baseline_evaluations(
-    decomposition: ModelDecomposition,
-    evaluator: "FitnessEvaluator",
-    validity: ValidityMap = None,
-) -> Dict[str, "GroupEvaluation"]:
-    """Fitness of both baseline partitionings, scored as one batch.
-
-    Returns ``{"greedy": ..., "layerwise": ...}``.  Both groups go through
-    :meth:`~repro.core.fitness.FitnessEvaluator.evaluate_many`, so with the
-    dense span-matrix engine engaged their spans land in the same matrices
-    the GA gathers from — comparing a GA result against the baselines costs
-    one fill pass plus gathers, not a separate estimation walk.
-    """
-    validity = validity if validity is not None else ValidityMap(decomposition)
-    schemes = {
-        "greedy": greedy_partition(decomposition, validity),
-        "layerwise": layerwise_partition(decomposition, validity),
-    }
-    evaluations = evaluator.evaluate_many(list(schemes.values()))
-    return dict(zip(schemes, evaluations))

@@ -22,7 +22,6 @@ from typing import Dict, List, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.decomposition import ModelDecomposition, PartitionUnit
-from repro.graph.layers import LayerKind
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,13 +93,6 @@ class Partition:
     def layer_names(self) -> List[str]:
         """Crossbar layers with at least one unit in this partition, in order."""
         return self.decomposition.index.layers_in_span(self.start, self.end)
-
-    def layer_units(self) -> Dict[str, List[PartitionUnit]]:
-        """Units grouped by layer, preserving order."""
-        grouped: Dict[str, List[PartitionUnit]] = {}
-        for unit in self.units:
-            grouped.setdefault(unit.layer_name, []).append(unit)
-        return grouped
 
     def layer_fraction(self, layer_name: str) -> float:
         """Fraction of the layer's output columns held by this partition.
@@ -335,14 +327,6 @@ class PartitionGroup:
             self.decomposition.span_crossbars(s, e) <= capacity_crossbars
             for s, e in self.spans()
         )
-
-    def total_dram_feature_bytes(self) -> int:
-        """Total per-sample activation bytes moved to/from DRAM."""
-        total = 0
-        for partition in self.partitions():
-            io = partition.io()
-            total += io.load_bytes + io.store_bytes
-        return total
 
     def total_weight_bytes(self) -> int:
         """Single-copy weight bytes across partitions (equals the model's)."""

@@ -13,8 +13,7 @@ replaced; the three gate styles in use are deliberately kept distinct:
 
 ``not in ("", "0")``
     default-on gates where the empty string *disables*
-    (``REPRO_SERVE_SWITCH_COST``, ``REPRO_SERVE_FAULTS``) and the
-    default-off opt-in (``REPRO_PARALLEL_SWEEPS``).
+    (``REPRO_SERVE_SWITCH_COST``, ``REPRO_SERVE_FAULTS``).
 ``!= "0"``
     ``REPRO_SERVE_TELEMETRY`` — default on, the empty string keeps it on;
     only a literal ``0`` drops the telemetry layer.
@@ -44,8 +43,6 @@ class EnvFlag:
 
 #: every environment flag the repository reads, in ROADMAP table order
 REGISTRY: Tuple[EnvFlag, ...] = (
-    EnvFlag("REPRO_PARALLEL_SWEEPS", "off",
-            "non-0 runs figure sweeps through ParallelSweepRunner workers"),
     EnvFlag("REPRO_SERVE_SWITCH_COST", "on",
             "0 disables plan-switch weight-replacement cost in serving"),
     EnvFlag("REPRO_SERVE_FAULTS", "on",
@@ -63,11 +60,6 @@ REGISTERED_NAMES: Tuple[str, ...] = tuple(flag.name for flag in REGISTRY)
 # ----------------------------------------------------------------------
 # typed accessors (the only sanctioned os.environ reads in src/)
 # ----------------------------------------------------------------------
-
-def parallel_sweeps_enabled() -> bool:
-    """Parallel figure-sweep opt-in (default off; non-``0`` enables)."""
-    return os.environ.get("REPRO_PARALLEL_SWEEPS", "0") not in ("", "0")
-
 
 def serve_switch_cost_enabled() -> bool:
     """Plan-switch cost modelling gate (default on; ``""``/``"0"`` disable)."""

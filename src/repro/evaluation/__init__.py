@@ -1,15 +1,13 @@
 """Evaluation harness: reproduce every table and figure of the paper.
 
 Each experiment is a function returning plain data (lists of dict rows or
-numpy arrays) so the same code serves the benchmarks, the examples and the
-EXPERIMENTS.md record.  :class:`ExperimentSuite` bundles them with shared
-configuration (GA size, batch sizes, chips) and a ``fast`` mode for CI.
+numpy arrays) so the same code serves the benchmarks and the examples.
+:class:`ExperimentConfig` holds the shared configuration (GA size, batch
+sizes, chips) and a ``fast`` preset for CI.
 """
 
 from repro.evaluation.experiments import (
     ExperimentConfig,
-    ExperimentSuite,
-    make_sweep_runner,
     table1_hardware_configuration,
     table2_model_support,
     fig5_validity_maps,
@@ -20,14 +18,11 @@ from repro.evaluation.experiments import (
     fig10_ga_convergence,
     optimality_gap,
 )
-from repro.evaluation.parallel import ParallelSweepRunner
 from repro.evaluation.registry import shared_decomposition, shared_graph, shared_search
 from repro.evaluation.sweeps import SweepRunner, SweepPoint
 
 __all__ = [
     "ExperimentConfig",
-    "ExperimentSuite",
-    "make_sweep_runner",
     "table1_hardware_configuration",
     "table2_model_support",
     "fig5_validity_maps",
@@ -37,7 +32,6 @@ __all__ = [
     "fig9_weight_energy_vs_batch",
     "fig10_ga_convergence",
     "optimality_gap",
-    "ParallelSweepRunner",
     "SweepRunner",
     "SweepPoint",
     "shared_decomposition",

@@ -10,22 +10,15 @@ the paper-scale settings are the defaults of :class:`GAConfig`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from repro import envflags
-from repro.core.baselines import greedy_partition, layerwise_partition
 from repro.core.compiler import CompilerOptions, CompassCompiler
 from repro.core.decomposition import decompose_model
 from repro.core.fitness import FitnessEvaluator, FitnessMode
 from repro.core.ga import CompassGA, GAConfig, GAResult
-from repro.core.validity import ValidityMap
-from repro.evaluation.parallel import ParallelSweepRunner
 from repro.evaluation.registry import shared_decomposition, shared_graph
-from repro.evaluation.sweeps import SweepPoint, SweepRunner
-from repro.hardware.config import CHIP_PRESETS, get_chip_config, hardware_configuration_table
-from repro.models import build_model
+from repro.evaluation.sweeps import SweepRunner
+from repro.hardware.config import get_chip_config, hardware_configuration_table
 
 #: The three benchmark networks of the paper (Table II).
 PAPER_MODELS = ("vgg16", "resnet18", "squeezenet")
@@ -65,29 +58,6 @@ class ExperimentConfig:
             ),
             input_size=224,
         )
-
-
-def make_sweep_runner(
-    config: "ExperimentConfig",
-    parallel: Optional[bool] = None,
-    max_workers: Optional[int] = None,
-) -> Union[SweepRunner, ParallelSweepRunner]:
-    """Sweep runner for an experiment configuration.
-
-    Serial by default.  Pass ``parallel=True`` (or set the environment
-    variable ``REPRO_PARALLEL_SWEEPS`` to a non-empty value other than
-    ``0``) to fan independent (model, chip) sweep chunks across worker
-    processes; the parallel runner itself falls back to the serial path
-    when only one worker is available.
-    """
-    if parallel is None:
-        parallel = envflags.parallel_sweeps_enabled()
-    if parallel:
-        return ParallelSweepRunner(
-            ga_config=config.ga_config, input_size=config.input_size,
-            max_workers=max_workers,
-        )
-    return SweepRunner(ga_config=config.ga_config, input_size=config.input_size)
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +147,8 @@ def fig5_validity_maps(
 def fig6_throughput_comparison(config: ExperimentConfig = ExperimentConfig.fast(),
                                runner: Optional[SweepRunner] = None) -> List[Dict[str, object]]:
     """Throughput of COMPASS vs greedy vs layerwise across the sweep (Fig. 6)."""
-    runner = runner if runner is not None else make_sweep_runner(config)
+    if runner is None:
+        runner = SweepRunner(ga_config=config.ga_config, input_size=config.input_size)
     return runner.run(config.models, config.chips, config.schemes, config.batch_sizes)
 
 
@@ -512,60 +483,3 @@ def edp_frontier_sizes(
                     }
                 )
     return rows
-
-
-# ----------------------------------------------------------------------
-# Suite
-# ----------------------------------------------------------------------
-class ExperimentSuite:
-    """Convenience wrapper running all experiments with one configuration."""
-
-    def __init__(self, config: ExperimentConfig = ExperimentConfig.fast()) -> None:
-        self.config = config
-        self.runner = SweepRunner(ga_config=config.ga_config, input_size=config.input_size)
-
-    def table1(self) -> List[Dict[str, object]]:
-        """Table I rows."""
-        return table1_hardware_configuration()
-
-    def table2(self) -> List[Dict[str, object]]:
-        """Table II rows."""
-        return table2_model_support(self.config.models, self.config.chips)
-
-    def fig5(self) -> List[Dict[str, object]]:
-        """Fig. 5 validity-map rows."""
-        return fig5_validity_maps(self.config.models, ("S", "L"))
-
-    def fig6(self) -> List[Dict[str, object]]:
-        """Fig. 6 throughput rows."""
-        return fig6_throughput_comparison(self.config, self.runner)
-
-    def fig7(self) -> Dict[str, Dict[str, object]]:
-        """Fig. 7 per-partition latency breakdown."""
-        return fig7_latency_breakdown(ga_config=self.config.ga_config)
-
-    def fig8(self) -> List[Dict[str, object]]:
-        """Fig. 8 energy/EDP rows."""
-        return fig8_energy_and_edp(
-            batch_sizes=self.config.batch_sizes, ga_config=self.config.ga_config
-        )
-
-    def fig9(self) -> List[Dict[str, object]]:
-        """Fig. 9 weight-energy rows."""
-        return fig9_weight_energy_vs_batch(
-            chips=self.config.chips, batch_sizes=self.config.batch_sizes,
-            ga_config=self.config.ga_config,
-        )
-
-    def fig10(self) -> GAResult:
-        """Fig. 10 GA convergence history."""
-        return fig10_ga_convergence(ga_config=self.config.ga_config)
-
-    def gap(self) -> List[Dict[str, object]]:
-        """Optimality-gap rows (DP optimum vs GA best) for the suite config."""
-        return optimality_gap(
-            models=self.config.models,
-            chips=self.config.chips,
-            batch_sizes=self.config.batch_sizes,
-            ga_config=self.config.ga_config,
-        )

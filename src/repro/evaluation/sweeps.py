@@ -18,9 +18,6 @@ rows bound the GA rows from above on throughput while removing search noise.
 Pass ``optimizer="ga"`` for the paper's original search; the Fig. 10
 convergence path (:func:`~repro.evaluation.experiments.fig10_ga_convergence`)
 keeps the GA unconditionally, as its subject *is* the GA.
-
-For multi-core fan-out of independent sweep points see
-:class:`repro.evaluation.parallel.ParallelSweepRunner`.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ inconsistent architecture fails fast at model-construction time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.graph.layers import Layer, LayerKind
 from repro.graph.tensor import TensorShape
@@ -164,18 +164,6 @@ class Graph:
             for n in self.nodes()
             if n.kind is LayerKind.LINEAR
         )
-
-    def total_macs(self) -> int:
-        """Total multiply-accumulate operations per inference."""
-        total = 0
-        for node in self.nodes():
-            layer = node.layer
-            if not layer.is_crossbar_mapped:
-                continue
-            assert node.output_shape is not None
-            windows = layer.num_windows(node.output_shape)
-            total += windows * layer.matrix_rows() * layer.matrix_cols()
-        return total
 
     # ------------------------------------------------------------------
     # validation

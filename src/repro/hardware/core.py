@@ -68,13 +68,6 @@ class CoreConfig:
             + self.crossbars_per_core * self.crossbar.static_power_mw
         )
 
-    def vfu_latency_ns(self, elements: int) -> float:
-        """Time for the VFU block to process ``elements`` scalars."""
-        if elements <= 0:
-            return 0.0
-        throughput = self.vfu_count * self.vfu_elements_per_ns
-        return elements / throughput
-
     def vfu_energy_pj(self, elements: int) -> float:
         """Energy for the VFU block to process ``elements`` scalars."""
         return max(elements, 0) * self.vfu_energy_per_element_pj

@@ -88,17 +88,6 @@ class CoreMapping:
         """Cores hosting tiles of the given layer."""
         return self.layer_cores.get(layer_name, [])
 
-    def inter_core_edges(self, producer: str, consumer: str) -> int:
-        """Number of distinct producer-core → consumer-core pairs.
-
-        Used to estimate inter-core (SEND/RECV) traffic: an activation
-        produced by layer ``producer`` must reach every core holding a tile of
-        ``consumer`` that is not the producing core itself.
-        """
-        src = set(self.cores_for_layer(producer))
-        dst = set(self.cores_for_layer(consumer))
-        return sum(1 for s in src for d in dst if s != d)
-
 
 class MappingError(ValueError):
     """Raised when a partition's tiles do not fit on the chip's cores."""

@@ -10,14 +10,12 @@ instruction scheduler.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple
+from dataclasses import dataclass
+from typing import List, NamedTuple
 
 from repro.core.partition import Partition
 from repro.hardware.chip import ChipConfig
 from repro.mapping.core_mapping import CoreMapping, map_tiles_to_cores
-from repro.mapping.geometry import WeightMatrixGeometry
 from repro.mapping.replication import ReplicationPlan, allocate_replication_arrays
 
 
@@ -46,21 +44,6 @@ class LayerSlice(NamedTuple):
     rows: int
     #: names of attached non-crossbar layers executed with this slice
     attached: tuple
-
-    def as_geometry(self) -> WeightMatrixGeometry:
-        """View this slice as a geometry object for the mapping allocators."""
-        return WeightMatrixGeometry(
-            layer_name=self.layer_name,
-            rows=self.rows,
-            cols=self.cols,
-            groups=1,
-            crossbars_per_copy=self.crossbars,
-            weights_per_copy=(self.weight_bytes * 8) // max(1, 4),
-            windows=self.windows,
-            weight_bytes=self.weight_bytes,
-            row_tiles=max(1, self.tile_ops_per_window // max(1, math.ceil(self.cols / 64))),
-            col_tiles=max(1, math.ceil(self.cols / 64)),
-        )
 
 
 @dataclass(slots=True)
@@ -93,13 +76,6 @@ class PartitionPlan:
     def core_utilization(self) -> float:
         """Fraction of crossbars used on active cores."""
         return self.core_mapping.utilization()
-
-    def slice_for(self, layer_name: str) -> LayerSlice:
-        """The slice of the given layer (raises KeyError if absent)."""
-        for s in self.slices:
-            if s.layer_name == layer_name:
-                return s
-        raise KeyError(f"layer {layer_name!r} has no slice in this partition")
 
 
 def layer_slices(partition: Partition) -> List[LayerSlice]:
@@ -155,8 +131,7 @@ def build_partition_plan(partition: Partition, chip: ChipConfig) -> PartitionPla
     copy when the budget is tight.
     """
     slices = layer_slices(partition)
-    # The mapping allocators read only (name, windows, crossbars); feed them
-    # directly instead of materialising WeightMatrixGeometry views.
+    # The mapping allocators read only (name, windows, crossbars) per slice.
     names = [s.layer_name for s in slices]
     copies = [s.crossbars for s in slices]
     replication = allocate_replication_arrays(

@@ -279,8 +279,9 @@ class DynamicBatcher:
         """Dispatch decision for one model queue with an idle chip available.
 
         Returns ``(batch, None)`` to dispatch now, or ``(0, deadline_ns)``
-        to hold the queue: the simulator re-decides at every arrival and
-        forces a dispatch when the deadline passes.  ``latency_of(b)`` is
+        to hold the queue: the simulator re-decides after every event it
+        processes (not only arrivals) and forces a dispatch when the
+        deadline passes.  ``latency_of(b)`` is
         the service latency of the candidate plan at batch ``b`` (from the
         plan cache, i.e. the span-matrix latency curve).
         """

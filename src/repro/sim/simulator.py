@@ -9,7 +9,7 @@ quantities the paper's figures use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.partition import PartitionGroup
@@ -17,7 +17,7 @@ from repro.hardware.chip import ChipConfig
 from repro.hardware.dram import DRAMConfig, DRAMModel, DRAMStats, LPDDR3_8GB
 from repro.hardware.power import EnergyBreakdown
 from repro.onchip.estimator import PartitionEstimate, PartitionEstimator
-from repro.onchip.plan import PartitionPlan, build_partition_plan
+from repro.onchip.plan import PartitionPlan
 from repro.perf.spantable import SpanTable, span_table_for
 from repro.sim.metrics import edp_mj_ms, energy_per_inference_mj, throughput_inferences_per_sec
 
@@ -81,11 +81,6 @@ class ExecutionReport:
     def partition_latencies_ns(self) -> List[float]:
         """Per-partition latency (for the Fig. 7 breakdown)."""
         return [e.latency_ns for e in self.estimates]
-
-    def partition_latency_fractions(self) -> List[float]:
-        """Per-partition share of the total latency."""
-        total = self.total_latency_ns
-        return [e.latency_ns / total for e in self.estimates] if total else []
 
     def weight_traffic_bytes(self) -> int:
         """Weight bytes loaded from DRAM over the whole execution."""

@@ -24,10 +24,8 @@ class TestCoreConfig:
         core = CoreConfig()
         assert core.static_power_mw >= 22.8 + 18.0 + 8.0
 
-    def test_vfu_latency_and_energy(self):
+    def test_vfu_energy(self):
         core = CoreConfig(vfu_count=12, vfu_elements_per_ns=1.0)
-        assert core.vfu_latency_ns(120) == pytest.approx(10.0)
-        assert core.vfu_latency_ns(0) == 0.0
         assert core.vfu_energy_pj(100) == pytest.approx(100 * core.vfu_energy_per_element_pj)
 
     def test_local_memory_helpers(self):

@@ -134,6 +134,13 @@ class TestNoTraceback:
         # the autoscaler's chip class is checked before any plan compiles
         ["serve", "--model", "squeezenet", "--control-interval-us", "200",
          "--autoscale", "1:2", "--scale-chip", "Z"],
+        # an export into a missing directory fails before the run
+        ["compile", "lenet5", "--output", "/nonexistent/d/r.json"],
+        ["serve", "--requests", "10", "--output", "/nonexistent/d/x.json"],
+        ["serve", "--requests", "10", "--timeline-us", "100",
+         "--metrics-out", "/nonexistent/d/m.csv"],
+        ["serve", "--requests", "10", "--trace-requests", "2",
+         "--trace-out", "/nonexistent/d/t.json"],
         ["observe", "--submit", "missing.json", "--timeline-rows", "-3"],
         ["observe", "--port", "99999"],
         ["observe", "--port", "-1"],
@@ -152,6 +159,15 @@ class TestNoTraceback:
         assert "error:" in err
         assert "Traceback" not in err
         assert warmups == []
+
+    def test_unwritable_export_exits_2(self, capsys, tmp_path):
+        # the directory exists but the path is one: the write itself fails
+        argv = ["compile", "lenet5", "--population", "4", "--generations", "1",
+                "--no-instructions", "--output", str(tmp_path)]
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("port", ["0", "65535"])
     def test_port_bounds_accepted(self, port):

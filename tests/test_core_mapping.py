@@ -76,17 +76,6 @@ class TestMapping:
         mapping = map_partition_to_cores(geoms, replication, chip)
         assert 0.0 < mapping.utilization() <= 1.0
 
-    def test_inter_core_edges_zero_when_colocated(self):
-        chip = small_chip()
-        geoms = [make_geom("a", 1, 10), make_geom("b", 1, 10)]
-        replication = allocate_replication(geoms, crossbar_budget=2)
-        mapping = map_partition_to_cores(geoms, replication, chip)
-        a_cores = set(mapping.cores_for_layer("a"))
-        b_cores = set(mapping.cores_for_layer("b"))
-        edges = mapping.inter_core_edges("a", "b")
-        expected = sum(1 for s in a_cores for d in b_cores if s != d)
-        assert edges == expected
-
     def test_chip_s_capacity_exactly_fills(self):
         """144 single-crossbar replicas exactly fill Chip-S."""
         geoms = [make_geom("conv", 1, 10_000)]

@@ -5,7 +5,7 @@ tests pin the three deliberately distinct gate semantics so the
 centralisation can never silently normalise them:
 
 * ``not in ("", "0")`` — default-on gates where ``""`` *disables*
-  (switch cost, faults) and the default-off sweep opt-in;
+  (switch cost, faults);
 * ``!= "0"`` — telemetry: the empty string keeps it ON;
 * truthiness — the plain opt-in where any non-empty value enables.
 """
@@ -46,12 +46,6 @@ class TestTelemetryGate:
 
 
 class TestOptIns:
-    def test_parallel_sweeps(self, monkeypatch):
-        # default-off variant of the not-in-("","0") gate
-        _sweep(monkeypatch, "REPRO_PARALLEL_SWEEPS",
-               envflags.parallel_sweeps_enabled,
-               {None: False, "": False, "0": False, "1": True, "4": True})
-
     def test_truthiness_opt_ins(self, monkeypatch):
         _sweep(monkeypatch, "COMPASS_PAPER_SCALE", envflags.paper_scale_enabled,
                {None: False, "": False, "1": True, "0": True})
@@ -60,8 +54,8 @@ class TestOptIns:
 class TestRegistry:
     def test_registry_covers_every_accessor(self):
         assert envflags.REGISTERED_NAMES == (
-            "REPRO_PARALLEL_SWEEPS", "REPRO_SERVE_SWITCH_COST",
-            "REPRO_SERVE_FAULTS", "REPRO_SERVE_TELEMETRY", "COMPASS_PAPER_SCALE")
+            "REPRO_SERVE_SWITCH_COST", "REPRO_SERVE_FAULTS",
+            "REPRO_SERVE_TELEMETRY", "COMPASS_PAPER_SCALE")
         assert len(set(envflags.REGISTERED_NAMES)) == len(envflags.REGISTRY)
         for flag in envflags.REGISTRY:
             assert flag.description

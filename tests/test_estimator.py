@@ -104,7 +104,7 @@ class TestScalingBehaviour:
         """The whole point of replication: more crossbars -> shorter pipeline."""
         from repro.onchip.plan import build_partition_plan
         from repro.mapping.replication import ReplicationPlan
-        from repro.mapping.core_mapping import map_partition_to_cores
+        from repro.mapping.core_mapping import map_tiles_to_cores
 
         d = squeezenet_decomposition_s
         partition = PartitionGroup.single_partition(d).partition(0)
@@ -113,15 +113,16 @@ class TestScalingBehaviour:
 
         # build an artificial plan with no replication at all
         plan = build_partition_plan(partition, chip_s)
-        geometries = [s.as_geometry() for s in plan.slices]
+        names = [s.layer_name for s in plan.slices]
+        copies = [s.crossbars for s in plan.slices]
         unreplicated = ReplicationPlan(
-            factors={g.layer_name: 1 for g in geometries},
-            crossbars_used={g.layer_name: g.crossbars_per_copy for g in geometries},
-            total_crossbars=sum(g.crossbars_per_copy for g in geometries),
-            bottleneck_slots=max(g.windows for g in geometries),
+            factors={name: 1 for name in names},
+            crossbars_used=dict(zip(names, copies)),
+            total_crossbars=sum(copies),
+            bottleneck_slots=max(s.windows for s in plan.slices),
         )
         plan.replication = unreplicated
-        plan.core_mapping = map_partition_to_cores(geometries, unreplicated, chip_s)
+        plan.core_mapping = map_tiles_to_cores(names, copies, unreplicated, chip_s)
         baseline = est.estimate(partition, plan=plan)
         assert optimized.latency.pipeline_ns < baseline.latency.pipeline_ns
 

@@ -111,12 +111,6 @@ class TestStatistics:
         assert g.linear_weight_bytes(8) == 256 * 10 + 10
         assert g.crossbar_weight_bytes(8) == g.conv_weight_bytes(8) + g.linear_weight_bytes(8)
 
-    def test_total_macs(self):
-        g = build_linear_chain()
-        conv_macs = (8 * 8) * (3 * 9) * 4
-        fc_macs = 256 * 10
-        assert g.total_macs() == conv_macs + fc_macs
-
     def test_summary_mentions_layers(self):
         text = build_linear_chain().summary()
         assert "conv" in text

@@ -53,15 +53,6 @@ class TestPlanConstruction:
         plan = build_partition_plan(partition, chip_m)
         assert 0.0 < plan.core_utilization <= 1.0
 
-    def test_slice_for_lookup(self, resnet18_decomposition_m, chip_m):
-        d = resnet18_decomposition_m
-        partition = greedy_partition(d).partition(0)
-        plan = build_partition_plan(partition, chip_m)
-        name = plan.slices[0].layer_name
-        assert plan.slice_for(name).layer_name == name
-        with pytest.raises(KeyError):
-            plan.slice_for("missing_layer")
-
     def test_slice_fraction_reflects_split_layers(self, resnet18_decomposition_m, chip_m):
         d = resnet18_decomposition_m
         # find a multi-unit layer and plan only its first unit
@@ -70,7 +61,8 @@ class TestPlanConstruction:
             if end - start >= 2:
                 partition = Partition(d, start, start + 1)
                 plan = build_partition_plan(partition, chip_m)
-                assert plan.slice_for(layer).fraction < 1.0
+                [layer_slice] = [s for s in plan.slices if s.layer_name == layer]
+                assert layer_slice.fraction < 1.0
                 return
         pytest.skip("no multi-unit layer")
 

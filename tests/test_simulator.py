@@ -41,10 +41,6 @@ class TestExecutionReport:
         expected = report.batch_size / (report.total_latency_ns * 1e-9)
         assert report.throughput == pytest.approx(expected)
 
-    def test_partition_latency_fractions_sum_to_one(self, simulated):
-        _, _, report = simulated
-        assert sum(report.partition_latency_fractions()) == pytest.approx(1.0)
-
     def test_energy_breakdown_aggregates(self, simulated):
         _, _, report = simulated
         breakdown = report.energy_breakdown

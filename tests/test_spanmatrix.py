@@ -155,27 +155,6 @@ class TestGroupEvaluationCaches:
                     assert got.tolist() == want.tolist()
 
 
-class TestBaselineEvaluations:
-    def test_matches_per_group_evaluation(self, fresh_decomposition):
-        from repro.core.baselines import (
-            baseline_evaluations,
-            greedy_partition,
-            layerwise_partition,
-        )
-
-        decomposition, validity = fresh_decomposition
-        evaluator = FitnessEvaluator(decomposition, batch_size=4)
-        batch = baseline_evaluations(decomposition, evaluator, validity)
-        assert set(batch) == {"greedy", "layerwise"}
-        oracle = NaiveFitnessEvaluator(decomposition, batch_size=4)
-        assert batch["greedy"].fitness == oracle.evaluate(
-            greedy_partition(decomposition, validity)
-        ).fitness
-        assert batch["layerwise"].fitness == oracle.evaluate(
-            layerwise_partition(decomposition, validity)
-        ).fitness
-
-
 class TestEDPMatrices:
     def test_energy_matrices_allocate_lazily(self, fresh_decomposition):
         decomposition, _ = fresh_decomposition
