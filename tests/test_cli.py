@@ -141,6 +141,7 @@ class TestNoTraceback:
          "--metrics-out", "/nonexistent/d/m.csv"],
         ["serve", "--requests", "10", "--trace-requests", "2",
          "--trace-out", "/nonexistent/d/t.json"],
+        ["serve", "--requests", "10", "--record-trace", "/nonexistent/d/r.trace"],
         ["observe", "--submit", "missing.json", "--timeline-rows", "-3"],
         ["observe", "--port", "99999"],
         ["observe", "--port", "-1"],
@@ -160,14 +161,37 @@ class TestNoTraceback:
         assert "Traceback" not in err
         assert warmups == []
 
-    def test_unwritable_export_exits_2(self, capsys, tmp_path):
+    @pytest.mark.parametrize("export", [
+        ["compile", "lenet5", "--population", "4", "--generations", "1",
+         "--no-instructions", "--output"],
+        ["serve", "--model", "squeezenet", "--chip", "S", "--requests", "10",
+         "--output"],
+        ["serve", "--model", "squeezenet", "--chip", "S", "--requests", "10",
+         "--timeline-us", "100", "--metrics-out"],
+        ["serve", "--model", "squeezenet", "--chip", "S", "--requests", "10",
+         "--trace-requests", "2", "--trace-out"],
+        ["serve", "--model", "squeezenet", "--chip", "S", "--requests", "10",
+         "--record-trace"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-1]}")
+    def test_unwritable_export_exits_2(self, capsys, tmp_path, export):
         # the directory exists but the path is one: the write itself fails
-        argv = ["compile", "lenet5", "--population", "4", "--generations", "1",
-                "--no-instructions", "--output", str(tmp_path)]
-        assert _exit_code(argv) == 2
+        assert _exit_code([*export, str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["compile", "lenet5", "--output"],
+        ["serve", "--output"],
+        ["serve", "--metrics-out"],
+        ["serve", "--trace-out"],
+        ["serve", "--record-trace"],
+    ], ids=" ".join)
+    def test_export_in_working_directory_accepted(self, argv):
+        # a bare file name has no directory part: it goes to the working
+        # directory, which exists
+        args = build_parser().parse_args([*argv, "out.json"])
+        assert getattr(args, argv[-1][2:].replace("-", "_")) == "out.json"
 
     @pytest.mark.parametrize("port", ["0", "65535"])
     def test_port_bounds_accepted(self, port):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.ga import GAConfig
+from repro.evaluation import experiments
 from repro.evaluation.experiments import (
     ExperimentConfig,
     fig5_validity_maps,
     fig6_speedups,
+    fig6_throughput_comparison,
     fig7_latency_breakdown,
     fig8_energy_and_edp,
     fig9_weight_energy_vs_batch,
@@ -72,6 +74,44 @@ class TestSweepRunner:
         assert len(rows) == 4
         assert {r["scheme"] for r in rows} == {"greedy", "layerwise"}
         assert all(r["throughput_ips"] > 0 for r in rows)
+
+    def test_rows_in_sweep_order(self):
+        # model, then chip, then batch, then scheme: the Fig. 6 table order
+        models, chips, batches, schemes = ("lenet5",), ("S", "M"), (1, 4), ("greedy", "compass")
+        rows = SweepRunner(ga_config=TINY_GA).run(models, chips, schemes, batches)
+        keys = [(r["model"], r["chip"], r["batch"], r["scheme"]) for r in rows]
+        assert keys == [(model, chip, batch, scheme)
+                        for model in models for chip in chips
+                        for batch in batches for scheme in schemes]
+
+
+class TestFig6:
+    CONFIG = ExperimentConfig(models=("lenet5",), chips=("S",), batch_sizes=(1,),
+                              schemes=("greedy", "compass"), ga_config=TINY_GA,
+                              input_size=32)
+
+    def test_default_runner_built_from_config(self, monkeypatch):
+        built = []
+
+        class RecordingRunner(SweepRunner):
+            def __init__(self, **kwargs):
+                built.append(kwargs)
+                super().__init__(**kwargs)
+
+        monkeypatch.setattr(experiments, "SweepRunner", RecordingRunner)
+        rows = fig6_throughput_comparison(self.CONFIG)
+        assert built == [{"ga_config": TINY_GA, "input_size": 32}]
+        assert [r["scheme"] for r in rows] == ["greedy", "compass"]
+
+    def test_given_runner_is_used(self):
+        runner = SweepRunner(ga_config=TINY_GA, input_size=32)
+        points = []
+        run_point = runner.run_point
+        runner.run_point = lambda point: points.append(point) or run_point(point)
+        rows = fig6_throughput_comparison(self.CONFIG, runner=runner)
+        assert points == [SweepPoint(model="lenet5", chip="S", scheme=scheme, batch_size=1)
+                          for scheme in ("greedy", "compass")]
+        assert [r["label"] for r in rows] == ["lenet5-S-1", "lenet5-S-1"]
 
 
 class TestFigures:

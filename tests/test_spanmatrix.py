@@ -155,6 +155,21 @@ class TestGroupEvaluationCaches:
                     assert got.tolist() == want.tolist()
 
 
+class TestBaselineEvaluations:
+    def test_matches_per_group_evaluation(self, fresh_decomposition):
+        from repro.core.baselines import greedy_partition, layerwise_partition
+
+        # both baselines scored as one batch through the span matrices, as
+        # the GA's population is, score exactly as the naive oracle does
+        decomposition, validity = fresh_decomposition
+        groups = [greedy_partition(decomposition, validity),
+                  layerwise_partition(decomposition, validity)]
+        evaluator = FitnessEvaluator(decomposition, batch_size=4)
+        oracle = NaiveFitnessEvaluator(decomposition, batch_size=4)
+        for got, group in zip(evaluator.evaluate_many(groups), groups):
+            assert got.fitness == oracle.evaluate(group).fitness
+
+
 class TestEDPMatrices:
     def test_energy_matrices_allocate_lazily(self, fresh_decomposition):
         decomposition, _ = fresh_decomposition
