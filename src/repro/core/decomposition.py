@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.graph.graph import Graph, GraphNode
 from repro.graph.traversal import attach_non_crossbar_layers, crossbar_layer_order
 from repro.hardware.chip import ChipConfig
@@ -128,6 +130,17 @@ class DecompositionIndex:
         #: lazily built single-layer I/O templates, see single_layer_io_template
         self._io_templates: Dict[str, Tuple] = {}
 
+        # int64 copies for the array span queries of span_keys
+        ranges = decomposition.layer_unit_ranges.values()
+        self._unit_layer = np.array(self.unit_layer, dtype=np.int64)
+        self._layer_start = np.array([lo for lo, _ in ranges], dtype=np.int64)
+        self._layer_end = np.array([hi for _, hi in ranges], dtype=np.int64)
+        self._slice_prefixes = tuple(
+            np.array(prefix, dtype=np.int64)
+            for prefix in (self.cols_prefix, self.crossbar_prefix,
+                           self.tile_ops_prefix, self.weight_prefix)
+        )
+
     # ------------------------------------------------------------------
     def single_layer_io_template(self, layer: str) -> Tuple:
         """Entry/exit template of a span holding (part of) exactly one layer.
@@ -162,6 +175,33 @@ class DecompositionIndex:
         return template
 
     # ------------------------------------------------------------------
+    def span_keys(self, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """Geometry key of every span ``[starts[i], ends[i])``, one int64 row each.
+
+        Columns: first and last layer index; ``(cols, crossbars, tile_ops,
+        weight_bytes)`` of the first layer's slice, then of the last layer's;
+        ``start > first layer start``; ``end < last layer end``.  The layers
+        between the two edge layers are whole, and the flags say which edge
+        layers are partial, so spans with equal keys have equal
+        ``layer_slices``, owned nodes and ``Partition.io()``, hence equal
+        span profiles.  A single-layer span's I/O depends on its owned
+        fraction only, so its flags are 0.
+        """
+        first = self._unit_layer[starts]
+        last = self._unit_layer[ends - 1]
+        first_end = np.minimum(self._layer_end[first], ends)
+        last_start = np.maximum(self._layer_start[last], starts)
+        keys = np.empty((len(starts), 12), dtype=np.int64)
+        keys[:, 0] = first
+        keys[:, 1] = last
+        for column, prefix in enumerate(self._slice_prefixes, start=2):
+            keys[:, column] = prefix[first_end] - prefix[starts]
+            keys[:, column + 4] = prefix[ends] - prefix[last_start]
+        multi_layer = first != last
+        keys[:, 10] = multi_layer & (starts > self._layer_start[first])
+        keys[:, 11] = multi_layer & (ends < self._layer_end[last])
+        return keys
+
     def layers_in_span(self, start: int, end: int) -> List[str]:
         """Crossbar layers with at least one unit in ``[start, end)``, in order."""
         if start >= end:

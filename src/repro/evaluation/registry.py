@@ -156,9 +156,13 @@ def shared_plan_cache(optimizer: str = "dp", mode=None, capacity: int = 256):
 def clear_registry() -> None:
     """Drop all cached graphs, decompositions and plan caches (mainly for tests).
 
-    Span tables and matrices attach to the decompositions, so dropping the
-    decompositions drops the whole cache hierarchy with them.
+    Span tables and matrices attach to the decompositions and refer back to
+    them, so each decomposition's caches are detached first: the matrices
+    are freed here, not whenever the cycle collector next runs.
     """
+    for decomposition, _ in _DECOMPOSITIONS.values():
+        decomposition.__dict__.pop("_span_tables", None)
+        decomposition.__dict__.pop("_span_matrices", None)
     _GRAPHS.clear()
     _DECOMPOSITIONS.clear()
     _PLAN_CACHES.clear()

@@ -12,15 +12,13 @@ Conv/Linear layer:
 """
 
 from repro.mapping.geometry import WeightMatrixGeometry, layer_geometry
-from repro.mapping.replication import ReplicationPlan, allocate_replication
-from repro.mapping.core_mapping import CoreAssignment, CoreMapping, map_partition_to_cores
+from repro.mapping.replication import ReplicationPlan
+from repro.mapping.core_mapping import CoreAssignment, CoreMapping
 
 __all__ = [
     "WeightMatrixGeometry",
     "layer_geometry",
     "ReplicationPlan",
-    "allocate_replication",
     "CoreAssignment",
     "CoreMapping",
-    "map_partition_to_cores",
 ]

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.hardware.chip import ChipConfig
-from repro.mapping.geometry import WeightMatrixGeometry
 from repro.mapping.replication import ReplicationPlan
 
 
@@ -99,11 +98,15 @@ def map_tiles_to_cores(
     replication: ReplicationPlan,
     chip: ChipConfig,
 ) -> CoreMapping:
-    """Array-based core of :func:`map_partition_to_cores`.
+    """Pack the (replicated) crossbar tiles of a partition onto cores.
 
-    Takes the two geometry attributes the packer actually reads (layer name
-    and crossbars per copy) as parallel sequences, so hot callers need not
-    materialise :class:`WeightMatrixGeometry` objects.
+    A first-fit-decreasing bin packing is used at replica granularity:
+    replicas with many tiles are placed first, each on the core with the most
+    free crossbars (splitting across cores only when a replica is larger than
+    a whole core).  Only cores that receive tiles appear in the returned
+    mapping's ``assignments`` (in core-id order); idle cores carry no
+    information.  Takes the two geometry attributes the packer reads (layer
+    name and crossbars per copy) as parallel sequences.
     """
     per_core = chip.core.crossbars_per_core
     num_cores = chip.num_cores
@@ -308,24 +311,3 @@ def max_core_crossbars_only(
         min_free += 1
     return per_core - min_free, num_cores - free_counts[per_core]
 
-
-def map_partition_to_cores(
-    geometries: Sequence[WeightMatrixGeometry],
-    replication: ReplicationPlan,
-    chip: ChipConfig,
-) -> CoreMapping:
-    """Pack the (replicated) crossbar tiles of a partition onto cores.
-
-    A first-fit-decreasing bin packing is used at replica granularity:
-    replicas with many tiles are placed first, each on the core with the most
-    free crossbars (splitting across cores only when a replica is larger than
-    a whole core).  Only cores that receive tiles appear in the returned
-    mapping's ``assignments`` (in core-id order); idle cores carry no
-    information.
-    """
-    return map_tiles_to_cores(
-        [g.layer_name for g in geometries],
-        [g.crossbars_per_copy for g in geometries],
-        replication,
-        chip,
-    )

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.mapping.geometry import WeightMatrixGeometry
-
 
 @dataclass(slots=True)
 class ReplicationPlan:
@@ -144,12 +142,17 @@ def allocate_replication_arrays(
     crossbar_budget: int,
     max_replication: int = 64,
 ) -> ReplicationPlan:
-    """Array-based core of :func:`allocate_replication`.
+    """Allocate replication factors for the layers of one partition.
 
-    Takes the three geometry attributes the allocator actually reads
-    (layer name, window count, crossbars per copy) as parallel sequences, so
-    hot callers (the span-table engine building thousands of plans) need not
-    materialise :class:`WeightMatrixGeometry` objects.
+    Takes the three geometry attributes the allocator reads (layer name,
+    window count, crossbars per copy) as parallel sequences, one entry per
+    layer (or layer slice) of the partition; layers with zero windows keep
+    one copy.  ``crossbar_budget`` is the crossbars available to the
+    partition (normally the whole chip) and ``max_replication`` caps any
+    one layer's factor, which never exceeds its window count either.
+
+    Raises ``ValueError`` if even a single copy of every layer does not fit
+    in the budget (the partition is invalid).
     """
     factors = replication_factors(names, windows, copies, crossbar_budget, max_replication)
     if not names:
@@ -170,37 +173,3 @@ def allocate_replication_arrays(
         bottleneck_slots=bottleneck,
     )
 
-
-def allocate_replication(
-    geometries: Sequence[WeightMatrixGeometry],
-    crossbar_budget: int,
-    max_replication: int = 64,
-) -> ReplicationPlan:
-    """Allocate replication factors for the layers of one partition.
-
-    Parameters
-    ----------
-    geometries:
-        Geometry of every crossbar-mapped layer (or layer slice) in the
-        partition.  Layers with zero windows (e.g. unused) are kept at one
-        copy.
-    crossbar_budget:
-        Total crossbars available to the partition (normally the whole chip).
-    max_replication:
-        Upper bound on any single layer's replication factor; replicating a
-        layer beyond its window count is never useful, so the effective bound
-        is ``min(max_replication, windows)``.
-
-    Raises
-    ------
-    ValueError
-        If even a single copy of every layer does not fit in the budget
-        (the partition is invalid).
-    """
-    return allocate_replication_arrays(
-        [g.layer_name for g in geometries],
-        [g.windows for g in geometries],
-        [g.crossbars_per_copy for g in geometries],
-        crossbar_budget,
-        max_replication,
-    )

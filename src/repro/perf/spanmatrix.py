@@ -25,6 +25,16 @@ requested:
   static-power coefficient, combined in the exact field order of
   ``EnergyBreakdown.total_pj``.
 
+**Fills are grouped by span geometry.**  Spans whose
+:meth:`~repro.core.decomposition.DecompositionIndex.span_keys` rows are
+equal have equal layer slices, owned nodes and I/O, hence equal records;
+most of a model's spans are slices of one layer with near-equal units, so
+the nine paper pairs' 52,032 valid spans have only 11,191 geometries.  A
+fill therefore takes one record per geometry from the table (from the
+group's first cell in row-major order) and scatters it to the group's
+other cells with one fancy assignment per matrix; every filled cell also
+gets its slim record in the table, so scalar lookups of it are hits.
+
 **Delta re-scoring** falls out of the representation: a mutation changes at
 most a few cut points, so a child's spans are almost all already-filled
 matrix cells — ``ensure_spans`` profiles only the set difference (the few
@@ -35,9 +45,10 @@ not bit-identical to the naive path's left-to-right ``sum``; the sums are
 O(#partitions) and cheap, the per-span math is the hot part.
 
 Fills and gathers are accounted on the shared table's counters
-(``matrix_fills`` / ``matrix_hits``, with gathers folded into
-``latency_hits``), so ``SpanTable.stats`` never silently reads zero when the
-dense path is engaged.
+(``matrix_fills`` counts every filled cell, ``matrix_hits`` every gathered
+one; gathers and scattered cells are folded into ``latency_hits``), so
+``SpanTable.stats`` never silently reads zero when the dense path is
+engaged, and ``latencies_computed + latency_hits`` is the cells requested.
 """
 
 from __future__ import annotations
@@ -50,6 +61,7 @@ import numpy.ma  # noqa: F401  (np.unique touches np.ma lazily; load at import,
 
 from repro.core.decomposition import ModelDecomposition
 from repro.hardware.dram import DRAMConfig, LPDDR3_8GB
+from repro.onchip.estimator import EnergyRecord
 from repro.perf.spantable import SpanTable, span_table_for
 
 #: per-span energy component matrices, in the exact summation order of
@@ -64,6 +76,9 @@ _PER_SAMPLE_PARTS = (
     "local_memory_pj_per_sample",
 )
 _CONSTANT_PARTS = ("weight_write_pj", "weight_load_pj")
+#: column of each energy part in an array of EnergyRecord rows
+_RECORD_COLUMN = {name: EnergyRecord._fields.index(name)
+                  for name in _PER_SAMPLE_PARTS + _CONSTANT_PARTS}
 
 
 class SpanMatrix:
@@ -102,6 +117,33 @@ class SpanMatrix:
         """Number of spans materialised in the dense latency matrices."""
         return int(self._have_slim.sum())
 
+    def _missing_groups(
+        self, have: np.ndarray, starts: np.ndarray, ends: np.ndarray
+    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """The requested cells missing from ``have``, grouped by span geometry.
+
+        Returns ``None`` when nothing is missing, else ``(cell_starts,
+        cell_ends, first, group)``: the distinct missing cells in row-major
+        order, the index of each geometry group's first cell and the group
+        of every cell.  Cells of one group share a
+        :meth:`~repro.core.decomposition.DecompositionIndex.span_keys` row,
+        so every record of theirs is equal.
+        """
+        missing = ~have[starts, ends]
+        if not missing.any():
+            return None
+        stride = self.num_units + 1
+        cell_starts, cell_ends = np.divmod(
+            np.unique(starts[missing] * stride + ends[missing]), stride
+        )
+        keys = self.decomposition.index.span_keys(cell_starts, cell_ends)
+        # one opaque row per key: np.unique then sorts raw bytes, several
+        # times faster than its axis=0 field-by-field compare; return_index
+        # sorts stably, so each group's first cell is its first in row order
+        rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        _, first, group = np.unique(rows, return_index=True, return_inverse=True)
+        return cell_starts, cell_ends, first, group
+
     # ------------------------------------------------------------------
     # slim (latency) layer
     # ------------------------------------------------------------------
@@ -109,31 +151,35 @@ class SpanMatrix:
         """Materialise every requested span's slim record in the matrices.
 
         This is the delta step: only spans missing from the matrix — for GA
-        children, the few spans their mutation introduced — are profiled;
-        every other lookup is counted as a matrix-served hit.
+        children, the few spans their mutation introduced — are filled, and
+        every other lookup is counted as a matrix-served hit.  The missing
+        spans are profiled once per span geometry: each group's first cell
+        takes its record from the table and the record is scattered to the
+        rest of the group, which count as latency hits.
         """
         table = self.table
-        have = self._have_slim
-        missing = ~have[starts, ends]
         fills = 0
-        if missing.any():
-            stride = self.num_units + 1
-            packed = starts[missing] * stride + ends[missing]
-            codes = np.unique(packed)
+        groups = 0
+        grouped = self._missing_groups(self._have_slim, starts, ends)
+        if grouped is not None:
+            cell_starts, cell_ends, first, group = grouped
             slim_record = table.slim_record
-            weight_replace = self._weight_replace
-            fill = self._fill
-            bottleneck = self._bottleneck
-            for code in codes.tolist():
-                s, e = divmod(code, stride)
-                weight_replace[s, e], fill[s, e], bottleneck[s, e] = slim_record(s, e)
-                have[s, e] = True
-            fills = len(codes)
+            records = [slim_record(s, e) for s, e in
+                       zip(cell_starts[first].tolist(), cell_ends[first].tolist())]
+            values = np.array(records)[group]
+            self._weight_replace[cell_starts, cell_ends] = values[:, 0]
+            self._fill[cell_starts, cell_ends] = values[:, 1]
+            self._bottleneck[cell_starts, cell_ends] = values[:, 2]
+            self._have_slim[cell_starts, cell_ends] = True
+            table._slim.update(zip(zip(cell_starts.tolist(), cell_ends.tolist()),
+                                   map(records.__getitem__, group.tolist())))
+            fills = len(cell_starts)
+            groups = len(records)
             self._slim_version += 1
             table._matrix_fills += fills
         served = int(starts.size) - fills
         table._matrix_hits += served
-        table._latency_hits += served
+        table._latency_hits += served + fills - groups
 
     def latency_matrix(self, batch_size: int) -> np.ndarray:
         """Dense total-latency matrix for one batch size (version-cached).
@@ -188,35 +234,38 @@ class SpanMatrix:
     def ensure_energy(self, starts: np.ndarray, ends: np.ndarray) -> None:
         """Materialise the energy component matrices for the given spans.
 
-        Energy fills read the span's energy record from the shared table —
-        the fields of a cached full profile, else the estimator's exact
-        energy-only replay, which builds no plan.  The record's slim latency
-        triple becomes the table's slim record, so a follow-up
-        :meth:`ensure_spans` never re-profiles these spans.
+        Energy fills read one energy record per span geometry from the
+        shared table — the fields of a cached full profile, else the
+        estimator's exact energy-only replay, which builds no plan — and
+        scatter it to every missing cell of the geometry.  The record's slim
+        latency triple becomes each cell's slim record in the table, so a
+        follow-up :meth:`ensure_spans` never re-profiles these spans.
         """
         if self._have_energy is None:
             self._allocate_energy()
-        have = self._have_energy
-        missing = ~have[starts, ends]
-        if not missing.any():
+        grouped = self._missing_groups(self._have_energy, starts, ends)
+        if grouped is None:
             return
+        cell_starts, cell_ends, first, group = grouped
         table = self.table
-        chip = self.decomposition.chip
-        num_cores = chip.num_cores
-        static_power_mw = chip.core.static_power_mw
-        stride = self.num_units + 1
-        packed = starts[missing] * stride + ends[missing]
+        energy_record = table.energy_record
+        records = [energy_record(s, e) for s, e in
+                   zip(cell_starts[first].tolist(), cell_ends[first].tolist())]
+        values = np.array(records)[group]
         parts = self._energy_parts
-        static_coeff = self._static_coeff
-        for code in np.unique(packed).tolist():
-            s, e = divmod(code, stride)
-            record = table.energy_record(s, e)
-            for name in _PER_SAMPLE_PARTS + _CONSTANT_PARTS:
-                parts[name][s, e] = getattr(record, name)
-            # same first product as PowerModel.static_energy_pj
-            active_cores = max(0, min(record.cores_used, num_cores))
-            static_coeff[s, e] = static_power_mw * active_cores
-            have[s, e] = True
+        for name in _PER_SAMPLE_PARTS + _CONSTANT_PARTS:
+            parts[name][cell_starts, cell_ends] = values[:, _RECORD_COLUMN[name]]
+        chip = self.decomposition.chip
+        # same first product as PowerModel.static_energy_pj
+        active_cores = np.clip([record.cores_used for record in records], 0, chip.num_cores)
+        self._static_coeff[cell_starts, cell_ends] = (
+            chip.core.static_power_mw * active_cores
+        )[group]
+        self._have_energy[cell_starts, cell_ends] = True
+        triples = [(record.weight_replace_ns, record.fill_ns, record.bottleneck_ns)
+                   for record in records]
+        table._slim.update(zip(zip(cell_starts.tolist(), cell_ends.tolist()),
+                               map(triples.__getitem__, group.tolist())))
         self._energy_version += 1
 
     def energy_matrix(self, batch_size: int) -> np.ndarray:

@@ -16,17 +16,13 @@ Both layers keep hit/miss statistics so benchmarks can assert the engine is
 actually engaged.  Tables are shared through :func:`span_table_for`, which
 attaches them to the decomposition; every consumer — the fitness evaluator,
 the execution simulator, the compiler and the baselines — therefore reads
-from the same cache.
-
-The table is filled lazily by default; :meth:`SpanTable.precompute` eagerly
-profiles every valid span (the O(L²) triangle restricted by the validity
-map) for workloads that prefer a warm table.
+from the same cache.  The table is filled lazily, span by span.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.core.decomposition import ModelDecomposition
 from repro.core.partition import Partition, PartitionGroup
@@ -316,31 +312,6 @@ class SpanTable:
                        batch_size: int) -> List[PartitionEstimate]:
         """Estimates of every partition of a group, in order."""
         return [self.estimate(s, e, batch_size) for s, e in group.spans()]
-
-    # ------------------------------------------------------------------
-    def precompute(self, validity=None,
-                   batch_sizes: Iterable[int] = ()) -> int:
-        """Eagerly profile every valid span (and optionally warm estimates).
-
-        ``validity`` is a :class:`~repro.core.validity.ValidityMap`; one is
-        built if not supplied.  Returns the number of spans profiled.
-        Lazy filling is the default everywhere — this exists for workloads
-        that prefer paying the O(L²) cost up front (e.g. before forking
-        sweep workers).
-        """
-        if validity is None:
-            from repro.core.validity import ValidityMap
-
-            validity = ValidityMap(self.decomposition)
-        batches = list(batch_sizes)
-        count = 0
-        for start in range(self.decomposition.num_units):
-            for end in range(start + 1, validity.max_end(start) + 1):
-                self.profile(start, end)
-                for batch in batches:
-                    self.estimate(start, end, batch)
-                count += 1
-        return count
 
 
 def span_table_for(

@@ -40,6 +40,8 @@ from repro.mapping.replication import ReplicationPlan, replication_factor_list
 from repro.models import build_model
 from repro.onchip.estimator import EnergyRecord, PartitionEstimator
 from repro.perf import SpanTable, span_matrix_for, span_table_for
+from repro.search.base import SpanCostModel
+from repro.search.dp import DPOptimalSearch
 from repro.sim.simulator import ExecutionSimulator
 
 
@@ -292,6 +294,62 @@ class TestEnergyRecordEquivalence:
         assert after.energy_records_computed - before.energy_records_computed == len(set(fresh))
         assert after.profiles_computed == before.profiles_computed
         assert after.latencies_computed == before.latencies_computed
+
+
+DP_FILL_PAIRS = [("vgg16", "S"), ("resnet18", "M"), ("squeezenet", "L")]
+
+
+def valid_span_arrays(validity):
+    """(starts, ends) int64 arrays of every valid span, in row-major order."""
+    starts, cols = np.nonzero(validity.as_matrix())
+    return starts.astype(np.int64), (cols + 1).astype(np.int64)
+
+
+class TestColdDPFill:
+    """A cold fill profiles one span per geometry and scatters its record;
+    every valid cell still equals a plain estimator's record of its own span."""
+
+    @pytest.mark.parametrize("model,chip_name", DP_FILL_PAIRS,
+                             ids=[f"{m}-{c}" for m, c in DP_FILL_PAIRS])
+    def test_latency_cells_match_slim_profile(self, model, chip_name):
+        decomposition = decompose_model(build_model(model), get_chip_config(chip_name))
+        validity = ValidityMap(decomposition)
+        evaluator = FitnessEvaluator(decomposition, batch_size=4)
+        DPOptimalSearch(decomposition, evaluator, validity).run()
+        starts, ends = valid_span_arrays(validity)
+        matrix = span_matrix_for(decomposition)
+        assert matrix.num_spans == len(starts)
+        cells = zip(*(component.tolist() for component in matrix.gather_components(starts, ends)))
+        estimator = PartitionEstimator(decomposition.chip)
+        for start, end, cell in zip(starts.tolist(), ends.tolist(), cells):
+            assert cell == estimator.slim_profile(Partition(decomposition, start, end)), (start, end)
+
+    @pytest.mark.parametrize("model,chip_name", DP_FILL_PAIRS,
+                             ids=[f"{m}-{c}" for m, c in DP_FILL_PAIRS])
+    def test_energy_cells_match_energy_record(self, model, chip_name):
+        decomposition = decompose_model(build_model(model), get_chip_config(chip_name))
+        validity = ValidityMap(decomposition)
+        evaluator = FitnessEvaluator(decomposition, batch_size=4, mode=FitnessMode.EDP)
+        starts, ends = valid_span_arrays(validity)
+        # the EDP DP's fill; its frontier search is not needed to fill cells
+        SpanCostModel(evaluator).energy_latency_costs(starts, ends)
+        matrix = span_matrix_for(decomposition)
+        table = matrix.table
+        # the scattered slim triples served the latency fill: nothing re-profiled
+        assert table.stats.latencies_computed == 0
+        parts = {name: part[starts, ends].tolist() for name, part in matrix._energy_parts.items()}
+        static_coeff = matrix._static_coeff[starts, ends].tolist()
+        components = list(zip(*(c.tolist() for c in matrix.gather_components(starts, ends))))
+        chip = decomposition.chip
+        estimator = PartitionEstimator(chip)
+        for i, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
+            record = estimator.energy_record(Partition(decomposition, start, end))
+            for name, cells in parts.items():
+                assert cells[i] == getattr(record, name), (start, end, name)
+            active_cores = max(0, min(record.cores_used, chip.num_cores))
+            assert static_coeff[i] == chip.core.static_power_mw * active_cores, (start, end)
+            triple = (record.weight_replace_ns, record.fill_ns, record.bottleneck_ns)
+            assert components[i] == triple == table._slim[(start, end)], (start, end)
 
 
 class TestSpanMatrixEquivalence:

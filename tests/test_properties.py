@@ -17,8 +17,7 @@ from repro.hardware.core import CoreConfig
 from repro.hardware.crossbar import CrossbarConfig
 from repro.hardware.dram import DRAMModel, DRAMRequest
 from repro.isa.memory import LocalMemoryAllocator
-from repro.mapping.geometry import WeightMatrixGeometry
-from repro.mapping.replication import allocate_replication
+from repro.mapping.replication import allocate_replication_arrays
 from repro.sim.metrics import geometric_mean, throughput_inferences_per_sec
 
 SETTINGS = settings(max_examples=50, deadline=None,
@@ -74,43 +73,45 @@ class TestCrossbarProperties:
 # ----------------------------------------------------------------------
 # Replication allocation
 # ----------------------------------------------------------------------
-def geometry_strategy():
-    return st.builds(
-        lambda name, crossbars, windows: WeightMatrixGeometry(
-            layer_name=name, rows=256, cols=64, groups=1,
-            crossbars_per_copy=crossbars, weights_per_copy=256 * 64,
-            windows=windows, weight_bytes=8192 * crossbars,
-            row_tiles=1, col_tiles=crossbars,
-        ),
-        name=st.text(alphabet="abcdefgh", min_size=1, max_size=4),
-        crossbars=st.integers(min_value=1, max_value=8),
-        windows=st.integers(min_value=1, max_value=4096),
+def layer_strategy():
+    """``(name, crossbars per copy, windows)`` of one layer."""
+    return st.tuples(
+        st.text(alphabet="abcdefgh", min_size=1, max_size=4),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=4096),
+    )
+
+
+def allocate(layers, budget):
+    return allocate_replication_arrays(
+        [name for name, _, _ in layers], [windows for _, _, windows in layers],
+        [crossbars for _, crossbars, _ in layers], budget,
     )
 
 
 class TestReplicationProperties:
-    @given(geoms=st.lists(geometry_strategy(), min_size=1, max_size=6, unique_by=lambda g: g.layer_name),
+    @given(layers=st.lists(layer_strategy(), min_size=1, max_size=6, unique_by=lambda layer: layer[0]),
            budget=st.integers(min_value=48, max_value=512))
     @SETTINGS
-    def test_allocation_respects_budget_and_floors(self, geoms, budget):
-        single_copy = sum(g.crossbars_per_copy for g in geoms)
+    def test_allocation_respects_budget_and_floors(self, layers, budget):
+        single_copy = sum(crossbars for _, crossbars, _ in layers)
         if single_copy > budget:
             with pytest.raises(ValueError):
-                allocate_replication(geoms, budget)
+                allocate(layers, budget)
             return
-        plan = allocate_replication(geoms, budget)
+        plan = allocate(layers, budget)
         assert plan.total_crossbars <= budget
-        for geom in geoms:
-            factor = plan.factor(geom.layer_name)
-            assert 1 <= factor <= max(1, geom.windows)
-            assert plan.crossbars_used[geom.layer_name] == factor * geom.crossbars_per_copy
+        for name, crossbars, windows in layers:
+            factor = plan.factor(name)
+            assert 1 <= factor <= max(1, windows)
+            assert plan.crossbars_used[name] == factor * crossbars
 
-    @given(geoms=st.lists(geometry_strategy(), min_size=1, max_size=4, unique_by=lambda g: g.layer_name))
+    @given(layers=st.lists(layer_strategy(), min_size=1, max_size=4, unique_by=lambda layer: layer[0]))
     @SETTINGS
-    def test_bottleneck_never_worse_than_unreplicated(self, geoms):
-        budget = sum(g.crossbars_per_copy for g in geoms) + 16
-        plan = allocate_replication(geoms, budget)
-        unreplicated = max(g.windows for g in geoms)
+    def test_bottleneck_never_worse_than_unreplicated(self, layers):
+        budget = sum(crossbars for _, crossbars, _ in layers) + 16
+        plan = allocate(layers, budget)
+        unreplicated = max(windows for _, _, windows in layers)
         assert plan.bottleneck_slots <= unreplicated
 
 

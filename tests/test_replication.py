@@ -12,81 +12,74 @@ import random
 import pytest
 
 from repro.evaluation.registry import shared_decomposition
-from repro.mapping.geometry import WeightMatrixGeometry
 from repro.mapping.replication import (
     ReplicationPlan,
-    allocate_replication,
+    allocate_replication_arrays,
     replication_factor_list,
     replication_factors,
 )
 
 
-def make_geom(name, crossbars, windows, rows=256, cols=64):
-    return WeightMatrixGeometry(
-        layer_name=name,
-        rows=rows,
-        cols=cols,
-        groups=1,
-        crossbars_per_copy=crossbars,
-        weights_per_copy=rows * cols,
-        windows=windows,
-        weight_bytes=(rows * cols * 4) // 8,
-        row_tiles=math.ceil(rows / 256),
-        col_tiles=math.ceil(cols / 64),
+def allocate(layers, crossbar_budget, max_replication=64):
+    """Replication plan of ``(name, crossbars per copy, windows)`` layers."""
+    return allocate_replication_arrays(
+        [name for name, _, _ in layers], [windows for _, _, windows in layers],
+        [crossbars for _, crossbars, _ in layers],
+        crossbar_budget=crossbar_budget, max_replication=max_replication,
     )
 
 
 class TestAllocation:
     def test_empty_partition(self):
-        plan = allocate_replication([], crossbar_budget=16)
+        plan = allocate([], crossbar_budget=16)
         assert plan.total_crossbars == 0
         assert plan.bottleneck_slots == 0
 
     def test_single_layer_gets_all_budget(self):
-        geom = make_geom("conv", crossbars=1, windows=100)
-        plan = allocate_replication([geom], crossbar_budget=10)
+        layer = ("conv", 1, 100)
+        plan = allocate([layer], crossbar_budget=10)
         assert plan.factor("conv") == 10
         assert plan.total_crossbars == 10
         assert plan.bottleneck_slots == 10
 
     def test_replication_capped_by_windows(self):
-        geom = make_geom("fc", crossbars=1, windows=1)
-        plan = allocate_replication([geom], crossbar_budget=100)
+        layer = ("fc", 1, 1)
+        plan = allocate([layer], crossbar_budget=100)
         assert plan.factor("fc") == 1  # replicating a 1-window layer is useless
 
     def test_budget_exhaustion_raises_when_single_copy_too_big(self):
-        geom = make_geom("huge", crossbars=20, windows=10)
+        layer = ("huge", 20, 10)
         with pytest.raises(ValueError):
-            allocate_replication([geom], crossbar_budget=16)
+            allocate([layer], crossbar_budget=16)
 
     def test_bottleneck_layer_replicated_first(self):
-        early = make_geom("early", crossbars=1, windows=1000)  # bottleneck
-        late = make_geom("late", crossbars=1, windows=10)
-        plan = allocate_replication([early, late], crossbar_budget=8)
+        early = ("early", 1, 1000)  # bottleneck
+        late = ("late", 1, 10)
+        plan = allocate([early, late], crossbar_budget=8)
         assert plan.factor("early") > plan.factor("late")
 
     def test_balances_towards_equal_service_time(self):
-        a = make_geom("a", crossbars=1, windows=400)
-        b = make_geom("b", crossbars=1, windows=100)
-        plan = allocate_replication([a, b], crossbar_budget=10)
+        a = ("a", 1, 400)
+        b = ("b", 1, 100)
+        plan = allocate([a, b], crossbar_budget=10)
         slots_a = math.ceil(400 / plan.factor("a"))
         slots_b = math.ceil(100 / plan.factor("b"))
         # service times should be within a factor ~2 of each other
         assert max(slots_a, slots_b) <= 2 * min(slots_a, slots_b) + 1
 
     def test_respects_budget(self):
-        geoms = [make_geom(f"l{i}", crossbars=2, windows=500) for i in range(4)]
-        plan = allocate_replication(geoms, crossbar_budget=20)
+        layers = [(f"l{i}", 2, 500) for i in range(4)]
+        plan = allocate(layers, crossbar_budget=20)
         assert plan.total_crossbars <= 20
 
     def test_crossbars_used_per_layer(self):
-        geom = make_geom("conv", crossbars=3, windows=50)
-        plan = allocate_replication([geom], crossbar_budget=9)
+        layer = ("conv", 3, 50)
+        plan = allocate([layer], crossbar_budget=9)
         assert plan.crossbars_used["conv"] == 3 * plan.factor("conv")
 
     def test_max_replication_limit(self):
-        geom = make_geom("conv", crossbars=1, windows=10_000)
-        plan = allocate_replication([geom], crossbar_budget=1000, max_replication=4)
+        layer = ("conv", 1, 10_000)
+        plan = allocate([layer], crossbar_budget=1000, max_replication=4)
         assert plan.factor("conv") <= 4
 
     def test_unknown_layer_factor_defaults_to_one(self):
@@ -94,14 +87,14 @@ class TestAllocation:
         assert plan.factor("missing") == 1
 
     def test_bottleneck_slots_reported(self):
-        a = make_geom("a", crossbars=1, windows=100)
-        plan = allocate_replication([a], crossbar_budget=4)
+        a = ("a", 1, 100)
+        plan = allocate([a], crossbar_budget=4)
         assert plan.bottleneck_slots == math.ceil(100 / plan.factor("a"))
 
     def test_more_budget_never_hurts_bottleneck(self):
-        geoms = [make_geom("a", 1, 784), make_geom("b", 2, 196), make_geom("c", 4, 49)]
-        small = allocate_replication(geoms, crossbar_budget=16)
-        large = allocate_replication(geoms, crossbar_budget=64)
+        layers = [("a", 1, 784), ("b", 2, 196), ("c", 4, 49)]
+        small = allocate(layers, crossbar_budget=16)
+        large = allocate(layers, crossbar_budget=64)
         assert large.bottleneck_slots <= small.bottleneck_slots
 
 
@@ -234,6 +227,6 @@ class TestUniqueNames:
     def test_repeated_layer_names_raise(self):
         with pytest.raises(ValueError, match="unique"):
             replication_factors(["conv", "conv"], [10, 10], [1, 1], crossbar_budget=8)
-        geoms = [make_geom("conv", 1, 10), make_geom("conv", 1, 10)]
+        layers = [("conv", 1, 10), ("conv", 1, 10)]
         with pytest.raises(ValueError, match="unique"):
-            allocate_replication(geoms, crossbar_budget=8)
+            allocate(layers, crossbar_budget=8)

@@ -196,7 +196,8 @@ class TestHeuristicEngines:
         assert all(b <= a for a, b in zip(trace, trace[1:]))
 
     def test_edp_dp_fills_energy_from_records_not_profiles(self):
-        """A fresh table's EDP DP builds one energy record per energy cell.
+        """A fresh table's EDP DP builds one energy record per span geometry
+        of its energy cells.
 
         Full profiles are built only for the final evaluation of the best
         group, one per partition; the search itself builds none.
@@ -205,12 +206,13 @@ class TestHeuristicEngines:
         evaluator = FitnessEvaluator(decomposition, batch_size=4, mode=FitnessMode.EDP)
         result = DPOptimalSearch(decomposition, evaluator).run()
         matrix = span_matrix_for(decomposition)
-        energy_cells = int(matrix._have_energy.sum())
-        assert energy_cells > 0
-        assert result.span_stats["energy_records_computed"] == energy_cells
+        starts, ends = np.nonzero(matrix._have_energy)
+        assert len(starts) > 0
+        geometries = len(np.unique(decomposition.index.span_keys(starts, ends), axis=0))
+        assert result.span_stats["energy_records_computed"] == geometries
         profiles = result.best_group.num_partitions
         assert result.span_stats["profiles_computed"] == profiles
-        assert (f"{profiles} computed, {energy_cells} energy records"
+        assert (f"{profiles} computed, {geometries} energy records"
                 in render_search_summary(result))
 
     def test_search_results_report_span_stats(self):

@@ -49,22 +49,6 @@ class TestSpanTable:
         assert len(estimates) == group.num_partitions
         assert all(e.batch_size == 2 for e in estimates)
 
-    def test_precompute_fills_all_valid_spans(self, small_cnn_decomposition):
-        from repro.core.validity import ValidityMap
-
-        table = SpanTable(small_cnn_decomposition)
-        validity = ValidityMap(small_cnn_decomposition)
-        count = table.precompute(validity, batch_sizes=(1,))
-        expected = sum(
-            validity.max_end(s) - s for s in range(small_cnn_decomposition.num_units)
-        )
-        assert count == expected
-        assert table.num_spans == expected
-        # everything is now a hit
-        before = table.stats.profile_hits
-        table.profile(0, 1)
-        assert table.stats.profile_hits == before + 1
-
     def test_stats_as_dict_keys(self, table):
         table.latency_ns(0, 1, 1)
         data = table.stats.as_dict()

@@ -7,17 +7,21 @@ points, and the cached ``GroupEvaluation`` accessors the
 population-vectorized scoring relies on.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.core.decomposition import decompose_model
 from repro.core.fitness import FitnessEvaluator, FitnessMode
-from repro.core.partition import PartitionGroup
+from repro.core.partition import Partition, PartitionGroup
 from repro.core.validity import ValidityMap
 from repro.hardware.config import get_chip_config
 from repro.models import build_model
+from repro.onchip.plan import layer_slices
 from repro.perf import SpanMatrix, span_matrix_for, span_table_for
-from test_perf_equivalence import NaiveFitnessEvaluator
+from test_perf_equivalence import NaiveFitnessEvaluator, valid_span_arrays
 
 
 @pytest.fixture()
@@ -56,6 +60,78 @@ class TestSharing:
         decomposition, _ = shared_decomposition("lenet5", "S")
         assert isinstance(matrix, SpanMatrix)
         assert matrix is span_matrix_for(decomposition)
+
+    def test_clear_registry_frees_matrices(self):
+        from repro.evaluation.registry import clear_registry, shared_span_matrix
+
+        clear_registry()
+        matrix = weakref.ref(shared_span_matrix("lenet5", "S"))
+        # a decomposition and its span table refer to each other; the
+        # matrices must not wait for the cycle collector
+        gc.disable()
+        try:
+            clear_registry()
+            assert matrix() is None
+        finally:
+            gc.enable()
+
+
+def _pair(model, chip_name):
+    decomposition = decompose_model(build_model(model), get_chip_config(chip_name))
+    return decomposition, ValidityMap(decomposition)
+
+
+class TestGeometryGroups:
+    @pytest.mark.parametrize("model,chip_name", [("vgg16", "M"), ("resnet18", "S")])
+    def test_equal_keys_have_equal_slices_and_io(self, model, chip_name):
+        decomposition, validity = _pair(model, chip_name)
+        starts, ends = valid_span_arrays(validity)
+        keys = decomposition.index.span_keys(starts, ends)
+        shapes = {}
+        for key, start, end in zip(map(tuple, keys.tolist()), starts.tolist(), ends.tolist()):
+            partition = Partition(decomposition, start, end)
+            shape = (layer_slices(partition), partition.io())
+            assert shapes.setdefault(key, shape) == shape, (start, end)
+        assert len(shapes) < len(starts)  # the pair's spans do share geometries
+
+    def test_fill_counters(self, monkeypatch):
+        decomposition, validity = _pair("resnet18", "S")
+        starts, ends = valid_span_arrays(validity)
+        distinct = len(np.unique(decomposition.index.span_keys(starts, ends), axis=0))
+        matrix = span_matrix_for(decomposition)
+        table = matrix.table
+        profiled = []
+        slim_profile = table.estimator.slim_profile
+        monkeypatch.setattr(table.estimator, "slim_profile",
+                            lambda partition: profiled.append(partition) or slim_profile(partition))
+        # every valid span, a seventh of them twice
+        requested = (np.concatenate([starts, starts[::7]]), np.concatenate([ends, ends[::7]]))
+        matrix.ensure_spans(*requested)
+        stats = table.stats
+        assert stats.matrix_fills == len(starts)
+        assert stats.latencies_computed == distinct == len(profiled) < len(starts)
+        assert stats.latencies_computed + stats.latency_hits == len(requested[0])
+        assert table.num_spans == matrix.num_spans == len(starts)
+        # scalar lookups of scattered cells are slim-record hits
+        for start, end in zip(starts[::50].tolist(), ends[::50].tolist()):
+            table.latency_ns(start, end, 4)
+        assert table.stats.latencies_computed == distinct
+
+    def test_energy_fill_counters(self):
+        decomposition, validity = _pair("resnet18", "S")
+        starts, ends = valid_span_arrays(validity)
+        keys = decomposition.index.span_keys(starts, ends)
+        _, first = np.unique(keys, axis=0, return_index=True)
+        matrix = span_matrix_for(decomposition)
+        # a latency fill of each geometry's first span, then an EDP fill of all
+        matrix.ensure_spans(starts[first], ends[first])
+        matrix.gather_energy_latency(starts, ends, 4)
+        stats = matrix.table.stats
+        assert stats.energy_records_computed == len(first) < len(starts)
+        # the energy records gave every span its slim record, so the EDP
+        # fill's latency half profiled nothing
+        assert stats.latencies_computed == len(first)
+        assert stats.matrix_fills == len(starts)
 
 
 class TestDeltaFill:
