@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -56,6 +56,183 @@ class PartitionUnit:
             f"x{self.index}({self.layer_name}[{self.col_start}:{self.col_end}], "
             f"{self.weight_bytes}B, {self.crossbars}xb)"
         )
+
+
+class LayerSlice(NamedTuple):
+    """The portion of one layer mapped into a partition.
+
+    A NamedTuple rather than a dataclass: slices are immutable (they feed
+    process-wide span-table caches) and constructed on the span-profiling
+    hot path, where tuple construction is measurably cheaper.
+    """
+
+    layer_name: str
+    #: output columns of the layer held by this partition
+    cols: int
+    #: fraction of the layer's output columns held by this partition
+    fraction: float
+    #: weight bytes of one copy of this slice
+    weight_bytes: int
+    #: crossbars of one copy of this slice
+    crossbars: int
+    #: crossbar-tile MVM operations per sliding window
+    tile_ops_per_window: int
+    #: sliding windows per inference
+    windows: int
+    #: im2col rows of the layer (activated wordlines per MVM)
+    rows: int
+    #: names of attached non-crossbar layers executed with this slice
+    attached: tuple
+
+
+class SpanTemplate:
+    """What every span over one layer range has in common.
+
+    A layer range is a span's first and last layer plus whether each of
+    those edge layers is held only in part (see
+    :meth:`DecompositionIndex.span_template`).  Spans over one range own the
+    same nodes, hold every layer between the edges whole, and have the same
+    partition I/O structure: only the two edge slices and the I/O terms that
+    scale with an edge layer's owned fraction differ from span to span.  A
+    single-layer span's layer counts as a partial edge, since its structure
+    does not depend on how much of the layer it holds.
+
+    The owned nodes are walked once, when the template is built, and not
+    kept: a template holds only what the span profilers read per span.
+    """
+
+    __slots__ = (
+        "first", "last", "first_partial", "last_partial", "slices",
+        "windows", "intercore_ns", "in_bytes", "attached_elements", "entries", "exits",
+        "entry_terms", "exit_terms", "load_bytes", "store_bytes", "__weakref__",
+    )
+
+    def __init__(self, index: "DecompositionIndex", first: int, last: int,
+                 first_partial: bool, last_partial: bool) -> None:
+        layers = index.layers[first:last + 1]
+        single = first == last
+        #: layer indices of the edge layers
+        self.first = first
+        self.last = last
+        #: whether each edge slice differs from its whole layer's, so spans
+        #: recompute it (a single-layer span recomputes its one slice as first)
+        self.first_partial = first_partial or single
+        self.last_partial = last_partial and not single
+        # graph nodes executed by every span over the range
+        owned = frozenset().union(*(index.layer_owned[name] for name in layers))
+        #: every layer's whole slice; a partial edge's is replaced per span
+        self.slices = tuple(index.whole_slices[first:last + 1])
+        #: every layer's sliding windows (the allocators' per-layer input)
+        self.windows = tuple([s.windows for s in self.slices])
+        #: per layer: inter-core bus time to gather its owned inputs (on the
+        #: decomposition's chip), the bytes of all its inputs and the output
+        #: elements of its attached layers
+        bus = index.interconnect
+        sizes = index.node_size_bytes
+        intercore = []
+        for name in layers:
+            intercore_ns = 0.0
+            for src in index.node_inputs[name]:
+                num_bytes = sizes[src]
+                if src in owned and num_bytes > 0:
+                    intercore_ns += bus.transfer_latency_ns + num_bytes / bus.bandwidth_bytes_per_ns
+            intercore.append(intercore_ns)
+        self.intercore_ns = tuple(intercore)
+        self.in_bytes = tuple(index.layer_in_bytes[first:last + 1])
+        self.attached_elements = tuple([index.layer_attached_elements[name] for name in layers])
+
+        # edge layers whose output columns are held in part: edge 0 is the
+        # first layer, edge 1 the last
+        edge = {}
+        if self.first_partial:
+            edge[layers[0]] = 0
+        if last_partial:
+            edge[layers[-1]] = 1
+        is_crossbar = index.node_is_crossbar
+        entries: Dict[str, Tuple[int, Optional[int]]] = {}
+        exits: Dict[str, Tuple[int, Optional[int]]] = {}
+        # the items are sorted by name in the end, so owned nodes go in any order
+        for name in owned:
+            consumer_is_crossbar = is_crossbar[name]
+            for src in index.node_inputs[name]:
+                if src not in owned:
+                    if sizes[src] > 0:
+                        entries[src] = (sizes[src], None)
+                elif src in edge and consumer_is_crossbar:
+                    # a Conv/Linear consumer needs the producer's full output,
+                    # but a span holds only a slice of it; the rest was
+                    # produced elsewhere and must be fetched from DRAM.
+                    # (Element-wise consumers operate slice-locally and need
+                    # no such load.)
+                    entries[src] = (sizes[src], edge[src])
+            # a model output, or one consumed outside the span or by a
+            # partial edge layer, is stored; a span holding only a slice of
+            # an edge layer stores only its slice of the feature map
+            outputs = index.node_outputs[name]
+            if not (outputs and owned.issuperset(outputs) and edge.keys().isdisjoint(outputs)):
+                exits[name] = (sizes[name], edge.get(name))
+        #: sorted ``(name, bytes)`` entries and exits (a term's bytes are its
+        #: full size), the ``(position, full bytes, edge)`` terms among them
+        #: and the sum of the fixed bytes
+        self.entries, self.entry_terms, self.load_bytes = _io_template(entries)
+        self.exits, self.exit_terms, self.store_bytes = _io_template(exits)
+
+    # ------------------------------------------------------------------
+    def io_items(self, first_fraction: float, last_fraction: float) -> Tuple[Tuple, Tuple]:
+        """``(entries, exits)`` of a span whose edge layers own these fractions.
+
+        Both are sorted ``(node name, bytes)`` tuples, the fields of
+        :class:`~repro.core.partition.PartitionIO`.  An entry term loads the
+        part of an edge layer's output the span does not hold; an exit term
+        stores the part it does.
+        """
+        return (
+            _scaled_items(self.entries, self.entry_terms,
+                          (1.0 - first_fraction, 1.0 - last_fraction)),
+            _scaled_items(self.exits, self.exit_terms, (first_fraction, last_fraction)),
+        )
+
+    def io_bytes(self, first_fraction: float, last_fraction: float) -> Tuple[int, int]:
+        """``(load bytes, store bytes)``: the byte sums of :meth:`io_items`."""
+        load_bytes = self.load_bytes
+        for _, size, edge in self.entry_terms:
+            load_bytes += _scaled_bytes(size, 1.0 - (last_fraction if edge else first_fraction))
+        store_bytes = self.store_bytes
+        for _, size, edge in self.exit_terms:
+            store_bytes += _scaled_bytes(size, last_fraction if edge else first_fraction)
+        return load_bytes, store_bytes
+
+
+def _io_template(items: Dict[str, Tuple[int, Optional[int]]]) -> Tuple[Tuple, Tuple, int]:
+    """Sorted ``(name, bytes)`` items, their fraction terms and fixed bytes.
+
+    An item whose edge is ``None`` has fixed bytes (at least 1); the others
+    become ``(position, full bytes, edge)`` terms, scaled per span.
+    """
+    ordered = []
+    terms = []
+    fixed_bytes = 0
+    for position, (name, (size, edge)) in enumerate(sorted(items.items())):
+        if edge is None:
+            size = max(size, 1)
+            fixed_bytes += size
+        else:
+            terms.append((position, size, edge))
+        ordered.append((name, size))
+    return tuple(ordered), tuple(terms), fixed_bytes
+
+
+def _scaled_bytes(size: int, fraction: float) -> int:
+    return max(1, int(round(size * fraction)))
+
+
+def _scaled_items(items: Tuple, terms: Tuple, fractions: Tuple[float, float]) -> Tuple:
+    if not terms:
+        return items
+    scaled = list(items)
+    for position, size, edge in terms:
+        scaled[position] = (items[position][0], _scaled_bytes(size, fractions[edge]))
+    return tuple(scaled)
 
 
 class DecompositionIndex:
@@ -127,14 +304,28 @@ class DecompositionIndex:
             self.layer_attached_elements[name] = sum(
                 self.node_num_elements[a] for a in attached
             )
-        #: lazily built single-layer I/O templates, see single_layer_io_template
-        self._io_templates: Dict[str, Tuple] = {}
+        #: output bytes of all inputs of every crossbar layer
+        self.layer_in_bytes: List[int] = [
+            sum(self.node_size_bytes[src] for src in self.node_inputs[name])
+            for name in self.layers
+        ]
+        #: the chip bus that span templates price inter-core transfers on
+        self.interconnect = decomposition.chip.interconnect
+        #: (first unit, last unit + 1) of every crossbar layer, in layer order
+        self.layer_ranges: List[Tuple[int, int]] = list(decomposition.layer_unit_ranges.values())
+        self._geometries = decomposition.geometries
+        self._attachments = decomposition.attachments
+        #: every crossbar layer's slice when a span holds all of it
+        self.whole_slices: List[LayerSlice] = [
+            self.layer_slice(layer, lo, hi) for layer, (lo, hi) in enumerate(self.layer_ranges)
+        ]
+        #: lazily built span templates by layer range, see span_template
+        self._templates: Dict[Tuple[int, int, bool, bool], SpanTemplate] = {}
 
         # int64 copies for the array span queries of span_keys
-        ranges = decomposition.layer_unit_ranges.values()
         self._unit_layer = np.array(self.unit_layer, dtype=np.int64)
-        self._layer_start = np.array([lo for lo, _ in ranges], dtype=np.int64)
-        self._layer_end = np.array([hi for _, hi in ranges], dtype=np.int64)
+        self._layer_start = np.array([lo for lo, _ in self.layer_ranges], dtype=np.int64)
+        self._layer_end = np.array([hi for _, hi in self.layer_ranges], dtype=np.int64)
         self._slice_prefixes = tuple(
             np.array(prefix, dtype=np.int64)
             for prefix in (self.cols_prefix, self.crossbar_prefix,
@@ -142,36 +333,48 @@ class DecompositionIndex:
         )
 
     # ------------------------------------------------------------------
-    def single_layer_io_template(self, layer: str) -> Tuple:
-        """Entry/exit template of a span holding (part of) exactly one layer.
+    def layer_slice(self, layer: int, lo: int, hi: int) -> LayerSlice:
+        """The slice of layer number ``layer`` made of its units ``[lo, hi)``.
 
-        For a single-layer span the *structure* of the partition I/O is
-        independent of how many of the layer's units the span holds: the
-        entry set (and its byte sizes) is constant, and only the layer's own
-        exit bytes scale with the owned-column fraction — its attachments'
-        outputs are modelled at full size.  Returns
-        ``(entries, exits)`` where ``entries`` is the final sorted tuple of
-        ``(src, bytes)`` and ``exits`` is a sorted tuple of
-        ``(name, bytes, scales_with_fraction)``.
+        A layer's units are contiguous, so every per-slice sum is O(1) via
+        the prefix sums.
         """
-        template = self._io_templates.get(layer)
-        if template is not None:
-            return template
-        owned = self.layer_owned[layer]
-        entries: Dict[str, int] = {}
-        exits = []
-        for name in sorted(owned):
-            for src in self.node_inputs[name]:
-                if src not in owned:
-                    size = self.node_size_bytes[src]
-                    if size > entries.get(src, 0):
-                        entries[src] = size
-            outputs = self.node_outputs[name]
-            consumed_outside = any(succ not in owned for succ in outputs)
-            if not outputs or consumed_outside:
-                exits.append((name, self.node_size_bytes[name], name == layer))
-        template = (tuple(sorted(entries.items())), tuple(sorted(exits)))
-        self._io_templates[layer] = template
+        name = self.layers[layer]
+        geom = self._geometries[name]
+        cols = self.cols_prefix[hi] - self.cols_prefix[lo]
+        # positional _make: the span profilers build an edge slice for every
+        # span geometry, and keyword construction costs twice as much
+        return LayerSlice._make((
+            name,
+            cols,
+            # fraction == Partition.layer_fraction(name): same ints divided
+            cols / self.layer_total_cols[name],
+            self.weight_prefix[hi] - self.weight_prefix[lo],  # weight_bytes
+            self.crossbar_prefix[hi] - self.crossbar_prefix[lo],  # crossbars
+            self.tile_ops_prefix[hi] - self.tile_ops_prefix[lo],  # tile_ops_per_window
+            geom.windows,
+            geom.rows,
+            tuple(self._attachments.get(name, [])),  # attached
+        ))
+
+    def span_template(self, start: int, end: int) -> SpanTemplate:
+        """The :class:`SpanTemplate` of the span ``[start, end)``, built once.
+
+        Templates are keyed by layer range: the first and last layer index
+        and whether the span holds only part of each, i.e. the
+        :meth:`span_keys` columns 0, 1, 10 and 11 (both flags false for a
+        single-layer span).
+        """
+        unit_layer = self.unit_layer
+        first = unit_layer[start]
+        last = unit_layer[end - 1]
+        multi_layer = first != last
+        key = (first, last,
+               multi_layer and start > self.layer_ranges[first][0],
+               multi_layer and end < self.layer_ranges[last][1])
+        template = self._templates.get(key)
+        if template is None:
+            template = self._templates[key] = SpanTemplate(self, *key)
         return template
 
     # ------------------------------------------------------------------

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.decomposition import ModelDecomposition, PartitionUnit
+from repro.core.decomposition import ModelDecomposition, PartitionUnit, SpanTemplate
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,21 +117,18 @@ class Partition:
         total = index.layer_total_cols[layer_name]
         return owned / total if total else 0.0
 
-    def owned_nodes(self) -> Set[str]:
+    def owned_nodes(self) -> FrozenSet[str]:
         """Graph nodes executed by this partition.
 
         Crossbar layers with units here plus their attached non-crossbar
-        layers (ReLU/BatchNorm/Pool/Add/...).  Cached per instance — the
-        estimator and the I/O analysis both need it.
+        layers (ReLU/BatchNorm/Pool/Add/...).
         """
-        owned = self.__dict__.get("_owned_nodes")
-        if owned is None:
-            layer_owned = self.decomposition.index.layer_owned
-            owned = set()
-            for layer in self.layer_names():
-                owned.update(layer_owned[layer])
-            self.__dict__["_owned_nodes"] = owned
-        return owned
+        layer_owned = self.decomposition.index.layer_owned
+        return frozenset().union(*(layer_owned[layer] for layer in self.layer_names()))
+
+    def template(self) -> SpanTemplate:
+        """The layer-range template this span shares with similar spans."""
+        return self.decomposition.index.span_template(self.start, self.end)
 
     # ------------------------------------------------------------------
     def io(self) -> PartitionIO:
@@ -142,91 +139,17 @@ class Partition:
         is a model output or is consumed by a node outside this partition.
         Feature-map bytes of a layer split across partitions are scaled by the
         fraction of output columns this partition owns.
+
+        Which nodes enter and exit depends only on the span's layer range,
+        so the span's :class:`~repro.core.decomposition.SpanTemplate` holds
+        them with their fixed bytes; only the bytes that scale with an edge
+        layer's fraction are computed here.
         """
-        index = self.decomposition.index
-        unit_layer = index.unit_layer
-        if unit_layer[self.start] == unit_layer[self.end - 1]:
-            # single-layer span: the entry set is constant and only the
-            # layer's own exit bytes scale with the owned fraction
-            layer = index.layers[unit_layer[self.start]]
-            entries_template, exits_template = index.single_layer_io_template(layer)
-            fraction_of_layer = self.layer_fraction(layer)
-            exit_items = []
-            for name, size, scales in exits_template:
-                if scales:
-                    size = int(round(size * fraction_of_layer))
-                exit_items.append((name, max(size, 1)))
-            return PartitionIO(entries=entries_template, exits=tuple(exit_items))
-
-        sizes = index.node_size_bytes
-        node_inputs = index.node_inputs
-        node_outputs = index.node_outputs
-        is_crossbar = index.node_is_crossbar
-        owned = self.owned_nodes()
-        ordered = sorted(owned)
-
-        # Only the span's two edge layers can be partially owned: an owned
-        # crossbar layer has fraction < 1 iff its unit range sticks out of
-        # [start, end), which only the first and last layer of the span can
-        # do.  Every other owned crossbar layer has fraction exactly 1.0.
-        ranges = self.decomposition.layer_unit_ranges
-        layers = index.layers
-        fractions: Dict[str, float] = {}
-        partial: set = set()
-        for layer in (layers[unit_layer[self.start]], layers[unit_layer[self.end - 1]]):
-            layer_start, layer_end = ranges[layer]
-            if layer_start < self.start or layer_end > self.end:
-                fractions[layer] = self.layer_fraction(layer)
-                partial.add(layer)
-
-        def fraction(name: str) -> float:
-            return fractions.get(name, 1.0)
-
-        def partially_owned(name: str) -> bool:
-            """A crossbar layer with only part of its output columns here."""
-            return name in partial
-
-        entries: Dict[str, int] = {}
-        for name in ordered:
-            consumer_is_crossbar = is_crossbar[name]
-            for src in node_inputs[name]:
-                full_size = sizes[src]
-                if src not in owned:
-                    size = full_size
-                elif src in partial and consumer_is_crossbar:
-                    # a Conv/Linear consumer needs the producer's full output,
-                    # but this partition only computed a slice of it; the rest
-                    # was produced elsewhere and must be fetched from DRAM.
-                    # (Element-wise consumers operate slice-locally and need
-                    # no such load.)
-                    size = max(1, int(round(full_size * (1.0 - fraction(src)))))
-                else:
-                    continue
-                if size > entries.get(src, 0):
-                    entries[src] = size
-
-        exits: Dict[str, int] = {}
-        for name in ordered:
-            outputs = node_outputs[name]
-            is_model_output = not outputs
-            consumed_outside = False
-            for succ in outputs:
-                if succ not in owned or partially_owned(succ):
-                    consumed_outside = True
-                    break
-            if not (is_model_output or consumed_outside):
-                continue
-            size = sizes[name]
-            # a partition holding only a slice of the producing layer stores
-            # only its slice of the feature map
-            if is_crossbar[name]:
-                size = int(round(size * fraction(name)))
-            exits[name] = max(size, 1)
-
-        return PartitionIO(
-            entries=tuple(sorted(entries.items())),
-            exits=tuple(sorted(exits.items())),
-        )
+        template = self.template()
+        layers = self.decomposition.index.layers
+        entries, exits = template.io_items(self.layer_fraction(layers[template.first]),
+                                           self.layer_fraction(layers[template.last]))
+        return PartitionIO(entries=entries, exits=exits)
 
     def __str__(self) -> str:
         return f"P[{self.start}:{self.end}]({self.num_units} units, {self.weight_bytes}B)"

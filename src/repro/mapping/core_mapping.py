@@ -280,22 +280,34 @@ def max_core_crossbars_only(
     # maximum free space, and which of several equally-free cores is chosen
     # never changes the multiset that results.  Simulating value counts
     # instead of a core list turns each placement into O(1) bucket updates
-    # (the max-value pointer only ever moves down).
+    # (the max-value pointer only ever moves down).  A replica that fits
+    # whole in the freest cores lands on one of them and leaves it less
+    # free, so the layer's next replicas take the other cores of that
+    # bucket one each: they are placed as one batch.
     free_counts = [0] * (per_core + 1)
     free_counts[per_core] = num_cores
     max_free = per_core
     order = sorted(range(n), key=copies.__getitem__, reverse=True)
     for geom_index in order:
-        layer_name = names[geom_index]
         tiles = copies[geom_index]
-        for replica_index in range(factors[geom_index]):
+        replicas = factors[geom_index]
+        replica_index = 0
+        while tiles > 0 and replica_index < replicas:
+            while max_free > 0 and free_counts[max_free] == 0:
+                max_free -= 1
+            if tiles <= max_free:
+                batch = min(free_counts[max_free], replicas - replica_index)
+                free_counts[max_free] -= batch
+                free_counts[max_free - tiles] += batch
+                replica_index += batch
+                continue
             remaining = tiles
             while remaining > 0:
                 while max_free > 0 and free_counts[max_free] == 0:
                     max_free -= 1
                 if max_free == 0:
                     raise MappingError(
-                        f"partition does not fit: layer {layer_name!r} replica "
+                        f"partition does not fit: layer {names[geom_index]!r} replica "
                         f"{replica_index} needs {remaining} more crossbars but "
                         f"all cores are full"
                     )
@@ -304,6 +316,7 @@ def max_core_crossbars_only(
                 free_counts[best_free] -= 1
                 free_counts[best_free - placed] += 1
                 remaining -= placed
+            replica_index += 1
     # every placement leaves its core below full, so untouched cores are
     # exactly those still at per_core free
     min_free = 0

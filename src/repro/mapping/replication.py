@@ -52,18 +52,39 @@ def replication_factor_list(
     The greedy allocator: repeatedly give one more replica to the bottleneck
     layer — the most MVM slots ``ceil(windows / factor)``, ties to the
     lowest index — among layers below their limit whose next copy fits the
-    budget.  Candidates sit in a heap of ``(-slots, index)``; the budget only
-    shrinks, so a layer whose copy no longer fits is popped lazily and never
-    returns.  The selected layer keeps being selected until its slots drop
-    below the runner-up's (the cleaned heap top, which must be beaten
-    strictly when its index is lower), so its factor advances in one
-    batched jump per selection — an exact replay of the one-at-a-time loop:
-    competitors' slots cannot change while the selected layer replicates,
-    and a shrinking budget at worst ends a jump early, before the next
+    budget.  It is computed in two exact steps.
+
+    *Level jump.*  At slot level ``T`` a layer's factor is
+    ``min(limit, max(1, ceil(w / T)))``, the least that brings it to ``T``
+    slots or to its limit.  The greedy passes through the level-``T`` state
+    whenever that state's cost fits the budget: until then it only ever
+    replicates a layer with more than ``T`` slots, every such replica stays
+    within the level's cost, so no layer drops out on the way, and the
+    replicas it adds are exactly the level's.  The cost only grows as ``T``
+    falls, so a binary search finds the smallest such ``T`` (``T = 1`` is
+    every layer at its limit) and the allocation starts there.
+
+    *Heap settle.*  From that state the greedy runs on a heap of
+    ``(-slots, index)`` candidates; the budget only shrinks, so a layer
+    whose copy no longer fits is popped lazily and never returns.  The
+    selected layer keeps being selected until its slots drop below the
+    runner-up's (the cleaned heap top, which must be beaten strictly when
+    its index is lower), so its factor advances in one batched jump per
+    selection — an exact replay of the one-at-a-time loop: competitors'
+    slots cannot change while the selected layer replicates, and a
+    shrinking budget at worst ends a jump early, before the next
     reselection.
+
+    Raises ``ValueError`` if a layer's copy needs no crossbars or the
+    single copies exceed the budget.
     """
     n = len(names)
     factors = [1] * n
+    for name, copy in zip(names, copies):
+        if copy < 1:
+            raise ValueError(
+                f"layer {name!r} needs {copy} crossbars per copy; at least 1 is required"
+            )
     if n == 0:
         return factors
     used = sum(copies)
@@ -83,8 +104,41 @@ def replication_factor_list(
         if w > 0:
             factors[0] = min(limits[0], crossbar_budget // copies[0])
         return factors
-    # factors start at 1, so a layer's slots start at its window count
-    heap = [(-w, i) for i, w in enumerate(windows) if limits[i] > 1]
+    if used == crossbar_budget:  # no spare crossbar for any replica
+        return factors
+    # only layers with a limit above 1 (hence at least 2 windows) replicate
+    levelled = [(i, windows[i], copies[i], limits[i]) for i in range(n) if limits[i] > 1]
+    full_cost = used
+    weighted = 0
+    for _, w, copy, limit in levelled:
+        full_cost += (limit - 1) * copy
+        weighted += w * copy
+    if full_cost <= crossbar_budget:
+        return limits
+    # level 1 does not fit.  Level ceil(weighted / spare) does: each layer's
+    # cost there is below copy * (w / T + 1), so the total is below
+    # used + weighted / T <= budget.
+    low = 1
+    high = -(-weighted // (crossbar_budget - used))
+    while high - low > 1:
+        level = (low + high) >> 1
+        cost = used
+        for _, w, copy, limit in levelled:
+            factor = -(-w // level)
+            cost += ((limit if factor > limit else factor) - 1) * copy
+        if cost <= crossbar_budget:
+            high = level
+        else:
+            low = level
+    heap = []
+    for i, w, copy, limit in levelled:
+        factor = -(-w // high)
+        if factor >= limit:
+            factor = limit
+        else:
+            heap.append((-w // factor, i))
+        factors[i] = factor
+        used += (factor - 1) * copy
     heapq.heapify(heap)
     heappop = heapq.heappop
     while True:
@@ -152,7 +206,8 @@ def allocate_replication_arrays(
     one layer's factor, which never exceeds its window count either.
 
     Raises ``ValueError`` if even a single copy of every layer does not fit
-    in the budget (the partition is invalid).
+    in the budget (the partition is invalid) or a layer's copy needs no
+    crossbars.
     """
     factors = replication_factors(names, windows, copies, crossbar_budget, max_replication)
     if not names:

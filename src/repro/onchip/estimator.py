@@ -31,6 +31,14 @@ Estimation is split in two stages so the span-table engine
 
 ``estimate()`` composes the two, so the single-call path is unchanged and
 the split is bit-identical to the historical monolithic implementation.
+
+All three profilers read the span's
+:class:`~repro.core.decomposition.SpanTemplate`, built once per layer
+range: its whole-layer slices, each layer's inter-core time, input bytes
+and attached-layer elements, and its I/O bytes with the terms that scale
+with an edge layer's fraction.  Per span only the partial edge slices, the
+I/O fraction terms, the memoised allocation and the stage arithmetic that
+depends on the replication factors are computed; no graph is walked.
 """
 
 from __future__ import annotations
@@ -39,13 +47,14 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro.core.decomposition import LayerSlice, SpanTemplate
 from repro.core.partition import Partition, PartitionIO
 from repro.hardware.chip import ChipConfig
 from repro.hardware.dram import DRAMConfig, DRAMModel, LPDDR3_8GB
 from repro.hardware.power import EnergyBreakdown, PowerModel
 from repro.mapping.core_mapping import max_core_crossbars_only
 from repro.mapping.replication import replication_factor_list
-from repro.onchip.plan import LayerSlice, PartitionPlan, build_partition_plan, layer_slices
+from repro.onchip.plan import PartitionPlan, build_partition_plan, layer_slices
 
 
 @dataclass(slots=True)
@@ -221,18 +230,18 @@ class PartitionEstimator:
         replication and core mapping are the default ones.
         """
         plan = plan if plan is not None else build_partition_plan(partition, self.chip)
-        io = partition.io()
+        template = partition.template()
         slices = plan.slices
         factors = [plan.replication.factor(s.layer_name) for s in slices]
         stage_values, weight_load_ns, weight_write_ns, weight_replace_ns = (
-            self._latency_phases(partition, slices, factors,
-                                 plan.core_mapping.max_core_crossbars, io)
+            self._latency_phases(template, slices, factors,
+                                 plan.core_mapping.max_core_crossbars)
         )
-        energy = self._energy_terms(partition, slices, factors, io)
+        energy = self._energy_terms(partition, template, slices, factors)
         stage_names = ("__load__", *(s.layer_name for s in slices), "__store__")
         return SpanProfile(
             plan=plan,
-            io=io,
+            io=partition.io(),
             stage_latency_ns=dict(zip(stage_names, stage_values)),
             fill_ns=sum(stage_values),
             bottleneck_ns=max(stage_values),
@@ -250,13 +259,15 @@ class PartitionEstimator:
 
         An exact replay of :meth:`profile` restricted to the three floats the
         scalar latency record (and the dense span matrix) needs: no plan or
-        core-mapping objects are built and every energy term is skipped.  Bit-identical to ``profile(partition)`` and reading the
-        same three fields — pinned by the perf equivalence tests.
+        core-mapping objects are built and every energy term is skipped.
+        Bit-identical to ``profile(partition)`` and reading the same three
+        fields — pinned by the perf equivalence tests.
         """
+        template = partition.template()
         slices = layer_slices(partition)
-        factors, (max_core_crossbars, _) = self._allocation(slices)
+        factors, (max_core_crossbars, _) = self._allocation(template, slices)
         stage_values, _, _, weight_replace_ns = self._latency_phases(
-            partition, slices, factors, max_core_crossbars, partition.io()
+            template, slices, factors, max_core_crossbars
         )
         return (weight_replace_ns, sum(stage_values), max(stage_values))
 
@@ -269,14 +280,14 @@ class PartitionEstimator:
         Every field equals the full profile's — pinned by the perf
         equivalence tests.
         """
+        template = partition.template()
         slices = layer_slices(partition)
-        factors, (max_core_crossbars, cores_used) = self._allocation(slices)
-        io = partition.io()
+        factors, (max_core_crossbars, cores_used) = self._allocation(template, slices)
         stage_values, _, _, weight_replace_ns = self._latency_phases(
-            partition, slices, factors, max_core_crossbars, io
+            template, slices, factors, max_core_crossbars
         )
         return EnergyRecord(
-            *self._energy_terms(partition, slices, factors, io),
+            *self._energy_terms(partition, template, slices, factors),
             cores_used=cores_used,
             weight_replace_ns=weight_replace_ns,
             fill_ns=sum(stage_values),
@@ -286,16 +297,19 @@ class PartitionEstimator:
     # ------------------------------------------------------------------
     # allocation and arithmetic shared by profile and the slim replays
     # ------------------------------------------------------------------
-    def _allocation(self, slices: List[LayerSlice]) -> Tuple[List[int], Tuple[int, int]]:
+    def _allocation(self, template: SpanTemplate,
+                    slices: List[LayerSlice]) -> Tuple[List[int], Tuple[int, int]]:
         """``(factors, (max core crossbars, cores used))`` of a span's slices.
 
         The plan-free equivalent of ``build_partition_plan``'s replication
-        and core mapping, memoised: layers in a span are distinct, so the
-        unique-names allocator applies, and distinct spans sharing a
-        geometry signature (same windows and per-copy crossbars, i.e. same
-        interior layers and same edge clippings) share one allocation.
+        and core mapping.  The allocators read only each slice's windows and
+        per-copy crossbars, so the result is memoised by those two tuples:
+        the windows are the template's, and spans over one layer range that
+        clip their edge layers to the same crossbar counts, or distinct
+        ranges with equal tuples, share one allocation.  Layers in a span
+        are distinct, so the unique-names allocator applies.
         """
-        windows = tuple([s.windows for s in slices])
+        windows = template.windows
         copies = tuple([s.crossbars for s in slices])
         allocation = self._allocation_memo.get((windows, copies))
         if allocation is None:
@@ -307,40 +321,36 @@ class PartitionEstimator:
             self._allocation_memo[(windows, copies)] = allocation
         return allocation
 
-    def _latency_phases(self, partition: Partition, slices: List[LayerSlice],
-                        factors: List[int], max_core_crossbars: int,
-                        io: PartitionIO) -> Tuple[List[float], float, float, float]:
+    def _latency_phases(self, template: SpanTemplate, slices: List[LayerSlice],
+                        factors: List[int],
+                        max_core_crossbars: int) -> Tuple[List[float], float, float, float]:
         """Per-sample stage latencies and the weight-replace phase.
 
         Returns ``(stage latencies, weight_load_ns, weight_write_ns,
         weight_replace_ns)``; the stages are the entry load, one per slice
-        in order, and the exit store.  The chip constants are hoisted to
-        locals — this is the innermost loop of span profiling.
+        in order, and the exit store.  The span's I/O bytes and each layer's
+        inter-core time come from its template; the chip constants are
+        hoisted to locals — this is the innermost loop of span profiling.
         """
         chip = self.chip
         core = chip.core
         xbar = core.crossbar
-        index = partition.decomposition.index
-        owned = partition.owned_nodes()
         mvm_latency_ns = xbar.mvm_latency_ns
         weight_rows = xbar.weight_rows
         vfu_throughput = core.vfu_count * core.vfu_elements_per_ns
-        bus = chip.interconnect
-        bus_latency_ns = bus.transfer_latency_ns
-        bus_bandwidth = bus.bandwidth_bytes_per_ns
-        sizes = index.node_size_bytes
-        node_inputs = index.node_inputs
-        attached_elements = index.layer_attached_elements
+        bus_latency_ns = chip.interconnect.transfer_latency_ns
         ceil = math.ceil
         dram = self.dram
+        load_bytes, store_bytes = template.io_bytes(slices[0].fraction, slices[-1].fraction)
 
-        load_ns = dram.bulk_transfer_latency_ns(io.load_bytes, sequential=True)
+        load_ns = dram.bulk_transfer_latency_ns(load_bytes, sequential=True)
         # several entry nodes mean scattered accesses; add a per-entry penalty
-        load_ns += max(0, io.num_entries - 1) * bus_latency_ns
+        load_ns += max(0, len(template.entries) - 1) * bus_latency_ns
         stage_values = [load_ns]
         single_copy_bytes = 0
-        for layer_slice, replication in zip(slices, factors):
-            layer_name = layer_slice.layer_name
+        for layer_slice, replication, intercore_ns, attached in zip(
+            slices, factors, template.intercore_ns, template.attached_elements
+        ):
             windows = layer_slice.windows
             single_copy_bytes += layer_slice.weight_bytes
             # matrix-unit time: windows round-robin over replicas, tile ops
@@ -357,20 +367,15 @@ class PartitionEstimator:
                 if vfu_elements > 0:
                     stage_ns += vfu_elements / vfu_throughput
             # attached non-crossbar layers: this partition processes its share
-            shared_elements = int(attached_elements[layer_name] * max(layer_slice.fraction, 0.0))
+            shared_elements = int(attached * max(layer_slice.fraction, 0.0))
             if shared_elements > 0:
                 stage_ns += shared_elements / vfu_throughput
             # bus time to gather on-chip inputs from producer cores (inputs
             # coming from DRAM are accounted in the load stage)
-            intercore_ns = 0.0
-            for src in node_inputs[layer_name]:
-                num_bytes = sizes[src]
-                if src in owned and num_bytes > 0:
-                    intercore_ns += bus_latency_ns + num_bytes / bus_bandwidth
             stage_ns += intercore_ns
             stage_values.append(stage_ns)
-        store_ns = dram.bulk_transfer_latency_ns(io.store_bytes, sequential=True)
-        store_ns += max(0, io.num_exits - 1) * bus_latency_ns
+        store_ns = dram.bulk_transfer_latency_ns(store_bytes, sequential=True)
+        store_ns += max(0, len(template.exits) - 1) * bus_latency_ns
         stage_values.append(store_ns)
 
         # a single copy is streamed from DRAM and broadcast to every replica
@@ -378,21 +383,18 @@ class PartitionEstimator:
         weight_write_ns = max_core_crossbars * xbar.write_latency_full_ns
         return stage_values, weight_load_ns, weight_write_ns, max(weight_load_ns, weight_write_ns)
 
-    def _energy_terms(self, partition: Partition, slices: List[LayerSlice],
-                      factors: List[int], io: PartitionIO) -> Tuple[float, ...]:
+    def _energy_terms(self, partition: Partition, template: SpanTemplate,
+                      slices: List[LayerSlice], factors: List[int]) -> Tuple[float, ...]:
         """The eight energy terms, in :class:`EnergyRecord` field order."""
         core = self.chip.core
         xbar = core.crossbar
         power = self.power
         dram = self.dram
-        index = partition.decomposition.index
+        sizes = partition.decomposition.index.node_size_bytes
         weight_rows = xbar.weight_rows
         vfu_energy_per_element = core.vfu_energy_per_element_pj
         local_energy_per_byte = core.local_memory_energy_per_byte_pj
         bus_energy_per_byte = self.chip.interconnect.energy_per_byte_pj
-        sizes = index.node_size_bytes
-        node_inputs = index.node_inputs
-        attached_elements = index.layer_attached_elements
 
         single_copy_bytes = 0
         replicated_bytes = 0
@@ -400,27 +402,24 @@ class PartitionEstimator:
         vfu_pj = 0.0
         local_pj = 0.0
         intercore_pj = 0.0
-        for layer_slice, replication in zip(slices, factors):
-            layer_name = layer_slice.layer_name
+        for layer_slice, replication, in_bytes, attached in zip(
+            slices, factors, template.in_bytes, template.attached_elements
+        ):
             fraction = layer_slice.fraction
             single_copy_bytes += layer_slice.weight_bytes
             replicated_bytes += layer_slice.weight_bytes * replication
-            in_bytes = 0
-            for src in node_inputs[layer_name]:
-                in_bytes += sizes[src]
             tile_mvms = layer_slice.windows * layer_slice.tile_ops_per_window
             active_rows = layer_slice.rows
             if active_rows > weight_rows:
                 active_rows = weight_rows
             mvm_pj += tile_mvms * xbar.mvm_energy_for_rows(active_rows)
-            vfu_pj += max(int(attached_elements[layer_name] * fraction), 0) * vfu_energy_per_element
-            out_bytes = int(sizes[layer_name] * fraction)
+            vfu_pj += max(int(attached * fraction), 0) * vfu_energy_per_element
+            out_bytes = int(sizes[layer_slice.layer_name] * fraction)
             local_pj += max(in_bytes + out_bytes, 0) * local_energy_per_byte
             intercore_pj += max(in_bytes, 0) * bus_energy_per_byte
 
         replicated_weights = (replicated_bytes * 8) // partition.decomposition.weight_bits
-        load_bytes = io.load_bytes
-        store_bytes = io.store_bytes
+        load_bytes, store_bytes = template.io_bytes(slices[0].fraction, slices[-1].fraction)
         return (
             mvm_pj,
             dram.bulk_transfer_energy_pj(load_bytes, is_write=False, sequential=True)

@@ -11,39 +11,13 @@ instruction scheduler.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple
+from typing import List
 
+from repro.core.decomposition import LayerSlice
 from repro.core.partition import Partition
 from repro.hardware.chip import ChipConfig
 from repro.mapping.core_mapping import CoreMapping, map_tiles_to_cores
 from repro.mapping.replication import ReplicationPlan, allocate_replication_arrays
-
-
-class LayerSlice(NamedTuple):
-    """The portion of one layer mapped into a partition.
-
-    A NamedTuple rather than a dataclass: slices are immutable (they feed
-    process-wide span-table caches) and constructed on the span-profiling
-    hot path, where tuple construction is measurably cheaper.
-    """
-
-    layer_name: str
-    #: output columns of the layer held by this partition
-    cols: int
-    #: fraction of the layer's output columns held by this partition
-    fraction: float
-    #: weight bytes of one copy of this slice
-    weight_bytes: int
-    #: crossbars of one copy of this slice
-    crossbars: int
-    #: crossbar-tile MVM operations per sliding window
-    tile_ops_per_window: int
-    #: sliding windows per inference
-    windows: int
-    #: im2col rows of the layer (activated wordlines per MVM)
-    rows: int
-    #: names of attached non-crossbar layers executed with this slice
-    attached: tuple
 
 
 @dataclass(slots=True)
@@ -81,44 +55,21 @@ class PartitionPlan:
 def layer_slices(partition: Partition) -> List[LayerSlice]:
     """The layer slices of a partition, in layer order.
 
-    Each layer's units in the span are aggregated via the prefix-sum index:
-    a layer's units are contiguous, so every per-layer sum is O(1).
+    The span's template holds every whole layer's slice; only a partially
+    held edge layer's slice is aggregated here, in O(1) via the prefix-sum
+    index.
     """
-    decomposition = partition.decomposition
-    index = decomposition.index
-    attachments = decomposition.attachments
-    ranges = decomposition.layer_unit_ranges
-    geometries = decomposition.geometries
-    cols_prefix = index.cols_prefix
-    weight_prefix = index.weight_prefix
-    crossbar_prefix = index.crossbar_prefix
-    tile_ops_prefix = index.tile_ops_prefix
-    layer_total_cols = index.layer_total_cols
+    index = partition.decomposition.index
     start = partition.start
     end = partition.end
-
-    # positional _make: the slim span profilers build slices for every span
-    # they fill, and keyword construction costs twice as much
-    make = LayerSlice._make
-    slices: List[LayerSlice] = []
-    for layer_name in partition.layer_names():
-        layer_start, layer_end = ranges[layer_name]
-        lo = layer_start if layer_start > start else start
-        hi = layer_end if layer_end < end else end
-        geom = geometries[layer_name]
-        cols = cols_prefix[hi] - cols_prefix[lo]
-        slices.append(make((
-            layer_name,
-            cols,
-            # fraction == partition.layer_fraction(layer_name): same ints divided
-            cols / layer_total_cols[layer_name],
-            weight_prefix[hi] - weight_prefix[lo],  # weight_bytes
-            crossbar_prefix[hi] - crossbar_prefix[lo],  # crossbars
-            tile_ops_prefix[hi] - tile_ops_prefix[lo],  # tile_ops_per_window
-            geom.windows,
-            geom.rows,
-            tuple(attachments.get(layer_name, [])),  # attached
-        )))
+    template = index.span_template(start, end)
+    slices = list(template.slices)
+    if template.first_partial:
+        layer_end = index.layer_ranges[template.first][1]
+        slices[0] = index.layer_slice(template.first, start, min(layer_end, end))
+    if template.last_partial:
+        layer_start = index.layer_ranges[template.last][0]
+        slices[-1] = index.layer_slice(template.last, max(layer_start, start), end)
     return slices
 
 

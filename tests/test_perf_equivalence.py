@@ -1,7 +1,7 @@
 """Equivalence of the span-table + span-matrix engines with the naive path.
 
 The performance layer (:mod:`repro.perf`, prefix-sum span queries, the
-single-layer I/O template, the batched replication allocator, the
+layer-range span templates, the level-jump replication allocator, the
 round-robin/multiset core-mapping fast paths, the latency-only slim
 profile and the dense span matrix) must be *exact*: every optimisation is
 a memoisation or an algebraic restructuring, never an approximation.  These
@@ -13,7 +13,8 @@ tests pin that down:
   bit for bit, including its lean max-core-crossbars computation;
 * dense span-matrix gathers equal the scalar table lookups;
 * partition I/O matches a direct, graph-based reference implementation of
-  the Sec. III-B3 entry/exit analysis;
+  the Sec. III-B3 entry/exit analysis, on every layer-range template of the
+  paper pairs and on a graph whose I/O bytes scale with edge fractions;
 * prefix-sum span aggregates match direct summation over units;
 * fixed-seed GA runs produce bit-identical results (best group, fitness
   history, full ``GenerationRecord`` contents, dedup accounting) with the
@@ -33,12 +34,17 @@ from repro.core.fitness import FitnessEvaluator, FitnessMode, GroupEvaluation
 from repro.core.ga import CompassGA, GAConfig
 from repro.core.partition import Partition, PartitionGroup
 from repro.core.validity import ValidityMap
+from repro.graph import GraphBuilder
+from repro.hardware.chip import ChipConfig
 from repro.hardware.config import get_chip_config
+from repro.hardware.core import CoreConfig
+from repro.hardware.crossbar import CrossbarConfig
 from repro.hardware.dram import LPDDR3_8GB
 from repro.mapping.core_mapping import map_tiles_to_cores, max_core_crossbars_only
 from repro.mapping.replication import ReplicationPlan, replication_factor_list
 from repro.models import build_model
 from repro.onchip.estimator import EnergyRecord, PartitionEstimator
+from repro.onchip.plan import layer_slices
 from repro.perf import SpanTable, span_matrix_for, span_table_for
 from repro.search.base import SpanCostModel
 from repro.search.dp import DPOptimalSearch
@@ -228,6 +234,39 @@ class TestSlimProfileEquivalence:
             else:
                 with pytest.raises(ValueError):
                     max_core_crossbars_only(names, copies, factors, chip)
+
+    def test_max_core_crossbars_only_many_replicas(self):
+        """Replicas placed in batches land where the full mapper puts them one by one."""
+
+        class _Core:
+            pass
+
+        class _Chip:
+            pass
+
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(1, 6))
+            names = [f"layer{i}" for i in range(n)]
+            chip = _Chip()
+            chip.num_cores = int(rng.integers(1, 37))
+            chip.core = _Core()
+            chip.core.crossbars_per_core = int(rng.integers(1, 17))
+            copies = [int(rng.integers(0, 12)) for _ in range(n)]
+            # up to 64 replicas a layer, around the chip's capacity
+            capacity = chip.num_cores * chip.core.crossbars_per_core
+            most = min(64, capacity // max(1, sum(copies)) + 1)
+            factors = [int(rng.integers(1, most + 1)) for _ in range(n)]
+            plan = ReplicationPlan(factors=dict(zip(names, factors)))
+            try:
+                mapping = map_tiles_to_cores(names, copies, plan, chip)
+            except ValueError as error:
+                with pytest.raises(ValueError, match=str(error)):
+                    max_core_crossbars_only(names, copies, factors, chip)
+                continue
+            assert max_core_crossbars_only(names, copies, factors, chip) == (
+                mapping.max_core_crossbars, mapping.cores_used
+            )
 
 
 PAPER_PAIRS = [(m, c) for m in ("resnet18", "squeezenet") for c in ("S", "M", "L")]
@@ -419,72 +458,177 @@ class TestSpanMatrixEquivalence:
         assert after.as_dict()["matrix_hit_rate"] > 0
 
 
+def reference_io(partition):
+    """Entries and exits of a partition by a direct walk of the graph.
+
+    A straight port of the Sec. III-B3 specification (entry: input edge
+    whose producer is outside or partially owned; exit: node output
+    consumed outside or partially owned), with no prefix sums, templates or
+    caches.
+    """
+    decomposition = partition.decomposition
+    graph = decomposition.graph
+    bits = decomposition.activation_bits
+    owned = set(partition.layer_names())
+    for layer in partition.layer_names():
+        owned.update(decomposition.attachments.get(layer, []))
+
+    def fraction(name):
+        node = graph.node(name)
+        if not node.layer.is_crossbar_mapped:
+            return 0.0
+        owned_cols = sum(
+            u.cols for u in decomposition.units[partition.start:partition.end]
+            if u.layer_name == name
+        )
+        total = sum(u.cols for u in decomposition.units_of_layer(name)) \
+            if name in decomposition.layer_unit_ranges else 0
+        return owned_cols / total if total else 0.0
+
+    def partially_owned(name):
+        node = graph.node(name)
+        return node.layer.is_crossbar_mapped and fraction(name) < 1.0
+
+    entries = {}
+    for name in sorted(owned):
+        node = graph.node(name)
+        for src in node.inputs:
+            full = graph.node(src).output_shape.size_bytes(bits)
+            if src not in owned:
+                size = full
+            elif partially_owned(src) and node.layer.is_crossbar_mapped:
+                size = max(1, int(round(full * (1.0 - fraction(src)))))
+            else:
+                continue
+            entries[src] = max(entries.get(src, 0), size)
+    exits = {}
+    for name in sorted(owned):
+        node = graph.node(name)
+        outside = any(
+            succ not in owned or partially_owned(succ) for succ in node.outputs
+        )
+        if not (not node.outputs or outside):
+            continue
+        size = node.output_shape.size_bytes(bits)
+        if node.layer.is_crossbar_mapped:
+            size = int(round(size * fraction(name)))
+        exits[name] = max(size, 1)
+    return tuple(sorted(entries.items())), tuple(sorted(exits.items()))
+
+
 class TestPartitionIOReference:
     def test_io_matches_graph_reference(self, decomposed):
-        """Partition.io() equals a direct graph-traversal reference.
-
-        The reference is a straight port of the specification (entry: input
-        edge whose producer is outside or partially owned; exit: node output
-        consumed outside or partially owned), computed from the graph with
-        no prefix sums, templates or caches.
-        """
+        """Partition.io() equals a direct graph-traversal reference."""
         decomposition, validity = decomposed
-        graph = decomposition.graph
-        bits = decomposition.activation_bits
-
-        def reference_io(partition):
-            owned = set(partition.layer_names())
-            for layer in partition.layer_names():
-                owned.update(decomposition.attachments.get(layer, []))
-
-            def fraction(name):
-                node = graph.node(name)
-                if not node.layer.is_crossbar_mapped:
-                    return 0.0
-                owned_cols = sum(
-                    u.cols for u in decomposition.units[partition.start:partition.end]
-                    if u.layer_name == name
-                )
-                total = sum(u.cols for u in decomposition.units_of_layer(name)) \
-                    if name in decomposition.layer_unit_ranges else 0
-                return owned_cols / total if total else 0.0
-
-            def partially_owned(name):
-                node = graph.node(name)
-                return node.layer.is_crossbar_mapped and fraction(name) < 1.0
-
-            entries = {}
-            for name in sorted(owned):
-                node = graph.node(name)
-                for src in node.inputs:
-                    full = graph.node(src).output_shape.size_bytes(bits)
-                    if src not in owned:
-                        size = full
-                    elif partially_owned(src) and node.layer.is_crossbar_mapped:
-                        size = max(1, int(round(full * (1.0 - fraction(src)))))
-                    else:
-                        continue
-                    entries[src] = max(entries.get(src, 0), size)
-            exits = {}
-            for name in sorted(owned):
-                node = graph.node(name)
-                outside = any(
-                    succ not in owned or partially_owned(succ) for succ in node.outputs
-                )
-                if not (not node.outputs or outside):
-                    continue
-                size = node.output_shape.size_bytes(bits)
-                if node.layer.is_crossbar_mapped:
-                    size = int(round(size * fraction(name)))
-                exits[name] = max(size, 1)
-            return tuple(sorted(entries.items())), tuple(sorted(exits.items()))
-
         for start, end in random_spans(decomposition, validity, 60, seed=3):
             partition = Partition(decomposition, start, end)
             io = partition.io()
             ref_entries, ref_exits = reference_io(partition)
             assert io.entries == ref_entries, (start, end)
             assert io.exits == ref_exits, (start, end)
+
+
+ALL_PAIRS = [(m, c) for m in ("vgg16", "resnet18", "squeezenet") for c in ("S", "M", "L")]
+
+
+def layer_range_groups(starts, ends, keys):
+    """Valid spans grouped by layer range (``span_keys`` columns 0, 1, 10, 11),
+    each group's spans in row-major order."""
+    groups = {}
+    for start, end, key in zip(starts.tolist(), ends.tolist(), keys[:, [0, 1, 10, 11]].tolist()):
+        groups.setdefault(tuple(key), []).append((start, end))
+    return groups
+
+
+class TestSpanTemplateExactness:
+    """Every layer-range template of the nine paper pairs reproduces the
+    per-span graph walk (vgg16 sampled to keep the test short)."""
+
+    @pytest.mark.parametrize("model,chip_name", ALL_PAIRS, ids=[f"{m}-{c}" for m, c in ALL_PAIRS])
+    def test_io_and_replays_match(self, model, chip_name):
+        decomposition = decompose_model(build_model(model), get_chip_config(chip_name))
+        validity = ValidityMap(decomposition)
+        index = decomposition.index
+        starts, ends = valid_span_arrays(validity)
+        keys = index.span_keys(starts, ends)
+        rng = np.random.default_rng(14)
+        groups = layer_range_groups(starts, ends, keys)
+        ranges = sorted(groups)
+        if model == "vgg16":
+            ranges = [ranges[i] for i in sorted(rng.choice(len(ranges), 80, replace=False))]
+        for key in ranges:
+            spans = groups[key]
+            picks = rng.choice(len(spans), min(3, len(spans)), replace=False)
+            for start, end in [spans[0]] + [spans[i] for i in picks.tolist()]:
+                partition = Partition(decomposition, start, end)
+                template = index.span_template(start, end)
+                assert template is index.span_template(*spans[0])
+                entries, exits = reference_io(partition)
+                io = partition.io()
+                assert (io.entries, io.exits) == (entries, exits), (start, end)
+                # the byte sums the estimator reads, from its edge slices
+                slices = layer_slices(partition)
+                assert template.io_bytes(slices[0].fraction, slices[-1].fraction) == (
+                    sum(size for _, size in entries), sum(size for _, size in exits)
+                ), (start, end)
+
+        # one representative span per geometry: the replays equal profile()
+        rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        _, first = np.unique(rows, return_index=True)
+        if model == "vgg16":
+            first = rng.choice(first, 400, replace=False)
+        estimator = PartitionEstimator(decomposition.chip)
+        for start, end in zip(starts[first].tolist(), ends[first].tolist()):
+            partition = Partition(decomposition, start, end)
+            profile = estimator.profile(partition)
+            assert estimator.slim_profile(partition) == (
+                profile.weight_replace_ns, profile.fill_ns, profile.bottleneck_ns
+            ), (start, end)
+            assert_record_matches_profile(estimator.energy_record(partition), profile,
+                                          (start, end))
+
+    def test_fraction_terms_on_a_direct_crossbar_chain(self):
+        """Bytes that scale with an edge layer's fraction.
+
+        Every Conv/Linear output of the paper models feeds an attached
+        non-crossbar layer first, so none of their templates has such
+        terms.  Here Conv layers feed Conv layers and an Add directly, and
+        the classifier is the model output.
+        """
+        b = GraphBuilder("crossbar_chain")
+        b.add_input(3, 8, 8)
+        b.add_conv("conv1", 3, 80, kernel_size=3, padding=1)
+        trunk = b.add_conv("conv2", 80, 112, kernel_size=3, padding=1)
+        b.add_conv("conv3", 112, 112, kernel_size=3, padding=1)
+        b.add_add(name="res_add", inputs=[b.current, trunk])
+        b.add_conv("conv4", 112, 64, kernel_size=3, padding=1)
+        b.add_global_avgpool(name="gap")
+        b.add_flatten(name="flatten")
+        b.add_linear("fc", 64, 10)
+        chip = ChipConfig(name="tiny", num_cores=4,
+                          core=CoreConfig(crossbars_per_core=2, crossbar=CrossbarConfig()))
+        decomposition = decompose_model(b.build(), chip)
+        validity = ValidityMap(decomposition)
+        index = decomposition.index
+        estimator = PartitionEstimator(chip)
+        for start, end in all_valid_spans(validity):
+            partition = Partition(decomposition, start, end)
+            entries, exits = reference_io(partition)
+            io = partition.io()
+            assert (io.entries, io.exits) == (entries, exits), (start, end)
+            slices = layer_slices(partition)
+            assert index.span_template(start, end).io_bytes(
+                slices[0].fraction, slices[-1].fraction
+            ) == (sum(size for _, size in entries), sum(size for _, size in exits)), (start, end)
+            profile = estimator.profile(partition)
+            assert estimator.slim_profile(partition) == (
+                profile.weight_replace_ns, profile.fill_ns, profile.bottleneck_ns
+            ), (start, end)
+            assert_record_matches_profile(estimator.energy_record(partition), profile,
+                                          (start, end))
+        templates = index._templates.values()
+        assert any(t.entry_terms for t in templates)
+        assert any(t.exit_terms for t in templates)
 
 
 class TestGAEquivalence:

@@ -109,6 +109,9 @@ def reference_replication_factor_list(names, windows, copies, crossbar_budget,
     """
     n = len(names)
     factors = [1] * n
+    for name, copy in zip(names, copies):
+        if copy < 1:
+            raise ValueError(f"layer {name!r} needs no crossbars")
     if n == 0:
         return factors
     used = sum(copies)
@@ -221,6 +224,102 @@ class TestHeapAllocatorMatchesOracle:
             replication_factor_list(["a", "b"], [4, 4], [3, 3], 5)
         with pytest.raises(ValueError):
             reference_replication_factor_list(["a", "b"], [4, 4], [3, 3], 5)
+
+    @pytest.mark.parametrize("names,windows,copies", [
+        (["a", "b"], [10, 5], [0, 1]),
+        (["a"], [10], [0]),
+        (["b", "a"], [5, 0], [1, 0]),
+    ])
+    def test_zero_copy_raises_naming_the_layer(self, names, windows, copies):
+        for allocator in (replication_factor_list, reference_replication_factor_list):
+            with pytest.raises(ValueError, match="'a'"):
+                allocator(names, windows, copies, 4)
+        with pytest.raises(ValueError, match="'a'"):
+            allocate_replication_arrays(names, windows, copies, crossbar_budget=4)
+
+
+def level_cost(windows, copies, level, max_replication=64):
+    """Crossbars of the state where every layer is at slot level ``level``."""
+    return sum(
+        copy * min(max_replication, max(w, 1), max(1, -(-w // level)))
+        for w, copy in zip(windows, copies)
+    )
+
+
+class TestLevelJump:
+    """Fuzz the allocator's level jump against the linear-scan oracle.
+
+    The allocator jumps to the deepest slot level whose cost fits and lets
+    its heap settle the rest, so the cases aim at the jump's edges: huge
+    window counts, budgets within one largest copy of a level's cost,
+    layers tied at the final level, and a large-copy layer that stops
+    replicating while small-copy layers go on.
+    """
+
+    @staticmethod
+    def check(windows, copies, budget, max_replication=64):
+        names = [f"l{i}" for i in range(len(windows))]
+        assert replication_factor_list(
+            names, windows, copies, budget, max_replication
+        ) == reference_replication_factor_list(
+            names, windows, copies, budget, max_replication
+        ), (windows, copies, budget, max_replication)
+
+    def test_large_windows_with_ample_budgets(self):
+        rng = random.Random(31)
+        for _ in range(3_000):
+            n = rng.randint(2, 12)
+            windows = [rng.choice((rng.randint(1, 50_176), 50_176, 12_544, 3_136, 784))
+                       for _ in range(n)]
+            copies = [rng.randint(1, 16) for _ in range(n)]
+            budget = sum(copies) * rng.choice((2, 8, 64, 65)) + rng.randint(0, 50)
+            self.check(windows, copies, budget, rng.choice((7, 64, 1_000)))
+
+    def test_budgets_at_a_level_boundary(self):
+        rng = random.Random(32)
+        for _ in range(5_000):
+            n = rng.randint(2, 9)
+            windows = [rng.randint(0, 3_136) for _ in range(n)]
+            copies = [rng.randint(1, 12) for _ in range(n)]
+            max_replication = rng.choice((2, 7, 64))
+            level = rng.randint(1, max(windows) + 1)
+            cost = level_cost(windows, copies, level, max_replication)
+            # the boundary: within one largest copy either side of the level
+            budget = max(sum(copies), cost + rng.randint(-max(copies), max(copies)))
+            self.check(windows, copies, budget, max_replication)
+
+    def test_tied_slots_at_the_final_level(self):
+        rng = random.Random(33)
+        for _ in range(5_000):
+            n = rng.randint(2, 9)
+            pool = [rng.choice((49, 196, 784, 3_136, rng.randint(2, 400))) for _ in range(2)]
+            windows = [rng.choice(pool) for _ in range(n)]
+            copies = [rng.choice((1, 2, 3)) for _ in range(n)]
+            level = rng.randint(2, max(windows))
+            # enough for the level plus a few of the tied layers' next copies
+            budget = level_cost(windows, copies, level) + rng.randint(0, 2 * n)
+            self.check(windows, copies, budget)
+
+    def test_large_copy_layer_drops_out(self):
+        rng = random.Random(34)
+        for _ in range(5_000):
+            n = rng.randint(3, 9)
+            big = rng.randrange(n)
+            windows = [rng.randint(100, 5_000) for _ in range(n)]
+            windows[big] = max(windows) + rng.randint(0, 2_000)
+            copies = [rng.randint(1, 3) for _ in range(n)]
+            copies[big] = rng.randint(20, 60)
+            level = rng.randint(2, windows[big])
+            # the big layer's next copy stops fitting before the small
+            # layers' do, so they keep replicating without it
+            budget = level_cost(windows, copies, level) + rng.randint(0, copies[big] - 1)
+            self.check(windows, copies, budget)
+        # a worked case: after the first level the big layer no longer fits
+        names = ["big", "s1", "s2"]
+        windows, copies, budget = [1_000, 900, 800], [40, 1, 1], 90
+        factors = replication_factor_list(names, windows, copies, budget)
+        assert factors == reference_replication_factor_list(names, windows, copies, budget)
+        assert factors[0] == 2 and factors[1] > 2 and factors[2] > 2
 
 
 class TestUniqueNames:

@@ -134,6 +134,52 @@ class TestGeometryGroups:
         assert stats.matrix_fills == len(starts)
 
 
+class TestSpanTemplates:
+    @pytest.mark.parametrize("model,chip_name", [("resnet18", "M"), ("squeezenet", "S")])
+    def test_cold_dp_fill_builds_one_template_per_layer_range(self, model, chip_name,
+                                                              monkeypatch):
+        from repro.core import decomposition as decomposition_module
+        from repro.search.dp import DPOptimalSearch
+
+        built = []
+
+        class CountingTemplate(decomposition_module.SpanTemplate):
+            def __init__(self, index, *key):
+                built.append(key)
+                super().__init__(index, *key)
+
+        monkeypatch.setattr(decomposition_module, "SpanTemplate", CountingTemplate)
+        decomposition, validity = _pair(model, chip_name)
+        DPOptimalSearch(decomposition, FitnessEvaluator(decomposition, batch_size=4),
+                        validity).run()
+        starts, ends = valid_span_arrays(validity)
+        assert span_matrix_for(decomposition).num_spans == len(starts)
+        keys = decomposition.index.span_keys(starts, ends)
+        ranges = set(map(tuple, keys[:, [0, 1, 10, 11]].tolist()))
+        templates = decomposition.index._templates
+        assert len(built) == len(templates) == len(ranges) < len(np.unique(keys, axis=0))
+        assert set(templates) == ranges
+
+    def test_clear_registry_frees_templates(self):
+        from repro.evaluation.registry import clear_registry, shared_span_matrix
+
+        clear_registry()
+        matrix = shared_span_matrix("lenet5", "S")
+        validity = ValidityMap(matrix.decomposition)
+        matrix.ensure_spans(*valid_span_arrays(validity))
+        templates = matrix.decomposition.index._templates.values()
+        refs = [weakref.ref(template) for template in templates]
+        assert refs
+        del matrix, validity, templates
+        # no cycle may keep a template alive after the registry lets go
+        gc.disable()
+        try:
+            clear_registry()
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
+
 class TestDeltaFill:
     def test_only_missing_spans_are_profiled(self, fresh_decomposition):
         decomposition, _ = fresh_decomposition
