@@ -75,6 +75,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 import threading
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
@@ -117,6 +118,9 @@ from repro.serve.telemetry import (
 )
 from repro.serve.traffic import ClosedLoopTraffic, Request, retry_request
 from repro.sim.metrics import nearest_rank_percentile
+
+#: the controller's cumulative actuator counters, read in one call
+_control_values = operator.attrgetter(*CONTROL_COUNTERS)
 
 #: deterministic event ordering at one instant: completions free chips
 #: first, then faults strike, then arrivals/retries queue, then timeouts
@@ -631,9 +635,11 @@ class _RunState:
             if self.tele_interval_ns > 0 and tele.timeline is not None:
                 self.tele_next_ns = first_arrival + self.tele_interval_ns
                 # the sampler feeds the accumulator directly; a live
-                # observatory also gets each window streamed once final
+                # observatory also gets each window streamed once final,
+                # and a streaming-percentile run renders final windows as
+                # it goes so its timeline notes stay bounded
                 self.tele_sample = tele.timeline.sample
-                if tele.sink is not None:
+                if tele.sink is not None or self.streaming:
                     self.tele_flush = tele.flush_stream
 
         self.queues: Dict[str, Deque[Request]] = {}
@@ -774,7 +780,7 @@ class _RunState:
         the timeline's delta pass short-circuits on identity, and
         control actions are rare relative to tick frequency.
         """
-        current = tuple(getattr(self.ctrl, name) for name in CONTROL_COUNTERS)
+        current = _control_values(self.ctrl)
         if current != self.ctl_snapshot_key:
             self.ctl_snapshot_key = current
             self.ctl_snapshot = dict(zip(CONTROL_COUNTERS, current))

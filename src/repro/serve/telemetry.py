@@ -15,8 +15,8 @@ order (they read state, never change it, and consume no randomness):
 * **Metrics timeline** — :class:`TimelineAccumulator` buckets every
   arrival/completion/fault/control observation into fixed windows of
   ``timeline_interval_us`` and renders one row per window: throughput,
-  window p50/p95/p99 (from a per-window :class:`LogLinearHistogram`, not
-  stored samples), queue depth and utilisation sampled at each window
+  window p50/p95/p99 (the :class:`LogLinearHistogram` answer on the
+  window's latencies), queue depth and utilisation sampled at each window
   boundary (lazily, at the simulator's first event pop past the boundary
   — between events state cannot change, so the sample is exactly what a
   dedicated boundary tick would read), per-model SLO attainment, and
@@ -26,7 +26,8 @@ order (they read state, never change it, and consume no randomness):
   histogram with 128 linear sub-buckets per power of two.  Its quantiles
   are within a relative **2^-8 (0.4%)** of the exact nearest-rank
   percentile on any positive samples.  The hub histograms, every
-  timeline window and the streaming terminal report all use it.
+  timeline window's percentiles and the streaming terminal report all
+  use it.
   ``TelemetryConfig.streaming_percentiles`` has the *terminal* report
   read its percentiles from the hub's sketches instead of stored sample
   lists; the default path stores samples and stays bit-identical to the
@@ -122,6 +123,14 @@ def _bucket_point(key: int, half_widths: int) -> float:
     return math.ldexp(2 * (key & 127) + 256 + half_widths, (key >> 7) - 9)
 
 
+def _bucket_key(value: float) -> int:
+    """The bucket key of one sample (see :class:`LogLinearHistogram`)."""
+    if value > 0.0:
+        mantissa, exponent = math.frexp(value)
+        return (exponent << 7) + int(mantissa * 256.0) - 128
+    return _ZERO_KEY
+
+
 @functools.lru_cache(maxsize=4096)
 def _edge_label(key: int) -> str:
     """``repr`` of bucket ``key``'s exclusive upper edge, the snapshot's bin
@@ -158,11 +167,7 @@ class LogLinearHistogram:
 
     def add(self, value: float) -> None:
         """Fold one sample into its bucket."""
-        if value > 0.0:
-            mantissa, exponent = math.frexp(value)
-            key = (exponent << 7) + int(mantissa * 256.0) - 128
-        else:
-            key = _ZERO_KEY
+        key = _bucket_key(value)
         bins = self._bins
         bins[key] = bins.get(key, 0) + 1
         self.count += 1
@@ -289,19 +294,19 @@ class Telemetry:
 class _TimelineWindow:
     """Event-side accumulators of one timeline window."""
 
-    __slots__ = ("arrivals", "completions", "shed", "timeouts", "lost",
-                 "retries", "failures", "recoveries", "latency", "slo")
+    __slots__ = ("arrivals", "shed", "timeouts", "lost", "retries",
+                 "failures", "recoveries", "latencies", "slo")
 
     def __init__(self) -> None:
         self.arrivals = 0
-        self.completions = 0
         self.shed = 0
         self.timeouts = 0
         self.lost = 0
         self.retries = 0
         self.failures = 0
         self.recoveries = 0
-        self.latency = LogLinearHistogram()
+        #: latency of every completion in the window (sorted by the render)
+        self.latencies: List[float] = []
         #: per-model [attained, completed] for models with an SLO target
         self.slo: Dict[str, List[int]] = {}
 
@@ -325,19 +330,40 @@ FLUSH_EVERY_BOUNDARIES = 32
 _HUB_PEEK_EVERY = 16
 
 
+def _sorted_midpoints(samples: List[float], count: int) -> List[float]:
+    """A timeline row's p50/p95/p99 of ``count`` ``samples`` (sorted in
+    place): the :class:`LogLinearHistogram` answer, the midpoint of the
+    bucket of each nearest-rank sample — bucket keys grow with the value,
+    so the bucket holding the rank-th sample is the rank-th bucket."""
+    samples.sort()
+    points = []
+    for q in (50.0, 95.0, 99.0):
+        value = samples[max(1, math.ceil(q / 100.0 * count)) - 1]
+        points.append(_bucket_point(_bucket_key(value), 1))
+    return points
+
+
 class TimelineAccumulator:
     """Buckets observations into fixed windows and renders one row each.
 
     Event-side notes (arrivals, completions, faults, ...) are keyed by
     their own timestamp — ``window = floor((ts - origin) / interval)`` —
     so every event lands in the right window regardless of processing
-    order.  State-side samples (queue depth, utilisation, cumulative
-    control counters) are taken at each window boundary after
-    same-instant events settle — the simulator
-    samples lazily when it pops the first event past a boundary, which
-    between events reads the identical state a dedicated tick would have;
-    windows no sample reached forward-fill the last sample, and the final
-    window takes the end-of-run flush.
+    order.  Arrival and completion notes — one per request — are only
+    appended to :attr:`arrival_notes` / :attr:`completion_notes`; a
+    render first folds the buffered notes of the windows it renders into
+    them, one pass over the buffers, and keeps the later windows' notes
+    buffered.  A window's p50/p95/p99 is the :class:`LogLinearHistogram`
+    answer on its completions: the midpoint of the bucket holding the
+    nearest-rank latency (bucket keys grow with the value, so that is
+    the bucket of the nearest-rank sample itself).
+
+    State-side samples (queue depth, utilisation, cumulative control
+    counters) are taken at each window boundary after same-instant events
+    settle — the simulator samples lazily when it pops the first event
+    past a boundary, which between events reads the identical state a
+    dedicated tick would have; windows no sample reached forward-fill the
+    last sample, and the final window takes the end-of-run flush.
 
     Per-window rates carry the zero guards the report contract requires:
     a window with **zero completions or zero elapsed time renders 0.0**
@@ -352,14 +378,15 @@ class TimelineAccumulator:
         self.interval_ns = float(interval_ns)
         self.slo_models: Tuple[str, ...] = tuple(slo_models)
         self.origin_ns: Optional[float] = None
+        #: timestamps of the arrivals no render has counted yet
+        self.arrival_notes: List[float] = []
+        #: ``(ts, latency, model, slo_ok)`` of the completions no render
+        #: has counted yet (``slo_ok`` None: no SLO target)
+        self.completion_notes: List[
+            Tuple[float, float, Optional[str], Optional[bool]]] = []
         self._windows: Dict[int, _TimelineWindow] = {}
         #: boundary samples as (queue_depth, utilisation, control) tuples
         self._samples: Dict[int, Tuple[int, float, Dict[str, object]]] = {}
-        #: last (index, window) the hot notes touched — consecutive events
-        #: usually land in the same window, so the common case is one
-        #: integer compare instead of a dict probe
-        self._last_index = -1
-        self._last_window: Optional[_TimelineWindow] = None
         # --- incremental rendering state ------------------------------
         # rows() used to render every window in one end-of-run pass with
         # the carry/delta bookkeeping in locals.  The same bookkeeping now
@@ -389,7 +416,7 @@ class TimelineAccumulator:
         self._empty_slo_block = {model: 0.0 for model in self.slo_models}
         # quiet windows (the drain tail of a long run can have hundreds)
         # share one read-only empty window instead of paying a fresh
-        # sketch construction each
+        # window each
         self._empty_window = _TimelineWindow()
 
     # ------------------------------------------------------------------
@@ -397,36 +424,24 @@ class TimelineAccumulator:
         """Anchor window 0 at the first arrival."""
         self.origin_ns = float(origin_ns)
 
-    def _window_at(self, ts_ns: float) -> _TimelineWindow:
-        index = int((ts_ns - self.origin_ns) // self.interval_ns)
-        if index == self._last_index:
-            return self._last_window
-        if index < 0:
-            index = 0
+    def _window(self, index: int) -> _TimelineWindow:
+        index = max(0, index)
         window = self._windows.get(index)
         if window is None:
             window = self._windows[index] = _TimelineWindow()
-        self._last_index = index
-        self._last_window = window
         return window
+
+    def _window_at(self, ts_ns: float) -> _TimelineWindow:
+        return self._window(int((ts_ns - self.origin_ns) // self.interval_ns))
 
     # --- event-side notes (keyed by the event's own timestamp) ---------
     def note_arrival(self, ts_ns: float) -> None:
-        self._window_at(ts_ns).arrivals += 1
+        self.arrival_notes.append(ts_ns)
 
     def note_completion(self, ts_ns: float, latency_ns: float,
                         model: Optional[str] = None,
                         slo_ok: Optional[bool] = None) -> None:
-        window = self._window_at(ts_ns)
-        window.completions += 1
-        window.latency.add(latency_ns)
-        if model is not None and slo_ok is not None:
-            running = window.slo.get(model)
-            if running is None:
-                running = window.slo[model] = [0, 0]
-            running[1] += 1
-            if slo_ok:
-                running[0] += 1
+        self.completion_notes.append((ts_ns, latency_ns, model, slo_ok))
 
     def note_shed(self, ts_ns: float) -> None:
         self._window_at(ts_ns).shed += 1
@@ -464,6 +479,45 @@ class TimelineAccumulator:
             self._closed_upto = index + 1
 
     # ------------------------------------------------------------------
+    def _fold_notes(self, stop: float) -> None:
+        """Fold the buffered arrival/completion notes of every window below
+        ``stop`` into its window; later windows' notes stay buffered."""
+        origin_ns = self.origin_ns
+        interval_ns = self.interval_ns
+        later: List = []
+        current = None
+        for ts_ns in self.arrival_notes:
+            index = int((ts_ns - origin_ns) // interval_ns)
+            if index >= stop:
+                later.append(ts_ns)
+                continue
+            # notes arrive in time order: consecutive ones share windows
+            if index != current:
+                current = index
+                window = self._window(index)
+            window.arrivals += 1
+        self.arrival_notes[:] = later
+        later = []
+        current = None
+        for note in self.completion_notes:
+            ts_ns, latency_ns, model, slo_ok = note
+            index = int((ts_ns - origin_ns) // interval_ns)
+            if index >= stop:
+                later.append(note)
+                continue
+            if index != current:
+                current = index
+                window = self._window(index)
+            window.latencies.append(latency_ns)
+            if model is not None and slo_ok is not None:
+                running = window.slo.get(model)
+                if running is None:
+                    running = window.slo[model] = [0, 0]
+                running[1] += 1
+                if slo_ok:
+                    running[0] += 1
+        self.completion_notes[:] = later
+
     def _render_one(self, index: int, span_ns: float) -> Dict[str, object]:
         """Render window ``index`` as one report row (carry state advances).
 
@@ -479,7 +533,8 @@ class TimelineAccumulator:
         if sampled is not None:
             self._carry_depth, self._carry_util, self._carry_control = sampled
         start_ns = index * interval_ns
-        completed = window.completions
+        latencies = window.latencies
+        completed = len(latencies)
         # the window-rate guard: zero completions or zero elapsed time
         # renders 0.0, never NaN / ZeroDivisionError
         if completed:
@@ -487,7 +542,7 @@ class TimelineAccumulator:
                 0.0, min(start_ns + interval_ns, span_ns) - start_ns
             ) * 1e-9
             throughput = completed / elapsed_s if elapsed_s > 0 else 0.0
-            p50, p95, p99 = window.latency.quantiles((50.0, 95.0, 99.0))
+            p50, p95, p99 = _sorted_midpoints(latencies, completed)
             p50 *= 1e-6
             p95 *= 1e-6
             p99 *= 1e-6
@@ -573,6 +628,7 @@ class TimelineAccumulator:
         limit = min(self._closed_upto, last_floor)
         if self._next_render >= limit:
             return []
+        self._fold_notes(limit)
         if self._has_control is None:
             self._has_control = any(s[2] for s in self._samples.values())
         flushed: List[Dict[str, object]] = []
@@ -586,9 +642,6 @@ class TimelineAccumulator:
             # accumulators so a long streamed run stays bounded-memory
             drop_window(index, None)
             drop_sample(index, None)
-        # the note fast-path cache may point at a dropped window
-        self._last_index = -1
-        self._last_window = None
         return flushed
 
     def rows(self, end_ns: float, queue_depth: int, utilisation: float,
@@ -605,6 +658,7 @@ class TimelineAccumulator:
         interval_ns = self.interval_ns
         last = (int(math.ceil(span_ns / interval_ns)) - 1
                 if span_ns > 0 else 0)
+        self._fold_notes(math.inf)
         # event windows can land past the span (dispatch-time completion
         # timestamps); boundary samples past both are drain-tail ticks kept
         # alive by armed-but-stale timeout events — the timeline stops at
@@ -792,18 +846,12 @@ class TelemetrySession:
         #: modulo inline so untraced requests pay one comparison, not a
         #: method call into the tracer
         self._trace_every = self.tracer.every if self.tracer else 0
-        # exact-mode note buffering: the arrival/completion hooks append
-        # one compact record here and the fold into timeline windows
-        # happens once inside finish() — per-window additions commute, so
-        # the rendered rows are identical to per-event notes at a
-        # fraction of the hot-path cost.  The buffers are O(completed),
-        # the same class of memory as the exact report's sample lists;
-        # streaming runs fold per event, so they hold no per-request
-        # buffers
-        self._buffer_notes = self.timeline is not None and not self._live_hists
-        self._pending_arrivals: List[float] = []
-        self._pending_completions: List[
-            Tuple[float, float, Optional[str], Optional[bool]]] = []
+        # the timeline's per-request notes are one list append each (the
+        # accumulator buckets them when their windows render)
+        self._note_arrival = (self.timeline.arrival_notes.append
+                              if self.timeline is not None else None)
+        self._note_completion = (self.timeline.completion_notes.append
+                                 if self.timeline is not None else None)
         # event counters are plain attributes, not hub.inc() calls — the
         # hooks fire once per event and an attribute increment is ~3x
         # cheaper than a dict-backed counter bump; snapshot() materialises
@@ -845,10 +893,8 @@ class TelemetrySession:
     def arrival(self, ts_ns: float, request) -> None:
         if request.attempt == 0:
             self._n_arrivals += 1
-            if self._buffer_notes:
-                self._pending_arrivals.append(ts_ns)
-            elif self.timeline is not None:
-                self.timeline.note_arrival(ts_ns)
+            if self._note_arrival is not None:
+                self._note_arrival(ts_ns)
         if self._trace_every and request.request_id % self._trace_every == 0:
             self.tracer.begin_queue(request.request_id, request.attempt,
                                     ts_ns, request.model)
@@ -945,12 +991,8 @@ class TelemetrySession:
                     sketch = LogLinearHistogram()
                     self.slo_hists[request.model] = sketch
                 sketch.add(latency_ns)
-        if self._buffer_notes:
-            self._pending_completions.append(
-                (ts_ns, latency_ns, request.model, slo_ok))
-        elif self.timeline is not None:
-            self.timeline.note_completion(ts_ns, latency_ns, request.model,
-                                          slo_ok)
+        if self._note_completion is not None:
+            self._note_completion((ts_ns, latency_ns, request.model, slo_ok))
         if self._trace_every and request.request_id % self._trace_every == 0:
             self.tracer.end_service(request.request_id, worker.index, ts_ns,
                                     "completed")
@@ -976,45 +1018,28 @@ class TelemetrySession:
             self.timeline.sample(index, queue_depth, utilisation, control)
 
     # ------------------------------------------------------------------
-    def _fold_pending(self) -> None:
-        """Fold the buffered exact-mode notes into the timeline windows.
-
-        Order is irrelevant: every per-window update is an addition, so
-        folding at a mid-run flush boundary and folding once at finish
-        render the identical rows.
-        """
-        if not (self._pending_arrivals or self._pending_completions):
-            return
-        timeline = self.timeline
-        window_at = timeline._window_at
-        for ts_ns in self._pending_arrivals:
-            window_at(ts_ns).arrivals += 1
-        note_completion = timeline.note_completion
-        for record in self._pending_completions:
-            note_completion(*record)
-        self._pending_arrivals.clear()
-        self._pending_completions.clear()
-
     def flush_stream(self, end_floor_ns: float) -> None:
-        """Push every newly-final window (and a hub peek) through the sink.
+        """Render every newly-final window; push them (and a hub peek)
+        through the sink when one is attached.
 
         Called by the simulator at boundary-sample time when a sink is
-        attached.  ``end_floor_ns`` is the current lower bound on the run
-        end (``max(last_completion, last_arrival)``); windows the
-        accumulator proves final against that bound are rendered now and
-        streamed — the rendered rows are the exact objects the end-of-run
-        timeline block will contain.  The simulator only calls this every
+        attached or the run streams its percentiles (whose notes must not
+        pile up for the whole run).  ``end_floor_ns`` is the current lower
+        bound on the run end (``max(last_completion, last_arrival)``);
+        windows the accumulator proves final against that bound are
+        rendered now and their notes and counters dropped — the rendered
+        rows are the exact objects the end-of-run timeline block will
+        contain.  The simulator only calls this every
         :data:`FLUSH_EVERY_BOUNDARIES`-th boundary: the cadence shapes
-        *when* batches stream, never their content, and :meth:`finish`
-        always drains whatever remains.
+        *when* batches render and stream, never their content, and
+        :meth:`finish` always drains whatever remains.
         """
         timeline = self.timeline
-        sink = self.sink
-        if timeline is None or sink is None:
+        if timeline is None:
             return
-        self._fold_pending()
         flushed = timeline.flush_ready(end_floor_ns)
-        if not flushed:
+        sink = self.sink
+        if not flushed or sink is None:
             return
         for row in flushed:
             sink("window", row)
@@ -1034,7 +1059,6 @@ class TelemetrySession:
         timeline = self.timeline
         if timeline is None:
             return []
-        self._fold_pending()
         already = timeline._next_render
         rows = timeline.rows(end_ns, queue_depth, utilisation, control)
         sink = self.sink

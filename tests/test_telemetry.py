@@ -307,6 +307,23 @@ class TestTimelineWindowGuards:
         with pytest.raises(ValueError):
             TimelineAccumulator(0.0)
 
+    @pytest.mark.parametrize("name", ["poisson", "bursty", "diurnal"])
+    def test_window_percentiles_are_the_sketch_answer(self, name):
+        # a window's p50/p95/p99 is exactly what a LogLinearHistogram of
+        # its completions answers — zero and negative latencies included
+        samples = _distributions()[name][:97] + [0.0, -4.0, 0.0]
+        timeline = TimelineAccumulator(1e18)
+        timeline.start(0.0)
+        sketch = LogLinearHistogram()
+        for position, latency in enumerate(samples):
+            timeline.note_completion(float(position), latency)
+            sketch.add(latency)
+        (row,) = timeline.rows(float(len(samples)), queue_depth=0,
+                               utilisation=0.0)
+        assert row["completed"] == len(samples)
+        assert [row["p50_ms"], row["p95_ms"], row["p99_ms"]] == \
+            [q * 1e-6 for q in sketch.quantiles((50.0, 95.0, 99.0))]
+
 
 # ----------------------------------------------------------------------
 # full-stack scenario helpers
@@ -614,6 +631,30 @@ class TestStreamingReport:
                 SKETCH_BOUND * exact.latency_ms[key], (kind, key)
         assert stream.slo["squeezenet"]["attainment"] == \
             exact.slo["squeezenet"]["attainment"]
+
+    def test_streaming_run_renders_windows_mid_run(self, monkeypatch):
+        # a streaming-percentile run stores no per-request samples, so
+        # its timeline renders windows as they turn final instead of
+        # holding every arrival/completion note to the end of the run
+        real_flush_ready = TimelineAccumulator.flush_ready
+        mid_run = []
+
+        def counting_flush_ready(self, end_floor_ns):
+            rows = real_flush_ready(self, end_floor_ns)
+            mid_run.extend(rows)
+            return rows
+
+        monkeypatch.setattr(TimelineAccumulator, "flush_ready",
+                            counting_flush_ready)
+        cfg = TelemetryConfig(timeline_interval_us=150.0,
+                              streaming_percentiles=True)
+        _, report = _fault_scenario(cfg)
+        assert mid_run
+        assert report.timeline[:len(mid_run)] == mid_run
+        monkeypatch.undo()
+        _, replay = _fault_scenario(cfg)
+        assert json.dumps(replay.timeline, sort_keys=True) == \
+            json.dumps(report.timeline, sort_keys=True)
 
     def test_default_path_untouched_by_streaming_code(self):
         # the exact path is the default: no TelemetryConfig means no
