@@ -8,10 +8,11 @@ stale baseline entry, so the grandfathered set shrinks monotonically
 instead of fossilising.  The per-rule stats table is always printed, so CI
 logs show suppression/baseline drift even on green runs.
 
-``python scripts/lint_repo.py`` locally is exactly what CI runs (as
-``repro lint src/``); its dynamic counterpart is
-``scripts/check_bench_regression.py``, the perfbench regression gate.  Pass
-extra paths to lint more than ``src/`` (e.g. ``benchmarks/ scripts/``).
+``python scripts/lint_repo.py`` locally is exactly what CI's lint step
+runs; unlike ``repro lint src/`` it also fails on a stale baseline entry.
+Its dynamic counterpart is ``scripts/check_bench_regression.py``, the
+perfbench regression gate.  Pass extra paths to lint more than ``src/``
+(e.g. ``benchmarks/ scripts/``).
 """
 
 from __future__ import annotations

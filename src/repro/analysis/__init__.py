@@ -12,7 +12,7 @@ the rule set, :mod:`repro.analysis.baseline` for grandfathering and
 ``README.md`` ("Static analysis") for the CLI tour::
 
     repro lint src/                       # text findings, exit 1 if any
-    repro lint src/ --format json         # machine-readable, for CI
+    repro lint src/ --format json         # machine-readable
     repro lint src/ --rule unseeded-rng   # one rule only
     repro lint src/ --stats               # per-rule counter table
     repro lint src/ --write-baseline      # grandfather current findings

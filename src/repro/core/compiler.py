@@ -228,9 +228,7 @@ class CompassCompiler:
             group,
             model_name=graph.name,
             scheme=options.scheme,
-            plans=plans,
             dram_trace=dram_trace,
-            span_table=span_table,
         )
 
         return CompilationResult(

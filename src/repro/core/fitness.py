@@ -44,10 +44,11 @@ class FitnessMode(enum.Enum):
 class GroupEvaluation:
     """Fitness of a partition group and of each of its partitions.
 
-    ``estimates`` materialise lazily: in latency mode the GA only consumes
-    the scalar per-partition fitnesses, so the full per-partition
-    latency/energy breakdowns are fetched from the span table on first
-    access (bit-identical — the table caches, it never approximates).
+    ``estimates`` materialise lazily: the search engines only consume the
+    per-partition fitnesses, which come from span-matrix gathers, so the
+    full per-partition latency/energy breakdowns are fetched from the span
+    table on first access (bit-identical — the table caches, it never
+    approximates).  The test oracle passes its estimates up front.
     """
 
     group: PartitionGroup
@@ -139,19 +140,8 @@ class FitnessEvaluator:
         """Cache statistics of the span-table engine backing this evaluator."""
         return self.span_table.stats.as_dict()
 
-    def estimate_span(self, start: int, end: int) -> PartitionEstimate:
-        """Estimate (with caching) the partition covering units [start, end)."""
-        return self.span_table.estimate(start, end, self.batch_size)
-
-    def partition_fitness(self, estimate: PartitionEstimate) -> float:
-        """Scalar fitness of one partition (lower is better)."""
-        if self.mode is FitnessMode.LATENCY:
-            return estimate.latency_ns
-        # EDP mode: scale to keep magnitudes manageable (pJ*ns -> uJ*us)
-        return estimate.edp * 1e-12
-
     def evaluate(self, group: PartitionGroup) -> GroupEvaluation:
-        """Evaluate a partition group: per-partition fitness and the PGF.
+        """Evaluate one partition group: ``evaluate_many([group])[0]``.
 
         In latency mode the PGF (sum of partition fitnesses) is exactly the
         end-to-end latency.  In EDP mode the end-to-end metric is
@@ -159,33 +149,8 @@ class FitnessEvaluator:
         partitions, so the per-partition fitnesses are rescaled to keep their
         sum equal to the group EDP while preserving their relative ordering
         (which is what the partition score of Sec. III-C2 consumes).
-
-        This is the scalar entry point for one group (annealing calls it once
-        per step, where a one-group :meth:`evaluate_many` gather costs more):
-        latency mode reads scalar span latencies straight from the span
-        table and defers the full per-partition estimates until something
-        asks for them; EDP mode reads the table's span estimates.
         """
-        if self.mode is FitnessMode.LATENCY:
-            table = self.span_table
-            batch = self.batch_size
-            fitness = [table.latency_ns(s, e, batch) for s, e in group.spans()]
-            return GroupEvaluation(
-                group=group, partition_fitness=fitness,
-                _span_table=table, _batch_size=batch,
-            )
-
-        estimates = [self.estimate_span(s, e) for s, e in group.spans()]
-        fitness = [self.partition_fitness(est) for est in estimates]
-        group_edp = (
-            sum(e.energy_pj for e in estimates)
-            * sum(e.latency_ns for e in estimates)
-            * 1e-12
-        )
-        share_total = sum(fitness)
-        if share_total > 0 and group_edp > 0:
-            fitness = [f / share_total * group_edp for f in fitness]
-        return GroupEvaluation(group=group, partition_fitness=fitness, _estimates=estimates)
+        return self.evaluate_many([group])[0]
 
     # ------------------------------------------------------------------
     def evaluate_many(self, groups: Sequence[PartitionGroup]) -> List[GroupEvaluation]:
@@ -199,9 +164,9 @@ class FitnessEvaluator:
         fancy-indexed gather plus elementwise math — no per-span Python.
         Each evaluation's ``span_bounds`` and (unless EDP rescaled it)
         ``fitness_array`` are slices of those flat arrays.  The per-group
-        fitness sums stay sequential so results are bit-identical to
-        calling :meth:`evaluate` per group (NumPy's pairwise reductions
-        are not).
+        fitness sums stay sequential left-to-right sums, so results are
+        bit-identical to summing per-span estimates one group at a time
+        (NumPy's pairwise reductions are not).
         """
         if not groups:
             return []

@@ -278,5 +278,6 @@ def flat_spans(boundaries: Sequence[Tuple[int, ...]],
     ends = np.fromiter(chain.from_iterable(boundaries), dtype=np.int64, count=sum(counts))
     starts = np.zeros_like(ends)
     starts[1:] = ends[:-1]
-    starts[np.cumsum(counts[:-1], dtype=np.int64)] = 0
+    if len(counts) > 1:  # one tuple (a one-group evaluation) has no later head
+        starts[np.cumsum(counts[:-1], dtype=np.int64)] = 0
     return starts, ends

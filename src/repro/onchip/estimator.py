@@ -257,9 +257,9 @@ class PartitionEstimator:
     def slim_profile(self, partition: Partition) -> "Tuple[float, float, float]":
         """Latency-only profile: ``(weight_replace_ns, fill_ns, bottleneck_ns)``.
 
-        An exact replay of :meth:`profile` restricted to the three floats the
-        scalar latency record (and the dense span matrix) needs: no plan or
-        core-mapping objects are built and every energy term is skipped.
+        An exact replay of :meth:`profile` restricted to the three floats a
+        dense span-matrix latency cell needs: no plan or core-mapping
+        objects are built and every energy term is skipped.
         Bit-identical to ``profile(partition)`` and reading the same three
         fields — pinned by the perf equivalence tests.
         """

@@ -4,10 +4,12 @@ This package holds the cross-cutting performance machinery described in the
 "Performance architecture" section of ROADMAP.md:
 
 * :class:`~repro.perf.spantable.SpanTable` — memoised per-span partition
-  profiles and (span, batch) estimates with hit/miss statistics;
+  profiles and (span, batch) estimates with hit/miss statistics, plus the
+  slim and energy records that fill the matrices (computed, not kept);
 * :class:`~repro.perf.spanmatrix.SpanMatrix` — dense ``(L+1)×(L+1)``
-  float64 span matrices over the table, letting the GA score whole
-  populations with fancy-indexed gathers instead of per-span Python;
+  float64 span matrices over the table, the only store of slim latency and
+  energy records: every fitness lookup, of a whole GA population or of one
+  group, is a fancy-indexed gather instead of per-span Python;
 * :func:`~repro.perf.spantable.span_table_for` /
   :func:`~repro.perf.spanmatrix.span_matrix_for` — the per-decomposition
   registries through which the fitness evaluator, the baselines, the

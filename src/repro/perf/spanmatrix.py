@@ -1,24 +1,26 @@
 """Dense span-matrix engine: whole-population span scoring in array form.
 
 The :class:`~repro.perf.spantable.SpanTable` removed *recomputation* from
-partition-span estimation; what remains on the GA's hot path is per-span
-Python — a dict lookup, a float expression and list bookkeeping for every
-gene of every chromosome.  The :class:`SpanMatrix` removes the per-span
-Python too: for a decomposition of L units every contiguous span ``[s, e)``
-is one cell of an ``(L+1) × (L+1)`` float64 matrix, so scoring a whole
-population is a fancy-indexed gather over flat start/end index arrays
-followed by elementwise math.
+partition-span estimation; the :class:`SpanMatrix` removes per-span Python
+from fitness lookups: for a decomposition of L units every contiguous span
+``[s, e)`` is one cell of an ``(L+1) × (L+1)`` float64 matrix, so scoring a
+whole population — or one group — is a fancy-indexed gather over flat
+start/end index arrays followed by elementwise math.  The matrices are the
+only store of slim latency and energy records; the table computes them and
+keeps none.
 
 Three layers of matrices, all filled lazily and only for spans actually
 requested:
 
 * **slim latency components** — ``weight_replace_ns``, ``fill_ns`` and
   ``bottleneck_ns`` per span, filled from the shared span table's exact
-  :meth:`~repro.perf.spantable.SpanTable.slim_record` (bit-identical to the
-  scalar path by construction);
+  :meth:`~repro.perf.spantable.SpanTable.slim_record` or, for cells an
+  energy fill reached first, from the energy record's slim triple (both
+  bit-identical to the full profile's fields by construction);
 * **per-batch latency** — ``WR + (FILL + (B-1)·BN)`` materialised once per
   batch size and invalidated by a version counter when new spans fill in;
-  the elementwise expression matches the scalar association exactly;
+  the elementwise expression matches ``PartitionEstimate.latency_ns``'s
+  association (``replace + pipeline``) exactly;
 * **per-batch energy** (EDP mode) — the per-sample/per-batch-constant energy
   terms of each span's exact energy record
   (:meth:`~repro.perf.spantable.SpanTable.energy_record`) plus a
@@ -32,8 +34,7 @@ most of a model's spans are slices of one layer with near-equal units, so
 the nine paper pairs' 52,032 valid spans have only 11,191 geometries.  A
 fill therefore takes one record per geometry from the table (from the
 group's first cell in row-major order) and scatters it to the group's
-other cells with one fancy assignment per matrix; every filled cell also
-gets its slim record in the table, so scalar lookups of it are hits.
+other cells with one fancy assignment per matrix.
 
 **Delta re-scoring** falls out of the representation: a mutation changes at
 most a few cut points, so a child's spans are almost all already-filled
@@ -46,14 +47,15 @@ O(#partitions) and cheap, the per-span math is the hot part.
 
 Fills and gathers are accounted on the shared table's counters
 (``matrix_fills`` counts every filled cell, ``matrix_hits`` every gathered
-one; gathers and scattered cells are folded into ``latency_hits``), so
-``SpanTable.stats`` never silently reads zero when the dense path is
-engaged, and ``latencies_computed + latency_hits`` is the cells requested.
+one; gathers, scattered cells and cells an energy fill wrote are folded
+into ``latency_hits``), so ``SpanTable.stats`` never silently reads zero
+when the dense path is engaged, and ``latencies_computed + latency_hits``
+is the cells passed to :meth:`SpanMatrix.ensure_spans`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 import numpy.ma  # noqa: F401  (np.unique touches np.ma lazily; load at import,
@@ -79,15 +81,17 @@ _CONSTANT_PARTS = ("weight_write_pj", "weight_load_pj")
 #: column of each energy part in an array of EnergyRecord rows
 _RECORD_COLUMN = {name: EnergyRecord._fields.index(name)
                   for name in _PER_SAMPLE_PARTS + _CONSTANT_PARTS}
+_CORES_COLUMN = EnergyRecord._fields.index("cores_used")
+_TRIPLE_COLUMNS = [EnergyRecord._fields.index(name)
+                   for name in ("weight_replace_ns", "fill_ns", "bottleneck_ns")]
 
 
 class SpanMatrix:
     """Dense O(L²) span matrices over one decomposition's span table.
 
-    Values are bit-identical to the scalar :class:`SpanTable` paths — the
-    matrix only changes *where* span records live (dense float64 cells
-    instead of dict entries) and lets consumers read thousands of spans per
-    call with NumPy gathers.
+    Values are bit-identical to the span table's estimates — the matrix
+    stores span records as dense float64 cells and lets consumers read
+    thousands of spans per call with NumPy gathers.
     """
 
     def __init__(self, table: SpanTable) -> None:
@@ -117,76 +121,90 @@ class SpanMatrix:
         """Number of spans materialised in the dense latency matrices."""
         return int(self._have_slim.sum())
 
-    def _missing_groups(
+    def _missing_cells(
         self, have: np.ndarray, starts: np.ndarray, ends: np.ndarray
-    ) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """The requested cells missing from ``have``, grouped by span geometry.
-
-        Returns ``None`` when nothing is missing, else ``(cell_starts,
-        cell_ends, first, group)``: the distinct missing cells in row-major
-        order, the index of each geometry group's first cell and the group
-        of every cell.  Cells of one group share a
-        :meth:`~repro.core.decomposition.DecompositionIndex.span_keys` row,
-        so every record of theirs is equal.
-        """
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """The distinct requested cells missing from ``have``, in row-major
+        order, as ``(cell_starts, cell_ends)``; ``None`` when none is."""
         missing = ~have[starts, ends]
         if not missing.any():
             return None
         stride = self.num_units + 1
-        cell_starts, cell_ends = np.divmod(
-            np.unique(starts[missing] * stride + ends[missing]), stride
-        )
+        return np.divmod(np.unique(starts[missing] * stride + ends[missing]), stride)
+
+    def _geometry_records(
+        self, fetch: Callable[[int, int], tuple],
+        cell_starts: np.ndarray, cell_ends: np.ndarray,
+    ) -> Tuple[list, np.ndarray]:
+        """One record per span geometry of the cells, and each cell's row.
+
+        Cells of one group share a
+        :meth:`~repro.core.decomposition.DecompositionIndex.span_keys` row,
+        so every record of theirs is equal: ``fetch`` runs on each group's
+        first cell in row-major order, and row ``i`` of the returned array
+        is the record of cell ``i``'s group.
+        """
         keys = self.decomposition.index.span_keys(cell_starts, cell_ends)
         # one opaque row per key: np.unique then sorts raw bytes, several
         # times faster than its axis=0 field-by-field compare; return_index
         # sorts stably, so each group's first cell is its first in row order
         rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
         _, first, group = np.unique(rows, return_index=True, return_inverse=True)
-        return cell_starts, cell_ends, first, group
+        records = [fetch(s, e) for s, e in
+                   zip(cell_starts[first].tolist(), cell_ends[first].tolist())]
+        return records, np.array(records)[group]
 
     # ------------------------------------------------------------------
     # slim (latency) layer
     # ------------------------------------------------------------------
+    def _write_slim(self, cell_starts: np.ndarray, cell_ends: np.ndarray,
+                    triples: np.ndarray) -> None:
+        self._weight_replace[cell_starts, cell_ends] = triples[:, 0]
+        self._fill[cell_starts, cell_ends] = triples[:, 1]
+        self._bottleneck[cell_starts, cell_ends] = triples[:, 2]
+
     def ensure_spans(self, starts: np.ndarray, ends: np.ndarray) -> None:
         """Materialise every requested span's slim record in the matrices.
 
         This is the delta step: only spans missing from the matrix — for GA
         children, the few spans their mutation introduced — are filled, and
-        every other lookup is counted as a matrix-served hit.  The missing
-        spans are profiled once per span geometry: each group's first cell
-        takes its record from the table and the record is scattered to the
-        rest of the group, which count as latency hits.
+        every other lookup is counted as a matrix-served hit.  A missing
+        cell whose slim triple an energy fill already wrote is marked filled
+        as it is.  The others are profiled once per span geometry (each
+        group's first cell takes its record from the table) and the record
+        is scattered to the rest of the group.  Every filled cell counts in
+        ``matrix_fills``; only the table's profiled records are latency
+        misses.
         """
         table = self.table
         fills = 0
-        groups = 0
-        grouped = self._missing_groups(self._have_slim, starts, ends)
-        if grouped is not None:
-            cell_starts, cell_ends, first, group = grouped
-            slim_record = table.slim_record
-            records = [slim_record(s, e) for s, e in
-                       zip(cell_starts[first].tolist(), cell_ends[first].tolist())]
-            values = np.array(records)[group]
-            self._weight_replace[cell_starts, cell_ends] = values[:, 0]
-            self._fill[cell_starts, cell_ends] = values[:, 1]
-            self._bottleneck[cell_starts, cell_ends] = values[:, 2]
+        fetched = 0
+        cells = self._missing_cells(self._have_slim, starts, ends)
+        if cells is not None:
+            cell_starts, cell_ends = cells
+            fresh_starts, fresh_ends = cell_starts, cell_ends
+            if self._have_energy is not None:
+                fresh = ~self._have_energy[cell_starts, cell_ends]
+                fresh_starts, fresh_ends = cell_starts[fresh], cell_ends[fresh]
+            if fresh_starts.size:
+                records, values = self._geometry_records(
+                    table.slim_record, fresh_starts, fresh_ends)
+                self._write_slim(fresh_starts, fresh_ends, values)
+                fetched = len(records)
             self._have_slim[cell_starts, cell_ends] = True
-            table._slim.update(zip(zip(cell_starts.tolist(), cell_ends.tolist()),
-                                   map(records.__getitem__, group.tolist())))
             fills = len(cell_starts)
-            groups = len(records)
             self._slim_version += 1
             table._matrix_fills += fills
         served = int(starts.size) - fills
         table._matrix_hits += served
-        table._latency_hits += served + fills - groups
+        table._latency_hits += served + fills - fetched
 
     def latency_matrix(self, batch_size: int) -> np.ndarray:
         """Dense total-latency matrix for one batch size (version-cached).
 
-        Cell ``[s, e]`` equals ``SpanTable.latency_ns(s, e, batch_size)`` for
-        every filled span (same elementwise association); unfilled cells are
-        meaningless and must not be gathered.
+        Cell ``[s, e]`` equals ``SpanTable.estimate(s, e, batch_size).latency_ns``
+        for every filled span (same elementwise association); unfilled cells
+        are meaningless and must not be gathered.
         """
         entry = self._latency_cache.get(batch_size)
         if entry is not None and entry[0] == self._slim_version:
@@ -238,34 +256,26 @@ class SpanMatrix:
         shared table — the fields of a cached full profile, else the
         estimator's exact energy-only replay, which builds no plan — and
         scatter it to every missing cell of the geometry.  The record's slim
-        latency triple becomes each cell's slim record in the table, so a
-        follow-up :meth:`ensure_spans` never re-profiles these spans.
+        latency triple is scattered into the slim matrices as well, so a
+        follow-up :meth:`ensure_spans` marks these cells filled without
+        profiling them.
         """
         if self._have_energy is None:
             self._allocate_energy()
-        grouped = self._missing_groups(self._have_energy, starts, ends)
-        if grouped is None:
+        cells = self._missing_cells(self._have_energy, starts, ends)
+        if cells is None:
             return
-        cell_starts, cell_ends, first, group = grouped
-        table = self.table
-        energy_record = table.energy_record
-        records = [energy_record(s, e) for s, e in
-                   zip(cell_starts[first].tolist(), cell_ends[first].tolist())]
-        values = np.array(records)[group]
+        cell_starts, cell_ends = cells
+        _, values = self._geometry_records(self.table.energy_record, cell_starts, cell_ends)
         parts = self._energy_parts
         for name in _PER_SAMPLE_PARTS + _CONSTANT_PARTS:
             parts[name][cell_starts, cell_ends] = values[:, _RECORD_COLUMN[name]]
         chip = self.decomposition.chip
         # same first product as PowerModel.static_energy_pj
-        active_cores = np.clip([record.cores_used for record in records], 0, chip.num_cores)
-        self._static_coeff[cell_starts, cell_ends] = (
-            chip.core.static_power_mw * active_cores
-        )[group]
+        active_cores = np.clip(values[:, _CORES_COLUMN], 0, chip.num_cores)
+        self._static_coeff[cell_starts, cell_ends] = chip.core.static_power_mw * active_cores
         self._have_energy[cell_starts, cell_ends] = True
-        triples = [(record.weight_replace_ns, record.fill_ns, record.bottleneck_ns)
-                   for record in records]
-        table._slim.update(zip(zip(cell_starts.tolist(), cell_ends.tolist()),
-                               map(triples.__getitem__, group.tolist())))
+        self._write_slim(cell_starts, cell_ends, values[:, _TRIPLE_COLUMNS])
         self._energy_version += 1
 
     def energy_matrix(self, batch_size: int) -> np.ndarray:

@@ -12,11 +12,17 @@ this twice:
 * each concrete (span, batch) :class:`~repro.onchip.estimator.PartitionEstimate`
   is O(1) arithmetic over the profile and is itself memoised.
 
-Both layers keep hit/miss statistics so benchmarks can assert the engine is
-actually engaged.  Tables are shared through :func:`span_table_for`, which
-attaches them to the decomposition; every consumer — the fitness evaluator,
-the execution simulator, the compiler and the baselines — therefore reads
-from the same cache.  The table is filled lazily, span by span.
+The table also computes the records that fill the dense
+:class:`~repro.perf.spanmatrix.SpanMatrix` (:meth:`SpanTable.slim_record`,
+:meth:`SpanTable.energy_record`) but keeps none of them: the matrix cells
+are their only store, and every fitness lookup is a matrix gather.
+
+Every layer keeps hit/miss statistics so benchmarks can assert the engine
+is actually engaged.  Tables are shared through :func:`span_table_for`,
+which attaches them to the decomposition; every consumer — the fitness
+evaluator, the execution simulator, the compiler and the baselines —
+therefore reads from the same cache.  The table is filled lazily, span by
+span.
 """
 
 from __future__ import annotations
@@ -45,16 +51,17 @@ class SpanTableStats:
     estimates_computed: int = 0
     #: (span, batch) estimate requests served from the table
     estimate_hits: int = 0
-    #: (span, batch) scalar latencies derived from a profile
+    #: slim latency records computed by ``slim_profile`` for a dense fill
     latencies_computed: int = 0
-    #: (span, batch) scalar latency requests served from the table *or* the
-    #: dense span matrix (matrix-served gathers are folded in so the latency
-    #: counters never silently read zero when the dense path is engaged;
-    #: ``matrix_hits`` is the matrix-served sub-count)
+    #: span cells requested from the dense span matrix that computed no
+    #: slim record: gathers of filled cells (``matrix_hits``), cells that
+    #: share a profiled cell's geometry, cells an energy fill already wrote
+    #: and triples read from cached full profiles; ``latencies_computed +
+    #: latency_hits`` is every cell passed to ``SpanMatrix.ensure_spans``
     latency_hits: int = 0
-    #: spans materialised into the dense span matrix (:mod:`repro.perf.spanmatrix`)
+    #: cells materialised into the dense latency matrices (first requests)
     matrix_fills: int = 0
-    #: span lookups served by dense-matrix gathers (sub-count of latency_hits)
+    #: cell requests served by a gather of a filled cell (sub-count of latency_hits)
     matrix_hits: int = 0
     #: spans whose energy record was computed for a dense energy fill (spans
     #: with a cached full profile reuse its fields and are not counted)
@@ -73,7 +80,7 @@ class SpanTableStats:
 
     @property
     def latency_requests(self) -> int:
-        """Total scalar-latency lookups (hits + misses)."""
+        """Total span-latency lookups (hits + misses)."""
         return self.latencies_computed + self.latency_hits
 
     @property
@@ -90,7 +97,7 @@ class SpanTableStats:
 
     @property
     def latency_hit_rate(self) -> float:
-        """Fraction of scalar-latency lookups served from the table."""
+        """Fraction of span-latency lookups that computed no slim record."""
         requests = self.latency_requests
         return self.latency_hits / requests if requests else 0.0
 
@@ -172,11 +179,6 @@ class SpanTable:
         self.estimator = PartitionEstimator(decomposition.chip, dram_config, batch_size=1)
         self._profiles: Dict[Tuple[int, int], SpanProfile] = {}
         self._estimates: Dict[Tuple[int, int, int], PartitionEstimate] = {}
-        #: slim latency records: span -> (weight_replace_ns, fill_ns, bottleneck_ns).
-        #: The GA's latency-mode fitness only needs these three floats per
-        #: span; keeping them instead of full profiles makes the table's
-        #: retained object graph tiny (GC pressure matters at 10⁴+ spans).
-        self._slim: Dict[Tuple[int, int], Tuple[float, float, float]] = {}
         # hit/miss counters (plain ints: incremented on the hottest paths);
         # the matrix counters are bumped by the dense SpanMatrix layer so a
         # matrix-served GA run never reports zero span-table activity
@@ -206,14 +208,6 @@ class SpanTable:
             energy_records_computed=self._energy_records,
         )
 
-    def __len__(self) -> int:
-        return len(self._slim)
-
-    @property
-    def num_spans(self) -> int:
-        """Number of distinct spans profiled so far (slim or full)."""
-        return len(self._slim)
-
     @property
     def num_estimates(self) -> int:
         """Number of distinct (span, batch) estimates materialised so far."""
@@ -231,8 +225,6 @@ class SpanTable:
         if profile is None:
             profile = self._compute_profile(start, end)
             self._profiles[key] = profile
-            self._slim[key] = (profile.weight_replace_ns, profile.fill_ns,
-                               profile.bottleneck_ns)
             self._profile_misses += 1
         else:
             self._profile_hits += 1
@@ -258,24 +250,21 @@ class SpanTable:
     def slim_record(self, start: int, end: int) -> Tuple[float, float, float]:
         """Slim latency record ``(weight_replace_ns, fill_ns, bottleneck_ns)``.
 
-        Computed via the estimator's latency-only profile replay
-        (:meth:`~repro.onchip.estimator.PartitionEstimator.slim_profile`) on
-        a miss — no plan, I/O analysis or energy breakdown is retained, so
-        spans the GA merely explores stay three floats.  The full profile is
-        built (and then cached) iff an estimate or plan is requested for the
-        span later.  This is also the fill primitive of the dense
-        :class:`~repro.perf.spanmatrix.SpanMatrix`.
+        The latency fill primitive of the dense
+        :class:`~repro.perf.spanmatrix.SpanMatrix`, which is the only store
+        of slim records: the table keeps none.  A cached full profile
+        supplies the triple (a latency hit); otherwise the estimator's
+        latency-only replay
+        (:meth:`~repro.onchip.estimator.PartitionEstimator.slim_profile`)
+        computes it (a latency miss) and builds no plan, I/O analysis or
+        energy breakdown.
         """
-        slim = self._slim.get((start, end))
-        if slim is None:
-            slim = self.estimator.slim_profile(
-                Partition(self.decomposition, start, end)
-            )
-            self._slim[(start, end)] = slim
-            self._latency_misses += 1
-        else:
+        profile = self._profiles.get((start, end))
+        if profile is not None:
             self._latency_hits += 1
-        return slim
+            return profile.weight_replace_ns, profile.fill_ns, profile.bottleneck_ns
+        self._latency_misses += 1
+        return self.estimator.slim_profile(Partition(self.decomposition, start, end))
 
     def energy_record(self, start: int, end: int) -> EnergyRecord:
         """Energy terms, ``cores_used`` and slim triple of ``[start, end)``.
@@ -283,30 +272,13 @@ class SpanTable:
         The fill primitive of the dense energy matrices.  A cached full
         profile supplies the fields; otherwise the estimator's energy-only
         replay (:meth:`~repro.onchip.estimator.PartitionEstimator.energy_record`)
-        computes them, its slim triple is kept as the span's slim record if
-        none exists, and nothing else is retained.
+        computes them and nothing is retained.
         """
-        key = (start, end)
-        profile = self._profiles.get(key)
+        profile = self._profiles.get((start, end))
         if profile is not None:
             return EnergyRecord._make(getattr(profile, name) for name in EnergyRecord._fields)
-        record = self.estimator.energy_record(Partition(self.decomposition, start, end))
         self._energy_records += 1
-        self._slim.setdefault(key, (record.weight_replace_ns, record.fill_ns,
-                                    record.bottleneck_ns))
-        return record
-
-    def latency_ns(self, start: int, end: int, batch_size: int) -> float:
-        """Total latency of ``[start, end)`` for a batch, as a scalar.
-
-        Bit-identical to ``estimate(...).latency_ns`` but needs only the
-        span's slim latency record — three floats — instead of a full
-        profile or estimate object.  This is the value the latency-mode
-        fitness oracle consumes for every chromosome gene.
-        """
-        weight_replace_ns, fill_ns, bottleneck_ns = self.slim_record(start, end)
-        # same association as PhaseLatency.total_ns = replace + pipeline
-        return weight_replace_ns + (fill_ns + (batch_size - 1) * bottleneck_ns)
+        return self.estimator.energy_record(Partition(self.decomposition, start, end))
 
     def estimate_group(self, group: PartitionGroup,
                        batch_size: int) -> List[PartitionEstimate]:

@@ -16,8 +16,7 @@ from repro.core.partition import PartitionGroup
 from repro.hardware.chip import ChipConfig
 from repro.hardware.dram import DRAMConfig, DRAMModel, DRAMStats, LPDDR3_8GB
 from repro.hardware.power import EnergyBreakdown
-from repro.onchip.estimator import PartitionEstimate, PartitionEstimator
-from repro.onchip.plan import PartitionPlan
+from repro.onchip.estimator import PartitionEstimate
 from repro.perf.spantable import SpanTable, span_table_for
 from repro.sim.metrics import edp_mj_ms, energy_per_inference_mj, throughput_inferences_per_sec
 
@@ -121,7 +120,6 @@ class ExecutionSimulator:
         self.chip = chip
         self.batch_size = batch_size
         self.dram_config = dram_config
-        self.estimator = PartitionEstimator(chip, dram_config, batch_size)
 
     # ------------------------------------------------------------------
     def simulate(
@@ -129,34 +127,21 @@ class ExecutionSimulator:
         group: PartitionGroup,
         model_name: str = "",
         scheme: str = "",
-        plans: Optional[List[PartitionPlan]] = None,
         dram_trace=None,
         span_table: Optional[SpanTable] = None,
     ) -> ExecutionReport:
         """Simulate one partition group and return the execution report.
 
-        ``plans`` may be passed to reuse plans built elsewhere (e.g. by the
-        compiler); otherwise estimation goes through the decomposition's
-        shared span table (:mod:`repro.perf`), which reuses any plan and
-        profile work done by the partition optimiser.  A ``span_table`` may
-        also be passed explicitly (the compiler does) to reuse its caches
-        even when plans are supplied.  ``dram_trace`` (an iterable of
+        Estimation goes through the decomposition's shared span table
+        (:mod:`repro.perf`), or through ``span_table`` when one is passed,
+        which reuses any plan and profile work done by the partition
+        optimiser.  ``dram_trace`` (an iterable of
         :class:`~repro.hardware.dram.DRAMRequest`) is replayed through the
         LPDDR3 model when provided, populating ``dram_stats``.
         """
-        partitions = group.partitions()
-        if plans is not None and len(plans) != len(partitions):
-            raise ValueError("number of plans does not match number of partitions")
-        if span_table is None and plans is None:
+        if span_table is None:
             span_table = span_table_for(group.decomposition, self.dram_config)
-
-        if span_table is not None:
-            estimates = span_table.estimate_group(group, self.batch_size)
-        else:
-            estimates = [
-                self.estimator.estimate(partition, plan=plan, batch_size=self.batch_size)
-                for partition, plan in zip(partitions, plans)
-            ]
+        estimates = span_table.estimate_group(group, self.batch_size)
 
         dram_stats = None
         if dram_trace is not None:

@@ -199,8 +199,9 @@ class TestHeuristicEngines:
         """A fresh table's EDP DP builds one energy record per span geometry
         of its energy cells.
 
-        Full profiles are built only for the final evaluation of the best
-        group, one per partition; the search itself builds none.
+        The search and its final evaluation of the best group (a span-matrix
+        gather) build no full profile; the best group's estimates build one
+        per partition when they are first read.
         """
         decomposition = decompose_model(build_model("squeezenet"), get_chip_config("M"))
         evaluator = FitnessEvaluator(decomposition, batch_size=4, mode=FitnessMode.EDP)
@@ -210,10 +211,11 @@ class TestHeuristicEngines:
         assert len(starts) > 0
         geometries = len(np.unique(decomposition.index.span_keys(starts, ends), axis=0))
         assert result.span_stats["energy_records_computed"] == geometries
-        profiles = result.best_group.num_partitions
-        assert result.span_stats["profiles_computed"] == profiles
-        assert (f"{profiles} computed, {geometries} energy records"
+        assert result.span_stats["profiles_computed"] == 0
+        assert (f"0 computed, {geometries} energy records"
                 in render_search_summary(result))
+        assert len(result.best_evaluation.estimates) == result.best_group.num_partitions
+        assert evaluator.span_table.stats.profiles_computed == result.best_group.num_partitions
 
     def test_search_results_report_span_stats(self):
         decomposition, validity = shared_decomposition("squeezenet", "M")

@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.baselines import greedy_partition, layerwise_partition
 from repro.isa.scheduler import InstructionScheduler
+from repro.onchip.estimator import PartitionEstimator
 from repro.onchip.plan import build_partition_plan
+from repro.perf import SpanTable
 from repro.sim.report import render_execution_report
 from repro.sim.simulator import ExecutionSimulator
 
@@ -72,21 +74,31 @@ class TestExecutionReport:
 
 
 class TestSimulatorOptions:
-    def test_plans_can_be_supplied(self, resnet18_decomposition_m, chip_m):
+    def test_table_estimates_match_built_plans(self, resnet18_decomposition_m, chip_m):
         d = resnet18_decomposition_m
         group = greedy_partition(d)
-        plans = [build_partition_plan(p, chip_m) for p in group.partitions()]
-        report = ExecutionSimulator(chip_m, batch_size=2).simulate(group, plans=plans)
-        assert report.num_partitions == len(plans)
+        report = ExecutionSimulator(chip_m, batch_size=2).simulate(group)
+        estimator = PartitionEstimator(chip_m)
+        assert report.num_partitions == group.num_partitions
+        for estimate, partition in zip(report.estimates, group.partitions()):
+            expected = estimator.estimate(
+                partition, plan=build_partition_plan(partition, chip_m), batch_size=2
+            )
+            assert estimate.latency_ns == expected.latency_ns
+            assert estimate.energy_pj == expected.energy_pj
+            assert (estimate.plan.single_copy_weight_bytes
+                    == expected.plan.single_copy_weight_bytes)
 
-    def test_plan_count_mismatch_rejected(self, resnet18_decomposition_m, chip_m):
+    def test_explicit_span_table_is_used(self, resnet18_decomposition_m, chip_m):
         d = resnet18_decomposition_m
         group = greedy_partition(d)
-        plans = [build_partition_plan(group.partition(0), chip_m)]
-        if group.num_partitions == 1:
-            pytest.skip("needs more than one partition")
-        with pytest.raises(ValueError):
-            ExecutionSimulator(chip_m, batch_size=2).simulate(group, plans=plans)
+        simulator = ExecutionSimulator(chip_m, batch_size=2)
+        table = SpanTable(d)
+        report = simulator.simulate(group, span_table=table)
+        assert table.stats.estimates_computed == group.num_partitions
+        shared = simulator.simulate(group)
+        assert report.partition_latencies_ns() == shared.partition_latencies_ns()
+        assert report.total_energy_pj == shared.total_energy_pj
 
     def test_dram_trace_replay_populates_stats(self, resnet18_decomposition_m, chip_m):
         d = resnet18_decomposition_m
@@ -94,7 +106,7 @@ class TestSimulatorOptions:
         plans = [build_partition_plan(p, chip_m) for p in group.partitions()]
         schedule = InstructionScheduler(chip_m, batch_size=2).schedule_model(plans)
         report = ExecutionSimulator(chip_m, batch_size=2).simulate(
-            group, plans=plans, dram_trace=schedule.dram_trace()
+            group, dram_trace=schedule.dram_trace()
         )
         assert report.dram_stats is not None
         assert report.dram_stats.num_requests == len(schedule.dram_trace())

@@ -1,12 +1,13 @@
 """Tests for the span-table evaluation engine (repro.perf)."""
 
+import numpy as np
 import pytest
 
 from repro.core.baselines import greedy_partition
 from repro.core.fitness import FitnessEvaluator
 from repro.core.ga import CompassGA, GAConfig
 from repro.hardware.dram import DRAMConfig, LPDDR3_8GB
-from repro.perf import SpanTable, SpanTableStats, span_table_for
+from repro.perf import SpanMatrix, SpanTable, SpanTableStats, span_table_for
 from repro.perf.spantable import stats_delta
 
 
@@ -23,7 +24,11 @@ class TestSpanTable:
         stats = table.stats
         assert stats.profiles_computed == 1
         assert stats.profile_hits == 1
-        assert table.num_spans == 1
+        # the cached profile serves the span's slim record: a hit, no replay
+        assert table.slim_record(0, 2) == (first.weight_replace_ns, first.fill_ns,
+                                           first.bottleneck_ns)
+        stats = table.stats
+        assert (stats.latencies_computed, stats.latency_hits) == (0, 1)
 
     def test_estimate_cached_per_batch(self, table):
         one = table.estimate(0, 2, 1)
@@ -38,10 +43,12 @@ class TestSpanTable:
         assert table.num_estimates == 2
 
     def test_latency_matches_estimate_and_is_counted(self, table):
-        latency = table.latency_ns(0, 2, 4)
+        cell = (np.array([0]), np.array([2]))
+        [latency] = SpanMatrix(table).gather_latency(*cell, 4).tolist()
         assert latency == table.estimate(0, 2, 4).latency_ns
         stats = table.stats
-        assert stats.latencies_computed + stats.latency_hits >= 1
+        assert (stats.latencies_computed, stats.latency_hits) == (1, 0)
+        assert (stats.matrix_fills, stats.matrix_hits) == (1, 0)
 
     def test_estimate_group(self, table, small_cnn_decomposition):
         group = greedy_partition(small_cnn_decomposition)
@@ -50,12 +57,16 @@ class TestSpanTable:
         assert all(e.batch_size == 2 for e in estimates)
 
     def test_stats_as_dict_keys(self, table):
-        table.latency_ns(0, 1, 1)
+        table.slim_record(0, 1)
         data = table.stats.as_dict()
-        for key in ("profiles_computed", "profile_hits", "profile_hit_rate",
-                    "estimates_computed", "estimate_hits", "estimate_hit_rate",
-                    "latencies_computed", "latency_hits", "latency_hit_rate"):
-            assert key in data
+        assert set(data) == {
+            "profiles_computed", "profile_hits", "profile_hit_rate",
+            "estimates_computed", "estimate_hits", "estimate_hit_rate",
+            "latencies_computed", "latency_hits", "latency_hit_rate",
+            "matrix_fills", "matrix_hits", "matrix_hit_rate",
+            "energy_records_computed",
+        }
+        assert data["latencies_computed"] == 1
 
     def test_hit_rates(self):
         stats = SpanTableStats(profiles_computed=1, profile_hits=3,

@@ -19,6 +19,7 @@ from repro.core.partition import Partition, PartitionGroup
 from repro.core.validity import ValidityMap
 from repro.hardware.config import get_chip_config
 from repro.models import build_model
+from repro.onchip.estimator import PartitionEstimator
 from repro.onchip.plan import layer_slices
 from repro.perf import SpanMatrix, span_matrix_for, span_table_for
 from test_perf_equivalence import NaiveFitnessEvaluator, valid_span_arrays
@@ -111,11 +112,18 @@ class TestGeometryGroups:
         assert stats.matrix_fills == len(starts)
         assert stats.latencies_computed == distinct == len(profiled) < len(starts)
         assert stats.latencies_computed + stats.latency_hits == len(requested[0])
-        assert table.num_spans == matrix.num_spans == len(starts)
-        # scalar lookups of scattered cells are slim-record hits
+        assert matrix.num_spans == len(starts)
+        # one-span gathers of scattered cells, as one-group evaluations make
+        # them, are matrix hits that profile nothing and read the cell's own
+        # record
+        estimator = PartitionEstimator(decomposition.chip)
         for start, end in zip(starts[::50].tolist(), ends[::50].tolist()):
-            table.latency_ns(start, end, 4)
-        assert table.stats.latencies_computed == distinct
+            cell = (np.array([start]), np.array([end]))
+            components = tuple(part.item() for part in matrix.gather_components(*cell))
+            assert components == estimator.slim_profile(Partition(decomposition, start, end))
+        stats = table.stats
+        assert stats.latencies_computed == distinct
+        assert stats.matrix_hits == len(starts[::7]) + len(starts[::50])
 
     def test_energy_fill_counters(self):
         decomposition, validity = _pair("resnet18", "S")
@@ -290,6 +298,63 @@ class TestBaselineEvaluations:
         oracle = NaiveFitnessEvaluator(decomposition, batch_size=4)
         for got, group in zip(evaluator.evaluate_many(groups), groups):
             assert got.fitness == oracle.evaluate(group).fitness
+
+
+class TestCounterCrossChecks:
+    """The program's own span counters against call counts taken from
+    outside, as the benchmark's traced run cross-checks them."""
+
+    @pytest.mark.parametrize("edp_first", [False, True], ids=["latency-first", "edp-first"])
+    def test_counters_match_wrapped_calls(self, monkeypatch, edp_first):
+        from repro.core.compiler import CompassCompiler, CompilerOptions
+        from repro.search.dp import DPOptimalSearch
+
+        calls = {"slim_profile": 0, "profile": 0, "cells": 0, "first": 0}
+        seen = {}
+
+        def counting(name):
+            method = getattr(PartitionEstimator, name)
+
+            def counted(self, *args, **kwargs):
+                calls[name] += 1
+                return method(self, *args, **kwargs)
+            return counted
+
+        ensure_spans = SpanMatrix.ensure_spans
+
+        def counted_fill(matrix, starts, ends):
+            calls["cells"] += int(starts.size)
+            cells = seen.setdefault(id(matrix), set())
+            fresh = set(zip(starts.tolist(), ends.tolist())) - cells
+            calls["first"] += len(fresh)
+            cells |= fresh
+            return ensure_spans(matrix, starts, ends)
+
+        monkeypatch.setattr(PartitionEstimator, "slim_profile", counting("slim_profile"))
+        monkeypatch.setattr(PartitionEstimator, "profile", counting("profile"))
+        monkeypatch.setattr(SpanMatrix, "ensure_spans", counted_fill)
+
+        graph = build_model("squeezenet")
+        chip = get_chip_config("S")
+        decomposition = decompose_model(graph, chip)
+        validity = ValidityMap(decomposition)
+        modes = [FitnessMode.LATENCY, FitnessMode.EDP]
+        for mode in reversed(modes) if edp_first else modes:
+            evaluator = FitnessEvaluator(decomposition, batch_size=4, mode=mode)
+            DPOptimalSearch(decomposition, evaluator, validity).run()
+        options = CompilerOptions(batch_size=16, optimizer="anneal",
+                                  optimizer_options={"steps": 100},
+                                  generate_instructions=False)
+        CompassCompiler(chip, options).compile(graph, decomposition, validity)
+
+        stats = span_table_for(decomposition).stats
+        assert stats.energy_records_computed > 0
+        # an energy fill's slim triples leave a later latency fill nothing to profile
+        assert (stats.latencies_computed == 0) == edp_first
+        assert calls["slim_profile"] == stats.latencies_computed
+        assert calls["profile"] == stats.profiles_computed > 0
+        assert calls["cells"] == stats.matrix_fills + stats.matrix_hits
+        assert calls["first"] == stats.matrix_fills == len(valid_span_arrays(validity)[0])
 
 
 class TestEDPMatrices:
