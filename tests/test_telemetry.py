@@ -906,6 +906,129 @@ class TestIncrementalFlush:
 
 
 # ----------------------------------------------------------------------
+# streamed hub counters (pinned to tests/data/hub_counter_stream.json)
+# ----------------------------------------------------------------------
+_HUB_STREAM_PATH = os.path.join(os.path.dirname(__file__), "data",
+                                "hub_counter_stream.json")
+
+
+def _hub_stream_run(scenario, streaming):
+    """Run one counter-heavy scenario with a sink on 2 us windows; returns
+    the counters of every streamed ``hub`` message and the report.
+
+    ``chaos``: open-loop resnet18 on S:2,M:2 under chaos plus a pinned
+    chip failure, with timeouts, one retry, queue-depth shedding and a
+    fine-grained hedging control plane, so all ten event counts move.
+    ``closed``: closed-loop squeezenet clients on a straggling M:3 fleet
+    with the same protections (arrivals come from the client session).
+    """
+    telemetry = TelemetryConfig(timeline_interval_us=2.0,
+                                streaming_percentiles=streaming)
+    if scenario == "chaos":
+        model = "resnet18"
+        fleet = Fleet.from_spec("S:2,M:2")
+        cache = PlanCache(optimizer="dp")
+        cache.warmup((model,), fleet.chip_names, BATCHES)
+        rate = 0.7 * fleet_capacity_rps(cache, fleet, (model,), BATCHES)
+        traffic = PoissonTraffic(model, num_requests=500, seed=5,
+                                 rate_rps=rate)
+        workload = traffic.generate()
+        span_us = 500 / rate * 1e6
+        simulator = ServingSimulator(
+            fleet, cache, policy="latency", batch_sizes=BATCHES,
+            max_wait_us=200.0, switch_cost=True, slos={model: 12.0},
+            faults=[
+                parse_inject(f"chaos@0:seed=7,count=4,"
+                             f"mtbf_us={0.2 * span_us:.0f},"
+                             f"mttr_us={0.04 * span_us:.0f}"),
+                parse_inject(f"chip_fail@{0.4 * span_us:.0f}:chip=0,"
+                             f"until={0.6 * span_us:.0f}"),
+            ],
+            fault_tolerance=FaultTolerance(timeout_us=0.02 * span_us,
+                                           max_retries=1,
+                                           shed_queue_depth=20),
+            control=ControlConfig(interval_us=0.001 * span_us,
+                                  hedge_after_pct=50.0),
+            telemetry=telemetry,
+        )
+    else:
+        model = "squeezenet"
+        fleet = Fleet.from_spec("M:3")
+        cache = PlanCache(optimizer="dp")
+        cache.warmup((model,), fleet.chip_names, (1, 2, 4, 8))
+        traffic = ClosedLoopTraffic(model, num_requests=300, seed=4,
+                                    clients=12, concurrency=2)
+        workload = traffic
+        simulator = ServingSimulator(
+            fleet, cache, policy="fifo", batch_sizes=(1, 2, 4, 8),
+            max_wait_us=100.0,
+            faults=[parse_inject("straggler@0:chip=0,factor=10")],
+            fault_tolerance=FaultTolerance(max_retries=1, timeout_us=800.0,
+                                           shed_queue_depth=10),
+            control=ControlConfig(interval_us=50.0, hedge_after_pct=60.0,
+                                  hedge_min_samples=8),
+            telemetry=telemetry,
+        )
+    hubs = []
+
+    def sink(kind, payload):
+        if kind == "hub":
+            hubs.append(payload["counters"])
+
+    simulator.stream_sink = sink
+    report = simulator.run(workload, traffic_info=traffic.describe())
+    return hubs, report
+
+
+def _hub_stream_capture():
+    """Every case's streamed and final counters, as the fixture stores them."""
+    capture = {}
+    for scenario in ("chaos", "closed"):
+        for mode in ("exact", "streaming"):
+            hubs, report = _hub_stream_run(scenario, mode == "streaming")
+            capture[f"{scenario}-{mode}"] = {
+                "hub": hubs, "final": report.telemetry["counters"]}
+    return capture
+
+
+class TestHubCounterStream:
+    """The hub's event counters, as streamed mid-run and as reported."""
+
+    @pytest.mark.parametrize("mode", ["exact", "streaming"])
+    @pytest.mark.parametrize("scenario", ["chaos", "closed"])
+    def test_streamed_counters_match_fixture(self, scenario, mode):
+        with open(_HUB_STREAM_PATH, "r", encoding="utf-8") as handle:
+            expected = json.load(handle)[f"{scenario}-{mode}"]
+        hubs, report = _hub_stream_run(scenario, mode == "streaming")
+        final = report.telemetry["counters"]
+        assert hubs == expected["hub"]
+        assert final == expected["final"]
+        assert len(hubs) >= 2
+        # the counters agree with the report's own figures
+        assert final["arrivals"] == report.num_requests
+        assert final["completions"] == report.completed
+        for name in ("shed", "timeouts", "lost", "retries", "failures"):
+            assert final.get(name, 0) == getattr(report, name), name
+        assert final.get("hedge_dispatches", 0) == report.control["hedges"]
+        # names come sorted, zero counts are absent, and no count ever
+        # decreases from one read to the next
+        previous = {}
+        for counters in hubs + [final]:
+            assert list(counters) == sorted(counters)
+            assert all(value > 0 for value in counters.values())
+            for name, value in previous.items():
+                assert counters.get(name, 0) >= value, name
+            previous = counters
+
+    def test_chaos_case_moves_every_count(self):
+        with open(_HUB_STREAM_PATH, "r", encoding="utf-8") as handle:
+            final = json.load(handle)["chaos-exact"]["final"]
+        assert sorted(final) == sorted((
+            "arrivals", "completions", "dispatches", "hedge_dispatches",
+            "shed", "retries", "timeouts", "lost", "failures", "recoveries"))
+
+
+# ----------------------------------------------------------------------
 # per-window conservation under the hardest accounting regime
 # ----------------------------------------------------------------------
 class TestWindowConservation:
