@@ -6,7 +6,7 @@ One headliner rides with the quick-bench set:
   sink attached and a fine 500 µs window, so completed timeline windows
   flush incrementally mid-run (the observatory's hot path: provably-final
   window detection at every boundary sample, per-window rendering, hub
-  peeks) instead of folding once at the end of the run.  Asserts the
+  snapshots) instead of folding once at the end of the run.  Asserts the
   incremental-flush path stays within 10% of the batch-fold twin,
   measured in CPU time over alternating batch/stream pairs so scheduler
   noise hits both sides equally — streaming only changes *when* windows

@@ -143,6 +143,11 @@ class DRAMModel:
 
     def __init__(self, config: DRAMConfig = LPDDR3_8GB) -> None:
         self.config = config
+        # the closed forms below run once per span estimate; the config is
+        # frozen, so its burst geometry is read once here
+        self._burst_bytes = config.bytes_per_burst
+        self._burst_time_ns = (config.burst_time_ns
+                               * (1.0 + config.t_refresh_overhead))
         # open row per (channel, bank); None means the bank is precharged
         self._open_rows: Dict[Tuple[int, int], Optional[int]] = {}
         # time at which each channel's data bus becomes free
@@ -254,8 +259,8 @@ class DRAMModel:
         if num_bytes <= 0:
             return 0.0
         cfg = self.config
-        bursts = (num_bytes + cfg.bytes_per_burst - 1) // cfg.bytes_per_burst
-        burst_time = cfg.burst_time_ns * (1.0 + cfg.t_refresh_overhead)
+        burst_bytes = self._burst_bytes
+        bursts = (num_bytes + burst_bytes - 1) // burst_bytes
         if sequential:
             rows = (num_bytes + cfg.row_size_bytes - 1) // cfg.row_size_bytes
             activations = rows
@@ -269,7 +274,7 @@ class DRAMModel:
         return (
             cfg.t_rcd_ns
             + cfg.t_cas_ns
-            + bursts * burst_time
+            + bursts * self._burst_time_ns
             + activation_time * overlap_residual
         )
 
@@ -279,7 +284,8 @@ class DRAMModel:
             return 0.0
         cfg = self.config
         rows = (num_bytes + cfg.row_size_bytes - 1) // cfg.row_size_bytes
-        bursts = (num_bytes + cfg.bytes_per_burst - 1) // cfg.bytes_per_burst
+        burst_bytes = self._burst_bytes
+        bursts = (num_bytes + burst_bytes - 1) // burst_bytes
         activations = rows if sequential else bursts
         per_byte = cfg.e_write_per_byte_pj if is_write else cfg.e_read_per_byte_pj
         return activations * (cfg.e_activate_pj + cfg.e_precharge_pj) + num_bytes * per_byte

@@ -589,7 +589,8 @@ class _RunState:
         #: the passive telemetry session (None when every knob is off, so
         #: the hot path pays a single `is not None` check per hook site)
         tele = (
-            TelemetrySession(sim.telemetry, slo_models=sorted(sim.slos))
+            TelemetrySession(sim.telemetry, slo_models=sorted(sim.slos),
+                             counters=self.event_counters)
             if sim.telemetry.active else None
         )
         sim.telemetry_session = tele
@@ -670,8 +671,11 @@ class _RunState:
         self.origins: Dict[int, float] = {}
         #: running [attained, completed] per SLO model (degradation trigger)
         self.slo_running: Dict[str, List[int]] = {}
+        #: event counts — the report's fate fields, and what the
+        #: telemetry hub reads through :meth:`event_counters`
         self.failures = self.retries = self.timeouts = 0
         self.shed = self.lost = self.degraded = 0
+        self.dispatches = self.recoveries = 0
 
         # hedging state (all of it empty unless the controller hedges):
         # request id -> chip its hedge copy is flying on; ids with a live
@@ -768,6 +772,27 @@ class _RunState:
             view = self.view = (pricing_classes(idle)
                                 if self.policy.ranks_by_price else idle)
         return view
+
+    def event_counters(self) -> Dict[str, int]:
+        """The run's event counts by name, read at each hub snapshot.
+
+        Arrivals, completions and hedge copies are derived from state the
+        run keeps anyway; the rest are this run's own counters.
+        """
+        return {
+            "arrivals": self.expected - sum(self.remaining.values()),
+            "completions": (self.tele.latency_hist.count if self.streaming
+                            else len(self.latencies)),
+            "dispatches": self.dispatches,
+            "hedge_dispatches": (self.ctrl.hedges if self.ctrl is not None
+                                 else 0),
+            "shed": self.shed,
+            "retries": self.retries,
+            "timeouts": self.timeouts,
+            "lost": self.lost,
+            "failures": self.failures,
+            "recoveries": self.recoveries,
+        }
 
     def fault_gauges(self) -> Dict[str, object]:
         return {name: getattr(self, name)
@@ -909,6 +934,7 @@ class _RunState:
                 self.retry_or_lose(request, now)
         elif action == ACTION_RECOVER:
             if not worker.up:
+                self.recoveries += 1
                 if tele is not None:
                     tele.fault(now, "recover", chip)
                 worker.up = True
@@ -1212,6 +1238,8 @@ class _RunState:
         worker.busy_until_ns = completion
         self.chips_changed()
         self.push(completion, _EVENT_FREE, worker.index, worker.index)
+        if not hedge:
+            self.dispatches += 1
         if self.tele is not None:
             self.tele.dispatch(now, requests, worker, model, batch,
                                completion, switched, hedge=hedge)

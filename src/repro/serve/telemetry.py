@@ -7,11 +7,11 @@ until the run ends.  This module adds a **passive observability layer** —
 four pieces, all pure observers of the simulator's deterministic event
 order (they read state, never change it, and consume no randomness):
 
-* **Metrics registry** — :class:`Telemetry`, one hub of named counters,
-  gauge *sources* (callables returning a stats dictionary, e.g.
-  ``PlanCacheStats.as_dict`` or the fleet's occupancy/energy totals) and
-  :class:`LogLinearHistogram` histograms, snapshot-able at any instant in
-  the :class:`~repro.perf.spantable.SpanTableStats` counter style.
+* **Metrics registry** — :class:`Telemetry`, one hub that reads the
+  run's event counts and gauge *sources* (callables returning a stats
+  dictionary, e.g. ``PlanCacheStats.as_dict`` or the fleet's totals) and
+  keeps :class:`LogLinearHistogram` histograms, snapshot-able at any
+  instant in the :class:`~repro.perf.spantable.SpanTableStats` style.
 * **Metrics timeline** — :class:`TimelineAccumulator` buckets every
   arrival/completion/fault/control observation into fixed windows of
   ``timeline_interval_us`` and renders one row per window: throughput,
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from bisect import bisect_left
 from dataclasses import asdict, dataclass
 from itertools import accumulate
@@ -240,29 +239,24 @@ class LogLinearHistogram:
 # metrics registry
 # ----------------------------------------------------------------------
 class Telemetry:
-    """One hub of named counters, gauge sources and histograms.
+    """One hub of event counts, gauge sources and histograms.
 
     Existing stat surfaces *register* rather than being re-implemented: a
     gauge source is any zero-argument callable returning a dictionary of
     numbers (``PlanCacheStats.as_dict``, a fleet occupancy/energy lambda,
     the controller's counter view, ...) evaluated lazily at
-    :meth:`snapshot` time.  Counters are plain monotonic integers;
-    histograms are :class:`LogLinearHistogram` created on first use.  Snapshots
-    are deterministic: every mapping is emitted in sorted-key order.
+    :meth:`snapshot` time.  ``counters`` is one more such callable — the
+    run's monotonic event counts by name, which the hub reads rather than
+    keeps; histograms are :class:`LogLinearHistogram` created on first
+    use.  Snapshots are deterministic: every mapping is emitted in
+    sorted-key order, and zero counts are left out.
     """
 
-    def __init__(self) -> None:
-        self._counters: Dict[str, int] = {}
+    def __init__(self,
+                 counters: Callable[[], Dict[str, int]] = dict) -> None:
+        self._read_counters = counters
         self._sources: Dict[str, Callable[[], Dict[str, object]]] = {}
         self._histograms: Dict[str, LogLinearHistogram] = {}
-
-    def inc(self, name: str, delta: int = 1) -> None:
-        """Increment the named counter (created at zero on first use)."""
-        self._counters[name] = self._counters.get(name, 0) + delta
-
-    def counter(self, name: str) -> int:
-        """Current value of the named counter (0 if never incremented)."""
-        return self._counters.get(name, 0)
 
     def register_source(self, name: str,
                         source: Callable[[], Dict[str, object]]) -> None:
@@ -278,9 +272,10 @@ class Telemetry:
 
     def snapshot(self) -> Dict[str, object]:
         """Instantaneous view of every registered surface (sorted keys)."""
+        counts = self._read_counters()
         return {
-            "counters": {name: self._counters[name]
-                         for name in sorted(self._counters)},
+            "counters": {name: counts[name]
+                         for name in sorted(counts) if counts[name]},
             "gauges": {name: dict(self._sources[name]())
                        for name in sorted(self._sources)},
             "histograms": {name: self._histograms[name].as_dict()
@@ -325,9 +320,9 @@ CONTROL_COUNTERS = ("quarantines", "readmissions", "hedges",
 FLUSH_EVERY_BOUNDARIES = 32
 
 #: stream a hub snapshot alongside every K-th mid-run window flush — a
-#: peek materialises every gauge source and histogram, which on fine
+#: snapshot materialises every gauge source and histogram, which on fine
 #: timeline windows would dwarf the flush itself if paid per batch
-_HUB_PEEK_EVERY = 16
+_HUB_SNAPSHOT_EVERY = 16
 
 
 def _sorted_midpoints(samples: List[float], count: int) -> List[float]:
@@ -819,9 +814,11 @@ class TelemetrySession:
     """
 
     def __init__(self, config: TelemetryConfig,
-                 slo_models: Sequence[str] = ()) -> None:
+                 slo_models: Sequence[str] = (),
+                 counters: Callable[[], Dict[str, int]] = dict) -> None:
         self.config = config
-        self.hub = Telemetry()
+        #: the hub reads ``counters``, the run's event counts, per snapshot
+        self.hub = Telemetry(counters)
         self.timeline = (
             TimelineAccumulator(config.timeline_interval_us * 1e3,
                                 slo_models=slo_models)
@@ -852,34 +849,15 @@ class TelemetrySession:
                               if self.timeline is not None else None)
         self._note_completion = (self.timeline.completion_notes.append
                                  if self.timeline is not None else None)
-        # event counters are plain attributes, not hub.inc() calls — the
-        # hooks fire once per event and an attribute increment is ~3x
-        # cheaper than a dict-backed counter bump; snapshot() materialises
-        # them into the hub, where they are indistinguishable from live
-        # increments
-        self._n_arrivals = 0
-        self._n_completions = 0
-        self._n_dispatches = 0
-        self._n_hedge_dispatches = 0
-        self._n_shed = 0
-        self._n_retries = 0
-        self._n_timeouts = 0
-        self._n_lost = 0
-        self._n_failures = 0
-        self._n_recoveries = 0
         #: live-stream sink — the simulator attaches a callable
         #: ``sink(kind, payload)`` when an observatory is watching the
         #: run; completed windows, fault events and hub snapshots are
         #: pushed through it mid-run.  ``None`` (the default) keeps the
         #: pure batch end-of-run path.
         self.sink: Optional[Callable[[str, Dict[str, object]], None]] = None
-        #: flush batches streamed so far — hub peeks ride along every
-        #: :data:`_HUB_PEEK_EVERY`-th batch (see :meth:`flush_stream`)
+        #: flush batches streamed so far — hub snapshots ride along every
+        #: :data:`_HUB_SNAPSHOT_EVERY`-th batch (see :meth:`flush_stream`)
         self._flush_batches = 0
-        # snapshot() drains the attribute counters into the hub while
-        # peek() merges them without draining; the lock keeps a hub read
-        # from another thread from seeing a half-drained state
-        self._counter_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def start(self, origin_ns: float) -> None:
@@ -891,16 +869,13 @@ class TelemetrySession:
 
     # --- observer hooks (called by the simulator's event sites) --------
     def arrival(self, ts_ns: float, request) -> None:
-        if request.attempt == 0:
-            self._n_arrivals += 1
-            if self._note_arrival is not None:
-                self._note_arrival(ts_ns)
+        if request.attempt == 0 and self._note_arrival is not None:
+            self._note_arrival(ts_ns)
         if self._trace_every and request.request_id % self._trace_every == 0:
             self.tracer.begin_queue(request.request_id, request.attempt,
                                     ts_ns, request.model)
 
     def shed(self, ts_ns: float, request) -> None:
-        self._n_shed += 1
         if self.timeline is not None:
             self.timeline.note_shed(ts_ns)
         if self.tracer is not None:
@@ -908,7 +883,6 @@ class TelemetrySession:
                                   ts_ns, "shed")
 
     def retry(self, ts_ns: float, request) -> None:
-        self._n_retries += 1
         if self.timeline is not None:
             self.timeline.note_retry(ts_ns)
         if self.tracer is not None:
@@ -922,22 +896,16 @@ class TelemetrySession:
                                   ts_ns, outcome)
 
     def timeout(self, ts_ns: float, request) -> None:
-        self._n_timeouts += 1
         if self.timeline is not None:
             self.timeline.note_timeout(ts_ns)
 
     def lost(self, ts_ns: float, request) -> None:
-        self._n_lost += 1
         if self.timeline is not None:
             self.timeline.note_lost(ts_ns)
         if self.tracer is not None:
             self.tracer.instant(request.request_id, ts_ns, "lost", {})
 
     def fault(self, ts_ns: float, action: str, chip_index: int) -> None:
-        if action == "recover":
-            self._n_recoveries += 1
-        else:
-            self._n_failures += 1
         if self.timeline is not None:
             self.timeline.note_fault(ts_ns, action)
         if self.sink is not None:
@@ -947,10 +915,6 @@ class TelemetrySession:
     def dispatch(self, ts_ns: float, requests, worker, model: str,
                  batch: int, completion_ns: float, switched: bool,
                  hedge: bool = False) -> None:
-        if hedge:
-            self._n_hedge_dispatches += 1
-        else:
-            self._n_dispatches += 1
         every = self._trace_every
         if every:
             # the args dict is only built once a sampled rider turns up —
@@ -981,7 +945,6 @@ class TelemetrySession:
     def completion(self, ts_ns: float, request, latency_ns: float,
                    wait_ns: float, slo_ok: Optional[bool], worker) -> None:
         """One request completed end to end (counted exactly once)."""
-        self._n_completions += 1
         if self._live_hists:
             self.latency_hist.add(latency_ns)
             self.wait_hist.add(wait_ns)
@@ -1019,7 +982,7 @@ class TelemetrySession:
 
     # ------------------------------------------------------------------
     def flush_stream(self, end_floor_ns: float) -> None:
-        """Render every newly-final window; push them (and a hub peek)
+        """Render every newly-final window; push them (and a hub snapshot)
         through the sink when one is attached.
 
         Called by the simulator at boundary-sample time when a sink is
@@ -1043,13 +1006,13 @@ class TelemetrySession:
             return
         for row in flushed:
             sink("window", row)
-        # a hub peek walks every gauge source and histogram — per flush
-        # batch that would cost more than the flush itself on fine
-        # windows, so peeks ride along every K-th batch (the first one
+        # a hub snapshot walks every gauge source and histogram — per
+        # flush batch that would cost more than the flush itself on fine
+        # windows, so snapshots ride along every K-th batch (the first one
         # immediately, so a watcher sees counters as soon as windows
         # flow; the report's telemetry block supplies the final state)
-        if self._flush_batches % _HUB_PEEK_EVERY == 0:
-            sink("hub", self.peek())
+        if self._flush_batches % _HUB_SNAPSHOT_EVERY == 0:
+            sink("hub", self.snapshot())
         self._flush_batches += 1
 
     def finish(self, end_ns: float, queue_depth: int, utilisation: float,
@@ -1083,54 +1046,14 @@ class TelemetrySession:
         self.latency_hist.extend(latencies)
         self.wait_hist.extend(waits)
 
-    def _event_counter_items(self) -> Tuple[Tuple[str, int], ...]:
-        return (
-            ("arrivals", self._n_arrivals),
-            ("completions", self._n_completions),
-            ("dispatches", self._n_dispatches),
-            ("hedge_dispatches", self._n_hedge_dispatches),
-            ("shed", self._n_shed),
-            ("retries", self._n_retries),
-            ("timeouts", self._n_timeouts),
-            ("lost", self._n_lost),
-            ("failures", self._n_failures),
-            ("recoveries", self._n_recoveries),
-        )
-
     def snapshot(self) -> Dict[str, object]:
-        """The report's ``telemetry`` block: hub snapshot + config echo."""
-        # drain the attribute-backed event counters into the hub so the
-        # snapshot (and any later hub read) sees them; draining keeps a
-        # second snapshot() call from double-counting
-        with self._counter_lock:
-            counters = self.hub._counters
-            for name, value in self._event_counter_items():
-                if value:
-                    counters[name] = counters.get(name, 0) + value
-            self._n_arrivals = self._n_completions = 0
-            self._n_dispatches = self._n_hedge_dispatches = 0
-            self._n_shed = self._n_retries = self._n_timeouts = 0
-            self._n_lost = self._n_failures = self._n_recoveries = 0
-            snap = self.hub.snapshot()
-        snap["config"] = asdict(self.config)
-        return snap
+        """The hub snapshot plus a config echo: the report's ``telemetry``
+        block at the end of the run, and a ``hub`` stream message mid-run.
 
-    def peek(self) -> Dict[str, object]:
-        """Non-destructive mid-run hub view (same shape as :meth:`snapshot`).
-
-        The attribute-backed event counters are merged into the snapshot
-        *copy* instead of drained into the hub, so a later ``snapshot()``
-        (or another ``peek()``) never double-counts.
+        Only the simulation thread calls this (the report, and
+        :meth:`flush_stream` through the sink); other threads only ever
+        see the fresh dict it returns.
         """
-        with self._counter_lock:
-            snap = self.hub.snapshot()
-            counters = snap["counters"]
-            for name, value in self._event_counter_items():
-                if value:
-                    counters[name] = counters.get(name, 0) + value
-        # merged names may be new — re-emit in sorted order to keep the
-        # hub's deterministic-snapshot contract
-        snap["counters"] = {name: counters[name]
-                            for name in sorted(counters)}
+        snap = self.hub.snapshot()
         snap["config"] = asdict(self.config)
         return snap

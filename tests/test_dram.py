@@ -169,3 +169,51 @@ class TestClosedFormHelpers:
         ]
         stats = DRAMModel().process_trace(trace)
         assert closed == pytest.approx(stats.finish_time_ns, rel=1.0)
+
+
+def _bulk_latency_oracle(cfg, num_bytes, sequential):
+    """The bulk-transfer latency written against the config's properties."""
+    if num_bytes <= 0:
+        return 0.0
+    bursts = (num_bytes + cfg.bytes_per_burst - 1) // cfg.bytes_per_burst
+    burst_time = cfg.burst_time_ns * (1.0 + cfg.t_refresh_overhead)
+    rows = (num_bytes + cfg.row_size_bytes - 1) // cfg.row_size_bytes
+    activations = rows if sequential else bursts
+    activation_time = activations * (cfg.t_rp_ns + cfg.t_rcd_ns)
+    return (cfg.t_rcd_ns + cfg.t_cas_ns + bursts * burst_time
+            + activation_time * 0.15)
+
+
+def _bulk_energy_oracle(cfg, num_bytes, is_write, sequential):
+    """The bulk-transfer energy written against the config's properties."""
+    if num_bytes <= 0:
+        return 0.0
+    rows = (num_bytes + cfg.row_size_bytes - 1) // cfg.row_size_bytes
+    bursts = (num_bytes + cfg.bytes_per_burst - 1) // cfg.bytes_per_burst
+    activations = rows if sequential else bursts
+    per_byte = cfg.e_write_per_byte_pj if is_write else cfg.e_read_per_byte_pj
+    return (activations * (cfg.e_activate_pj + cfg.e_precharge_pj)
+            + num_bytes * per_byte)
+
+
+class TestCachedBurstGeometry:
+    """The closed forms read the burst geometry cached at construction;
+    they stay bit-equal to the config's property expressions."""
+
+    @pytest.mark.parametrize("factor", [1.0, 1.7, 3.0])
+    def test_bulk_transfer_bit_equal_to_properties(self, factor):
+        from repro.serve.plans import degraded_dram
+
+        cfg = degraded_dram(LPDDR3_8GB, factor)
+        model = DRAMModel(cfg)
+        sizes = list(range(-1, 300)) + [
+            (1 << shift) + delta for shift in range(9, 27, 3)
+            for delta in (-1, 0, 1)]
+        for size in sizes:
+            for sequential in (True, False):
+                assert model.bulk_transfer_latency_ns(size, sequential) == \
+                    _bulk_latency_oracle(cfg, size, sequential), size
+                for is_write in (True, False):
+                    assert model.bulk_transfer_energy_pj(
+                        size, is_write, sequential) == _bulk_energy_oracle(
+                            cfg, size, is_write, sequential), size

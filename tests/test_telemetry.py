@@ -217,20 +217,23 @@ class TestLogLinearHistogram:
 # ----------------------------------------------------------------------
 class TestTelemetryHub:
     def test_counters_sources_histograms_snapshot(self):
-        hub = Telemetry()
-        hub.inc("b")
-        hub.inc("a", 2)
-        hub.inc("a")
+        counts = {"b": 1, "a": 3, "never": 0}
+        hub = Telemetry(lambda: dict(counts))
         hub.register_source("gauges_z", lambda: {"x": 1})
         hub.register_source("gauges_a", lambda: {"y": 2.5})
         hub.histogram("lat").add(12.0)
         snap = hub.snapshot()
+        # sorted names, zero counts omitted
         assert snap["counters"] == {"a": 3, "b": 1}
         assert list(snap["counters"]) == ["a", "b"]
         assert list(snap["gauges"]) == ["gauges_a", "gauges_z"]
         assert snap["histograms"]["lat"]["count"] == 1
-        assert hub.counter("a") == 3
-        assert hub.counter("never") == 0
+        # the counts are read at snapshot time, not when the hub was built
+        counts["never"] = 2
+        counts["a"] = 5
+        assert hub.snapshot()["counters"] == {"a": 5, "b": 1, "never": 2}
+        # without a counts callable the block is empty
+        assert Telemetry().snapshot()["counters"] == {}
 
     def test_sources_are_lazy(self):
         hub = Telemetry()
