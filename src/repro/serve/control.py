@@ -267,6 +267,8 @@ class Controller:
         self.lat_sorted: List[float] = []
         #: 0/1 SLO outcomes of recent completions — autoscale signal
         self.slo_window: Deque[int] = deque(maxlen=config.window)
+        #: ``sum(slo_window)``, kept as samples enter and leave
+        self.slo_hits = 0
         #: models of recent dispatches — re-placement traffic weights
         self.model_window: Deque[str] = deque(maxlen=config.window)
         #: batch sizes of recent dispatches per model — re-placement batch
@@ -295,11 +297,6 @@ class Controller:
         if health is None:
             health = self.health[index] = _ChipHealth()
         return health
-
-    def available(self, worker: ChipWorker) -> bool:
-        """Whether the controller lets this chip take dispatches."""
-        return (worker.index not in self.blocked
-                and worker.index not in self.retired)
 
     def note_dispatch(self, index: int, model: str, batch: int,
                       completion_ns: float, epoch: int = 0) -> None:
@@ -331,7 +328,12 @@ class Controller:
         window.append(latency_ns)
         insort(lat_sorted, latency_ns)
         if slo_ok is not None:
-            self.slo_window.append(1 if slo_ok else 0)
+            hit = 1 if slo_ok else 0
+            slo_window = self.slo_window
+            if len(slo_window) == slo_window.maxlen:
+                self.slo_hits -= slo_window[0]  # evicted by the append
+            slo_window.append(hit)
+            self.slo_hits += hit
 
     # --- decisions (called at every CONTROL tick) ----------------------
     def _quarantine(self, index: int, now: float, genuine: bool) -> None:
@@ -356,26 +358,32 @@ class Controller:
 
         Ground truth (``worker.up``, ``latency_factor``) is read *only* to
         score a detection as true/false positive — the detection signals
-        themselves are the controller's own observations.
+        themselves are the controller's own observations.  A chip with no
+        health record yet (never dispatched to) has nothing to assess.
         """
         changed = False
+        healths = self.health
+        blocked, retired = self.blocked, self.retired
         ratios = sorted(
             health.ratio_ema
-            for index, health in self.health.items()
-            if health.ratio_ema is not None and index not in self.retired
+            for index, health in healths.items()
+            if health.ratio_ema is not None and index not in retired
         )
         median_ratio = nearest_rank_percentile(ratios, 50) if ratios else None
+        suspect_above = (self.config.straggler_ratio * median_ratio
+                         if median_ratio is not None and median_ratio > 0
+                         else None)
         for worker in workers:
             index = worker.index
-            if index in self.retired:
+            health = healths.get(index)
+            if health is None or index in retired:
                 continue
-            health = self.health_for(index)
-            if index in self.blocked:
+            if index in blocked:
                 # re-admission probation: the chip must be up again and
                 # have served its (flap-damped) quarantine
                 if (health.quarantined_until is not None
                         and now >= health.quarantined_until and worker.up):
-                    self.blocked.discard(index)
+                    blocked.discard(index)
                     health.quarantined_until = None
                     health.ratio_ema = None  # fresh start on probation
                     health.strikes = 0
@@ -393,10 +401,8 @@ class Controller:
                 continue
             # straggler suspicion: service ratio EMA far above the fleet
             # median, for quarantine_after consecutive ticks
-            if (median_ratio is not None and median_ratio > 0
-                    and health.ratio_ema is not None
-                    and health.ratio_ema
-                    > self.config.straggler_ratio * median_ratio):
+            if (suspect_above is not None and health.ratio_ema is not None
+                    and health.ratio_ema > suspect_above):
                 health.strikes += 1
                 if health.strikes >= self.config.quarantine_after:
                     genuine = (worker.latency_factor > 1.0
@@ -410,11 +416,16 @@ class Controller:
     def update_utilisation(self, now: float,
                            workers: Sequence[ChipWorker]) -> None:
         """Fold one busy-fraction sample of the available chips in."""
-        available = [w for w in workers if self.available(w) and w.up]
+        blocked, retired = self.blocked, self.retired
+        available = busy = 0
+        for w in workers:
+            if w.up and w.index not in blocked and w.index not in retired:
+                available += 1
+                if w.busy_until_ns > now:
+                    busy += 1
         if not available:
             return
-        busy = sum(1 for w in available if w.busy_until_ns > now)
-        sample = busy / len(available)
+        sample = busy / available
         self.util_ema = (
             sample if self.util_ema is None
             else _HEALTH_ALPHA * sample + (1.0 - _HEALTH_ALPHA) * self.util_ema
@@ -432,30 +443,33 @@ class Controller:
         """Windowed SLO attainment (``None`` without samples)."""
         if not self.slo_window:
             return None
-        return sum(self.slo_window) / len(self.slo_window)
+        return self.slo_hits / len(self.slo_window)
 
     def scale_decision(self, now: float, workers: Sequence[ChipWorker],
                        queued: int) -> int:
         """+1 to grow, -1 to shrink, 0 to hold (bounds + cooldown aware)."""
         cfg = self.config
-        if not cfg.autoscale:
-            return 0
-        active = [w for w in workers if w.index not in self.retired]
-        available = [w for w in active if w.up and w.index not in self.blocked]
         cooled = (self.last_scale_ns is None
                   or now - self.last_scale_ns >= cfg.cooldown_us * 1e3)
-        if not cooled:
+        if not cfg.autoscale or not cooled:
             return 0
-        if len(active) < cfg.max_chips:
+        blocked, retired = self.blocked, self.retired
+        active = available = 0
+        for w in workers:
+            if w.index not in retired:
+                active += 1
+                if w.up and w.index not in blocked:
+                    available += 1
+        if active < cfg.max_chips:
             if queued > 0 and not available:
                 return +1  # nothing can serve: emergency capacity
             attainment = self.attainment()
             if attainment is not None and attainment < cfg.scale_up_below \
                     and queued > 0:
                 return +1
-            if available and queued / len(available) > cfg.scale_up_depth:
+            if available and queued / available > cfg.scale_up_depth:
                 return +1
-        if len(active) > cfg.min_chips and queued == 0 and available:
+        if active > cfg.min_chips and queued == 0 and available:
             attainment = self.attainment()
             if (self.util_ema is not None
                     and self.util_ema < cfg.scale_down_util

@@ -66,10 +66,13 @@ def is_plan_switch(plan: "CompiledPlan", worker: "ChipWorker",
     (:func:`service_latency_ns`) and the per-chip switch counters, so the
     two can never drift apart.  The first dispatch on a freshly reset
     worker is not a switch — the prewarmed deployment staged its weights
-    alongside the plan-cache warmup.
+    alongside the plan-cache warmup.  A warm re-dispatch usually holds
+    the very key object it compares against, so identity is tested before
+    the field-by-field equality.
     """
-    return (switch_cost and worker.loaded_plan is not None
-            and worker.loaded_plan != plan.key)
+    loaded = worker.loaded_plan
+    return (switch_cost and loaded is not None and loaded is not plan.key
+            and loaded != plan.key)
 
 
 def service_latency_ns(plan: "CompiledPlan", worker: "ChipWorker",

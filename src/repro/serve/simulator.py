@@ -597,6 +597,10 @@ class _RunState:
         if tele is not None and sim.stream_sink is not None:
             tele.sink = sim.stream_sink
         self.tele = tele
+        #: the dispatch hook only records traced service spans, so an
+        #: untraced run skips the call
+        self.tele_dispatch = (tele.dispatch if tele is not None
+                              and tele.tracer is not None else None)
         #: under --streaming-percentiles the report reads the telemetry
         #: hub's sketches and no latency/wait samples are stored
         self.streaming = tele is not None and tele.config.streaming_percentiles
@@ -733,9 +737,11 @@ class _RunState:
         """
         inflight = self.inflight
         ctrl = self.ctrl
+        blocked, retired = ((ctrl.blocked, ctrl.retired) if ctrl is not None
+                            else ((), ()))
         return [w for w in self.workers
                 if w.busy_until_ns <= now and w.up and w.index not in inflight
-                and (ctrl is None or ctrl.available(w))]
+                and w.index not in blocked and w.index not in retired]
 
     # --- dispatch view --------------------------------------------------
     def chips_changed(self) -> None:
@@ -1054,14 +1060,12 @@ class _RunState:
         # external events (the tick's own event is popped, so the whole
         # heap is external) or in-flight work still coming, or a queue that
         # quarantined/scalable capacity could yet serve.  A finished run
-        # must not be kept alive by its own control ticks.
-        has_external = len(self.events) > 0
-        blocked_live = any(w.up and w.index in ctrl.blocked for w in workers)
-        can_grow = (self.control.autoscale
-                    and len(workers) - len(ctrl.retired)
-                    < self.control.max_chips)
-        if has_external or self.inflight or (
-                self.depth > 0 and (blocked_live or can_grow)):
+        # must not be kept alive by its own control ticks.  The tests run
+        # cheapest first; none has side effects.
+        if self.events or self.inflight or (self.depth > 0 and (
+                any(w.up and w.index in ctrl.blocked for w in workers)
+                or (self.control.autoscale and len(workers) - len(ctrl.retired)
+                    < self.control.max_chips))):
             self.push(now + self.interval_ns, _EVENT_CONTROL, 0, None)
 
     # --- request fates --------------------------------------------------
@@ -1136,7 +1140,16 @@ class _RunState:
 
     # --- batches --------------------------------------------------------
     def try_dispatch(self, now: float) -> None:
-        """Dispatch greedily while an idle chip and a ready queue exist."""
+        """Dispatch greedily while an idle chip and a ready queue exist.
+
+        Returns first thing when nothing is queued or the held dispatch
+        view is empty: by the :meth:`chips_changed` contract an empty view
+        stays empty until the next invalidation, so no chip can take a
+        batch.  Most calls end here (every event calls this, and most
+        events find every chip busy).
+        """
+        if not self.depth or self.view == []:
+            return
         queues = self.queues
         batcher = self.batcher
         forced = self.forced
@@ -1240,9 +1253,9 @@ class _RunState:
         self.push(completion, _EVENT_FREE, worker.index, worker.index)
         if not hedge:
             self.dispatches += 1
-        if self.tele is not None:
-            self.tele.dispatch(now, requests, worker, model, batch,
-                               completion, switched, hedge=hedge)
+        if self.tele_dispatch is not None:
+            self.tele_dispatch(now, requests, worker, model, batch,
+                               completion, switched, hedge)
         nominal_ns = 0.0
         if self.ctrl is not None:
             # ratio baseline: the *healthy-chip* price of this dispatch,
@@ -1376,7 +1389,12 @@ class _RunState:
         hedge is a single-request batch on an idle chip; whichever copy
         completes first is counted, the loser is cancelled if still queued
         or finishes uncounted.
+
+        Returns at once when no chip is idle: every hedge would then fail
+        to launch, and eligibility checks have no side effects.
         """
+        if not self.candidates(now):
+            return
         inflight = self.inflight
         for index in sorted(inflight):
             record = inflight[index]

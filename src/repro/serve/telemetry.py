@@ -164,9 +164,11 @@ class LogLinearHistogram:
         self.total = 0.0
         self.max = 0.0
 
-    def add(self, value: float) -> None:
-        """Fold one sample into its bucket."""
-        key = _bucket_key(value)
+    def add(self, value: float, key: Optional[int] = None) -> None:
+        """Fold one sample into its bucket (``key``: its known
+        :func:`_bucket_key`, when the caller already computed it)."""
+        if key is None:
+            key = _bucket_key(value)
         bins = self._bins
         bins[key] = bins.get(key, 0) + 1
         self.count += 1
@@ -189,8 +191,11 @@ class LogLinearHistogram:
         keys[~(samples > 0.0)] = _ZERO_KEY
         uniques, counts = np.unique(keys, return_counts=True)
         bins = self._bins
-        for key, n in zip(uniques.tolist(), counts.tolist()):
-            bins[key] = bins.get(key, 0) + n
+        if bins:
+            for key, n in zip(uniques.tolist(), counts.tolist()):
+                bins[key] = bins.get(key, 0) + n
+        else:  # the exact-mode end-of-run fold starts from no bins
+            bins.update(zip(uniques.tolist(), counts.tolist()))
         self.count += int(samples.size)
         self.total += float(samples.sum())
         self.max = max(self.max, float(samples.max()))
@@ -325,16 +330,28 @@ FLUSH_EVERY_BOUNDARIES = 32
 _HUB_SNAPSHOT_EVERY = 16
 
 
+#: a timeline row's percentiles as nearest-rank fractions (``q / 100.0``)
+_ROW_FRACTIONS = (0.5, 0.95, 0.99)
+
+
 def _sorted_midpoints(samples: List[float], count: int) -> List[float]:
     """A timeline row's p50/p95/p99 of ``count`` ``samples`` (sorted in
     place): the :class:`LogLinearHistogram` answer, the midpoint of the
     bucket of each nearest-rank sample — bucket keys grow with the value,
-    so the bucket holding the rank-th sample is the rank-th bucket."""
+    so the bucket holding the rank-th sample is the rank-th bucket.  The
+    midpoint is ``_bucket_point(_bucket_key(value), 1)`` with the key's
+    sub-bucket and exponent left unpacked."""
     samples.sort()
     points = []
-    for q in (50.0, 95.0, 99.0):
-        value = samples[max(1, math.ceil(q / 100.0 * count)) - 1]
-        points.append(_bucket_point(_bucket_key(value), 1))
+    for fraction in _ROW_FRACTIONS:
+        # every fraction is >= 0.5, so the rank is at least 1 for count >= 1
+        value = samples[math.ceil(fraction * count) - 1]
+        if value > 0.0:
+            mantissa, exponent = math.frexp(value)
+            points.append(math.ldexp(2 * int(mantissa * 256.0) + 1,
+                                     exponent - 9))
+        else:
+            points.append(0.0)
     return points
 
 
@@ -420,7 +437,8 @@ class TimelineAccumulator:
         self.origin_ns = float(origin_ns)
 
     def _window(self, index: int) -> _TimelineWindow:
-        index = max(0, index)
+        if index < 0:
+            index = 0
         window = self._windows.get(index)
         if window is None:
             window = self._windows[index] = _TimelineWindow()
@@ -544,12 +562,14 @@ class TimelineAccumulator:
         else:
             throughput = 0.0
             p50 = p95 = p99 = 0.0
+        attainment = 0.0
         if window.slo:
-            attained = sum(a for a, _ in window.slo.values())
-            measured = sum(c for _, c in window.slo.values())
-            attainment = attained / measured if measured else 0.0
-        else:
-            attainment = 0.0
+            attained = measured = 0
+            for attained_m, measured_m in window.slo.values():
+                attained += attained_m
+                measured += measured_m
+            if measured:
+                attainment = attained / measured
         row: Dict[str, object] = {
             "window": index,
             "t_ms": start_ns * 1e-6,
@@ -946,14 +966,15 @@ class TelemetrySession:
                    wait_ns: float, slo_ok: Optional[bool], worker) -> None:
         """One request completed end to end (counted exactly once)."""
         if self._live_hists:
-            self.latency_hist.add(latency_ns)
+            key = _bucket_key(latency_ns)
+            self.latency_hist.add(latency_ns, key)
             self.wait_hist.add(wait_ns)
             if slo_ok is not None:
                 sketch = self.slo_hists.get(request.model)
                 if sketch is None:
                     sketch = LogLinearHistogram()
                     self.slo_hists[request.model] = sketch
-                sketch.add(latency_ns)
+                sketch.add(latency_ns, key)
         if self._note_completion is not None:
             self._note_completion((ts_ns, latency_ns, request.model, slo_ok))
         if self._trace_every and request.request_id % self._trace_every == 0:

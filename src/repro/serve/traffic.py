@@ -317,11 +317,12 @@ class ClosedLoopSession:
         n = traffic.num_requests
         mean_think_ns = traffic.mean_think_s * _NS_PER_S
         # think times first, model assignments second — the same draw order
-        # contract as TrafficGenerator.generate()
-        self._think = (
+        # contract as TrafficGenerator.generate(); kept as Python floats, so
+        # each follow-up's arrival is one float addition
+        self._think: List[float] = (
             rng.exponential(mean_think_ns, size=n) if mean_think_ns > 0
             else np.zeros(n)
-        )
+        ).tolist()
         if len(traffic.models) == 1:
             self._names = [traffic.models[0]] * n
         else:

@@ -10,6 +10,7 @@ bit-identity against the pre-control simulator is pinned separately in
 ``tests/test_serve.py``.
 """
 
+import copy
 import dataclasses
 import random
 
@@ -29,6 +30,7 @@ from repro.serve import (
     place_plans,
 )
 from repro.sim.metrics import nearest_rank_percentile
+from repro.serve.control import _HEALTH_ALPHA, _ChipHealth
 from repro.serve.fleet import ChipWorker
 
 BATCHES = (1, 2, 4, 8)
@@ -301,6 +303,190 @@ class TestControllerDecisions:
             ctrl.note_dispatch(0, "m", 8, completion_ns=1.0)
         ctrl.note_dispatch(0, "m", 2, completion_ns=1.0)
         assert ctrl.preferred_batch("m", fallback=4) == 8
+
+
+# ----------------------------------------------------------------------
+# One-pass tick arithmetic against the list-based code it replaced
+# ----------------------------------------------------------------------
+def _list_attainment(ctrl):
+    """``attainment`` as a sum over the whole window."""
+    if not ctrl.slo_window:
+        return None
+    return sum(ctrl.slo_window) / len(ctrl.slo_window)
+
+
+def _list_utilisation(ctrl, now, workers):
+    """The ``util_ema`` that ``update_utilisation`` folds, from lists of
+    the available and busy chips."""
+    available = [w for w in workers if w.index not in ctrl.blocked
+                 and w.index not in ctrl.retired and w.up]
+    if not available:
+        return ctrl.util_ema
+    busy = sum(1 for w in available if w.busy_until_ns > now)
+    sample = busy / len(available)
+    return (sample if ctrl.util_ema is None
+            else _HEALTH_ALPHA * sample + (1.0 - _HEALTH_ALPHA) * ctrl.util_ema)
+
+
+def _list_scale_decision(ctrl, now, workers, queued):
+    """``scale_decision`` over lists of the active and available chips."""
+    cfg = ctrl.config
+    if not cfg.autoscale:
+        return 0
+    active = [w for w in workers if w.index not in ctrl.retired]
+    available = [w for w in active if w.up and w.index not in ctrl.blocked]
+    cooled = (ctrl.last_scale_ns is None
+              or now - ctrl.last_scale_ns >= cfg.cooldown_us * 1e3)
+    if not cooled:
+        return 0
+    if len(active) < cfg.max_chips:
+        if queued > 0 and not available:
+            return +1
+        attainment = _list_attainment(ctrl)
+        if attainment is not None and attainment < cfg.scale_up_below \
+                and queued > 0:
+            return +1
+        if available and queued / len(available) > cfg.scale_up_depth:
+            return +1
+    if len(active) > cfg.min_chips and queued == 0 and available:
+        attainment = _list_attainment(ctrl)
+        if (ctrl.util_ema is not None
+                and ctrl.util_ema < cfg.scale_down_util
+                and (attainment is None
+                     or attainment >= cfg.scale_up_below)):
+            return -1
+    return 0
+
+
+def _list_assess(ctrl, now, workers):
+    """``assess`` giving every non-retired chip a health record first."""
+    changed = False
+    ratios = sorted(
+        health.ratio_ema for index, health in ctrl.health.items()
+        if health.ratio_ema is not None and index not in ctrl.retired)
+    median_ratio = nearest_rank_percentile(ratios, 50) if ratios else None
+    for worker in workers:
+        index = worker.index
+        if index in ctrl.retired:
+            continue
+        health = ctrl.health_for(index)
+        if index in ctrl.blocked:
+            if (health.quarantined_until is not None
+                    and now >= health.quarantined_until and worker.up):
+                ctrl.blocked.discard(index)
+                health.quarantined_until = None
+                health.ratio_ema = None
+                health.strikes = 0
+                ctrl.readmissions += 1
+                changed = True
+            continue
+        if health.expected_ns is not None and now > health.expected_ns:
+            ctrl._quarantine(index, now, genuine=(
+                not worker.up or worker.epoch != health.expected_epoch))
+            changed = True
+            continue
+        if (median_ratio is not None and median_ratio > 0
+                and health.ratio_ema is not None
+                and health.ratio_ema
+                > ctrl.config.straggler_ratio * median_ratio):
+            health.strikes += 1
+            if health.strikes >= ctrl.config.quarantine_after:
+                ctrl._quarantine(index, now, genuine=(
+                    worker.latency_factor > 1.0 or worker.dram_factor > 1.0
+                    or not worker.up))
+                changed = True
+        else:
+            health.strikes = 0
+    return changed
+
+
+def _random_chips(rng, ctrl):
+    """Up to nine chips, some down, busy, blocked or retired."""
+    workers = _workers(rng.randint(1, 9))
+    for worker in workers:
+        worker.up = rng.random() < 0.8
+        worker.busy_until_ns = rng.choice((0.0, 1000.0, 2000.0, 3000.0))
+        worker.epoch = rng.choice((0, 0, 1))
+        worker.latency_factor = rng.choice((1.0, 1.0, 3.0))
+        worker.dram_factor = rng.choice((1.0, 1.0, 2.0))
+    ctrl.blocked = {w.index for w in workers if rng.random() < 0.25}
+    ctrl.retired = {w.index for w in workers if rng.random() < 0.2}
+    return workers
+
+
+class TestOnePassTick:
+    """The controller's per-tick counts equal the list-based code's."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_attainment_counts_through_evictions(self, seed):
+        rng = random.Random(seed)
+        window = rng.choice((1, 2, 5, 16, 64))
+        ctrl = Controller(ControlConfig(interval_us=100.0, window=window))
+        assert ctrl.attainment() is None
+        # five windows' worth of outcomes: the window fills, then every
+        # further SLO sample evicts the oldest one
+        for _ in range(5 * window + 7):
+            ctrl.note_request(1000.0, rng.choice((True, False, False, None)))
+            assert ctrl.slo_hits == sum(ctrl.slo_window)
+            assert ctrl.attainment() == _list_attainment(ctrl)
+        assert len(ctrl.slo_window) == window
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_utilisation_and_scaling_match_the_lists(self, seed):
+        rng = random.Random(seed)
+        window = rng.choice((3, 8, 64))
+        max_chips = rng.randint(2, 10)
+        ctrl = Controller(ControlConfig(
+            interval_us=100.0, window=window, autoscale=rng.random() < 0.9,
+            min_chips=rng.randint(1, max_chips), max_chips=max_chips,
+            scale_up_below=rng.choice((0.5, 0.9, 1.0)),
+            scale_up_depth=rng.choice((0.5, 2.0, 4.0)),
+            scale_down_util=rng.choice((0.0, 0.3, 0.9)),
+            cooldown_us=rng.choice((0.0, 1.0, 2.0))))
+        hit_rate = rng.random()
+        for _ in range(200):
+            for _ in range(rng.randint(0, 2 * window)):
+                ctrl.note_request(1000.0, None if rng.random() < 0.2
+                                  else rng.random() < hit_rate)
+            workers = _random_chips(rng, ctrl)
+            now = rng.choice((0.0, 1000.0, 1500.0, 2500.0, 4000.0))
+            expected_ema = _list_utilisation(ctrl, now, workers)
+            ctrl.update_utilisation(now, workers)
+            assert ctrl.util_ema == expected_ema
+            ctrl.last_scale_ns = rng.choice((None, 0.0, 2000.0, 3500.0))
+            queued = rng.choice((0, 0, 0, 1, 3, 8, 40))
+            assert ctrl.scale_decision(now, workers, queued) == \
+                _list_scale_decision(ctrl, now, workers, queued)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_assess_matches_records_for_every_chip(self, seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            ctrl = Controller(ControlConfig(
+                interval_us=100.0, quarantine_after=rng.choice((1, 2, 3)),
+                straggler_ratio=rng.choice((1.2, 1.6))))
+            workers = _random_chips(rng, ctrl)
+            for worker in workers:
+                if worker.index not in ctrl.blocked and rng.random() < 0.3:
+                    continue  # never dispatched to: no record yet
+                health = ctrl.health_for(worker.index)
+                health.ratio_ema = rng.choice((None, 1.0, 1.0, 1.1, 2.5))
+                health.expected_ns = rng.choice((None, None, 500.0, 3000.0))
+                health.expected_epoch = rng.choice((0, 1))
+                health.strikes = rng.randint(0, 2)
+                health.flaps = rng.randint(0, 2)
+                if worker.index in ctrl.blocked:
+                    health.quarantined_until = rng.choice((500.0, 3000.0))
+            oracle = copy.deepcopy(ctrl)
+            now = rng.choice((1000.0, 2000.0))
+            assert ctrl.assess(now, workers) == _list_assess(oracle, now,
+                                                             workers)
+            assert ctrl.as_dict(workers, 0) == oracle.as_dict(workers, 0)
+            assert ctrl.blocked == oracle.blocked
+            # the oracle adds a blank record for every unrecorded chip;
+            # everything else is field for field the same
+            for index, health in oracle.health.items():
+                assert ctrl.health.get(index, _ChipHealth()) == health
 
 
 # ----------------------------------------------------------------------

@@ -140,12 +140,19 @@ class _CheckingRunState(_RunState):
     be the worker, plan and latency of an uncached ``choose_worker``.
     Every dispatch attempt first checks whatever view is held, so a
     missed invalidation shows even where the loop would not read it.
+
+    It also counts the two early exits that read the view: a
+    ``try_dispatch`` with requests queued and an empty view held, and a
+    ``try_hedge`` with no candidate.  At each, a fresh ``idle_chips``
+    scan must find no chip.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.cached_answers = 0
         self.fresh_answers = 0
+        self.empty_view_exits = 0
+        self.no_idle_hedge_exits = 0
 
     def fresh_candidates(self, now):
         idle = self.idle_chips(now)
@@ -191,7 +198,16 @@ class _CheckingRunState(_RunState):
             self.check_candidates(self.view, now)
             for (model, batch), routed in self.routes.items():
                 self.check_route(routed, model, batch, now)
+            if self.depth and not self.view:
+                assert not self.idle_chips(now), now
+                self.empty_view_exits += 1
         super().try_dispatch(now)
+
+    def try_hedge(self, now, budget_ns):
+        if not self.candidates(now):
+            assert not self.idle_chips(now), now
+            self.no_idle_hedge_exits += 1
+        super().try_hedge(now, budget_ns)
 
 
 class _CommandsAt(CommandQueue):
@@ -257,9 +273,12 @@ class TestDispatchView:
 
         monkeypatch.setattr(simulator_module, "_RunState", checking_state)
 
-    def checked_run(self):
+    def checked_run(self, early_exits=False):
         (state,) = self.runs
         assert state.cached_answers > 0 and state.fresh_answers > 0
+        if early_exits:
+            assert state.empty_view_exits > 0
+            assert state.no_idle_hedge_exits > 0
 
     @pytest.mark.parametrize("scenario", sorted(_load_pins()))
     def test_serving_pins(self, scenario):
@@ -284,7 +303,7 @@ class TestDispatchView:
         assert (control["replacements"] > 0) == replace_plans
         if replace_plans:
             assert control["hedges"] > 0
-        self.checked_run()
+        self.checked_run(early_exits=True)
 
     def test_mid_run_set_policy(self):
         # a policy swap every 5 pops, round the registry, while the view
@@ -298,7 +317,7 @@ class TestDispatchView:
         applied = [entry for entry in report.commands
                    if entry["status"] == "applied"]
         assert len(applied) == 200 and applied[0]["t_ms"] > 0
-        self.checked_run()
+        self.checked_run(early_exits=True)
 
 
 class TestInvalidationSites:
